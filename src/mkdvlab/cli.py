@@ -1,6 +1,9 @@
 """Command-line front end: one subcommand per experiment kind plus `all`.
 
 Exit codes: 0 pass, 1 threshold fail, 2 invalid input, 3 runtime failure.
+A laboratory error carries its code as `MkdvLabError.exit_code`; ValueError,
+KeyError, TypeError, OSError and YAML errors are invalid input, and any other
+exception is a runtime failure.  Failures print one line, never a traceback.
 """
 
 from __future__ import annotations
@@ -10,57 +13,50 @@ import sys
 
 import yaml
 
-from .errors import (
-    BlowUp,
-    DuplicateVelocity,
-    EigensolveFailure,
-    EmptyAdmissibleInterval,
-    HypothesisViolated,
-    NoConvergence,
-    NonPositiveDistance,
-    SingularJacobian,
-    TailsTooLarge,
-)
-from .lab import EXPERIMENT_KINDS, load_scenario, parse_scenario, run_experiment
+from .errors import MkdvLabError
+from .lab import EXPERIMENT_KINDS, parse_scenario, run_experiment
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
 
-_INVALID_ERRORS = (
-    ValueError,
-    KeyError,
-    TypeError,
-    DuplicateVelocity,
-    TailsTooLarge,
-    HypothesisViolated,
-    OSError,
-    yaml.YAMLError,
-)
-_RUNTIME_ERRORS = (
-    BlowUp,
-    NoConvergence,
-    SingularJacobian,
-    EigensolveFailure,
-    EmptyAdmissibleInterval,
-    NonPositiveDistance,
-)
+
+def _slot(node, part: str, key: str):
+    """Index that one dotted-path part addresses in a mapping or a list."""
+    if isinstance(node, dict):
+        return part
+    if isinstance(node, list) and part.isdecimal() and int(part) < len(node):
+        return int(part)
+    raise ValueError(f"override {key!r}: {part!r} does not address a {type(node).__name__}")
 
 
 def _apply_overrides(text: str, overrides: list[str]) -> str:
-    """Apply dotted-path key=value overrides to the raw scenario document."""
+    """Apply dotted-path key=value overrides to the raw scenario document.
+
+    Numeric parts index into lists; a path through a scalar or past the end
+    of a list is invalid input.
+    """
     doc = yaml.safe_load(text)
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override must look like key=value, got {item!r}")
         key, _, raw = item.partition("=")
+        *path, last = key.split(".")
         node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = yaml.safe_load(raw)
+        for part in path:
+            i = _slot(node, part, key)
+            node = node.setdefault(i, {}) if isinstance(node, dict) else node[i]
+        node[_slot(node, last, key)] = yaml.safe_load(raw)
     return yaml.safe_dump(doc)
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, MkdvLabError):
+        return exc.exit_code
+    if isinstance(exc, (ValueError, KeyError, TypeError, OSError, yaml.YAMLError)):
+        return EXIT_INVALID
+    return EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,31 +81,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    kinds = EXPERIMENT_KINDS if args.command == "all" else (args.command,)
+    where = ""
+    worst = EXIT_PASS
     try:
         with open(args.scenario) as f:
             text = f.read()
         if args.override:
             text = _apply_overrides(text, args.override)
         scenario = parse_scenario(text)
-    except _INVALID_ERRORS as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    kinds = EXPERIMENT_KINDS if args.command == "all" else (args.command,)
-    worst = EXIT_PASS
-    for kind in kinds:
-        try:
+        for kind in kinds:
+            where = f"{kind}: "
             report = run_experiment(scenario, kind, out_dir=args.out)
-        except _RUNTIME_ERRORS as exc:
-            print(f"{kind}: runtime failure: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        except _INVALID_ERRORS as exc:
-            print(f"{kind}: invalid input: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{kind}: {status}")
-        if not report.passed:
-            worst = EXIT_FAIL
+            status = "PASS" if report.passed else "FAIL"
+            print(f"{kind}: {status}")
+            if not report.passed:
+                worst = EXIT_FAIL
+    except Exception as exc:
+        code = _exit_code(exc)
+        label = "invalid input" if code == EXIT_INVALID else "runtime failure"
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"{where}{label}: {message}", file=sys.stderr)
+        return code
     return worst
 
 

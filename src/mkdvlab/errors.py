@@ -1,20 +1,32 @@
-"""Exception types shared across the laboratory modules."""
+"""Exception types shared across the laboratory modules.
+
+Each class carries the CLI exit code it maps to: 2 for invalid input, 3 for
+a runtime failure.
+"""
 
 
 class MkdvLabError(Exception):
     """Base class for all laboratory errors."""
 
+    exit_code = 3
+
 
 class DuplicateVelocity(MkdvLabError):
     """Two wave objects share the same velocity (distinctness violated)."""
+
+    exit_code = 2
 
 
 class HypothesisViolated(MkdvLabError):
     """The second-smallest velocity is not positive and no override was given."""
 
+    exit_code = 2
+
 
 class TailsTooLarge(MkdvLabError):
     """A profile's decay envelope at the domain boundary exceeds the budget."""
+
+    exit_code = 2
 
 
 class BlowUp(MkdvLabError):

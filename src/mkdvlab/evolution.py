@@ -9,12 +9,13 @@ to 2n, which is exact for cubic nonlinearities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BlowUp
-from .grid import Field, Grid, make_field, spectral_derivative
+from .grid import Field, Grid, _fourier_symbol, make_field, spectral_derivative
 from .profiles import OrderedConfiguration, eval_object, order_and_validate
 
 BLOWUP_LIMIT = 1e6
@@ -28,8 +29,12 @@ class EvolutionControls:
     save_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and np.isfinite(self.t_end)):
+            raise ValueError("dt and t_end must be finite")
+        if self.dt <= 0 or self.t_end <= 0:
+            raise ValueError("dt and t_end must be positive")
+        if abs(math.remainder(self.t_end, self.dt)) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end={self.t_end} must be a whole multiple of dt={self.dt}")
         if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
 
@@ -78,8 +83,7 @@ class _Stepper:
         self.dt = dt
         self.dealias = dealias
         k = g.wavenumbers
-        self.ik = 1j * k.copy()
-        self.ik[-1] = 0.0  # no odd derivative for the Nyquist mode
+        self.ik = _fourier_symbol(g, 1)
         L = 1j * k**3  # symbol of -d^3/dx^3
         h = dt
         self.E = np.exp(h * L)

@@ -21,18 +21,25 @@ def mass(u: Field) -> float:
     return 0.5 * integrate(u.grid, u.values**2)
 
 
+def _energy_density(v, ux):
+    return 0.5 * ux**2 - 0.25 * v**4
+
+
+def _second_energy_density(v, ux, uxx):
+    return 0.5 * uxx**2 - 2.5 * v**2 * ux**2 + 0.25 * v**6
+
+
 def energy(u: Field) -> float:
     """Conserved energy int (1/2 u_x^2 - 1/4 u^4)."""
     ux = spectral_derivative(u, 1).values
-    return integrate(u.grid, 0.5 * ux**2 - 0.25 * u.values**4)
+    return integrate(u.grid, _energy_density(u.values, ux))
 
 
 def second_energy(u: Field) -> float:
     """Conserved second energy int (1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6)."""
     ux = spectral_derivative(u, 1).values
     uxx = spectral_derivative(u, 2).values
-    v = u.values
-    return integrate(u.grid, 0.5 * uxx**2 - 2.5 * v**2 * ux**2 + 0.25 * v**6)
+    return integrate(u.grid, _second_energy_density(u.values, ux, uxx))
 
 
 def psi(sigma: float, x):
@@ -145,6 +152,6 @@ def localized_triple(u: Field, fam: CutoffFamily, j: int, t: float) -> Localized
     ux = spectral_derivative(u, 1).values
     uxx = spectral_derivative(u, 2).values
     Mj = integrate(g, v**2 * phi)
-    Ej = integrate(g, (0.5 * ux**2 - 0.25 * v**4) * phi)
-    Fj = integrate(g, (0.5 * uxx**2 - 2.5 * v**2 * ux**2 + 0.25 * v**6) * phi)
+    Ej = integrate(g, _energy_density(v, ux) * phi)
+    Fj = integrate(g, _second_energy_density(v, ux, uxx) * phi)
     return LocalizedTriple(Mj=Mj, Ej=Ej, Fj=Fj, j=j, t=t)

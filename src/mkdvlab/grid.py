@@ -79,27 +79,26 @@ def sample(grid: Grid, fn) -> Field:
     return make_field(grid, fn(grid.x))
 
 
-def spectral_derivative(f: Field, order: int) -> Field:
-    """Fourier differentiation of the given order (1..4)."""
+def _fourier_symbol(grid: Grid, order: int) -> np.ndarray:
+    """(ik)^order on the rfft layout, order 1..4; zero at Nyquist for odd orders."""
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order}")
-    g = f.grid
-    fh = np.fft.rfft(f.values)
-    k = g.wavenumbers
-    fh *= (1j * k) ** order
+    sym = (1j * grid.wavenumbers) ** order
     if order % 2 == 1:
         # the Nyquist mode has no well-defined odd derivative on a real grid
-        fh[-1] = 0.0
+        sym[-1] = 0.0
+    return sym
+
+
+def spectral_derivative(f: Field, order: int) -> Field:
+    """Fourier differentiation of the given order (1..4)."""
+    g = f.grid
+    fh = _fourier_symbol(g, order) * np.fft.rfft(f.values)
     return make_field(g, np.fft.irfft(fh, g.n))
 
 
-def quadrature(f: Field) -> float:
-    """Trapezoid quadrature h * sum(values) on the periodic grid."""
-    return f.grid.h * float(np.sum(f.values))
-
-
 def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Quadrature on raw sample arrays (same rule as :func:`quadrature`)."""
+    """Trapezoid quadrature h * sum(values) on the periodic grid."""
     return grid.h * float(np.sum(values))
 
 
@@ -116,12 +115,5 @@ def h2_norm_sq(f: Field) -> float:
 
 def derivative_matrix(grid: Grid, order: int) -> np.ndarray:
     """Dense spectral differentiation matrix (used by the coercivity check)."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be in 1..4, got {order}")
-    n = grid.n
-    eye_hat = np.fft.rfft(np.eye(n), axis=0)
-    k = grid.wavenumbers[:, None]
-    eye_hat *= (1j * k) ** order
-    if order % 2 == 1:
-        eye_hat[-1, :] = 0.0
-    return np.fft.irfft(eye_hat, n, axis=0)
+    eye_hat = _fourier_symbol(grid, order)[:, None] * np.fft.rfft(np.eye(grid.n), axis=0)
+    return np.fft.irfft(eye_hat, grid.n, axis=0)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
-from .errors import MkdvLabError, NonPositiveDistance
+from .errors import NonPositiveDistance
 from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
 from .functionals import energy, mass, second_energy
 from .grid import Field, Grid, integrate, make_field, make_grid, spectral_derivative
@@ -32,6 +32,7 @@ from .profiles import (
     Breather,
     OrderedConfiguration,
     Soliton,
+    center,
     check_tails,
     order_and_validate,
     profile_sum,
@@ -58,6 +59,8 @@ class Scenario:
 
 
 def _parse_object(entry: dict, index: int):
+    if not isinstance(entry, dict):
+        raise ValueError(f"objects[{index}] must be a mapping")
     kind = entry.get("kind")
     known = {
         "soliton": ("c", "kappa", "x0"),
@@ -107,12 +110,15 @@ def parse_scenario(text: str) -> Scenario:
         dealias=bool(espec.get("dealias", True)),
         save_every=int(espec.get("save_every", 1)),
     )
+    sigma = float(doc.get("sigma", 0.01))
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     s = Scenario(
         name=str(doc["name"]),
         cfg=cfg,
         grid=g,
         controls=controls,
-        sigma=float(doc.get("sigma", 0.01)),
+        sigma=sigma,
         seed=int(doc.get("seed", 0)),
         output_dir=str(doc.get("output_dir", "out")),
     )
@@ -233,8 +239,6 @@ def _bump_center(cfg: OrderedConfiguration) -> float:
     which translation-only modulation cannot absorb; in a gap it disperses
     as pure radiation.
     """
-    from .profiles import center
-
     cs = sorted(center(o, 0.0) for o in cfg.objects)
     if len(cs) == 1:
         return cs[0] + 25.0
@@ -253,10 +257,8 @@ class ExperimentReport:
     series: dict = field(default_factory=dict)  # name -> dict of equal-length columns
 
 
-def _evolve_scenario(s: Scenario, u0: Field | None = None) -> Trajectory:
-    if u0 is None:
-        u0 = profile_sum(s.cfg, 0.0, s.grid)
-    return evolve(u0, s.controls)
+def _evolve_scenario(s: Scenario) -> Trajectory:
+    return evolve(profile_sum(s.cfg, 0.0, s.grid), s.controls)
 
 
 def _run_verify_exact(s: Scenario) -> ExperimentReport:
@@ -373,10 +375,7 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
         a, b = shape_pair(o)
         g = make_grid(max(20.0, 8.0 / b), n_eig)
         # re-center the profile so the dense grid can stay small
-        if isinstance(o, Soliton):
-            centered = Soliton(c=o.c, kappa=o.kappa, x0=0.0)
-        else:
-            centered = Breather(alpha=o.alpha, beta=o.beta, x1=0.0, x2=0.0)
+        centered = replace(o, x0=0.0) if isinstance(o, Soliton) else replace(o, x1=0.0, x2=0.0)
         res = coercivity_check(centered, p1, 1, g)
         results[f"object_{idx}"] = {
             "mu": res.mu,

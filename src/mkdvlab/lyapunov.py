@@ -8,7 +8,7 @@ interval, which maximizes slack and is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +17,7 @@ from .errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolat
 from .evolution import Trajectory
 from .functionals import (
     CutoffFamily,
+    LocalizedTriple,
     localized_triple,
     make_cutoff_family,
     mass,
@@ -34,8 +35,8 @@ from .grid import (
 from .profiles import (
     OrderedConfiguration,
     WaveObject,
+    center,
     eval_object,
-    order_and_validate,
     shape_pair,
 )
 from .modulation import modulation_directions
@@ -160,19 +161,20 @@ def select_parameters(
     return params
 
 
+def _weakened(trip: LocalizedTriple, shape: tuple[float, float], nu: float) -> float:
+    """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j (localized convention)."""
+    a, b = shape
+    return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
+
+
 def lyapunov_H(u: Field, j: int, p: LyapunovParams, t: float) -> float:
-    """H_j = F_j + 2(b^2-a^2) E_j + (a^2+b^2)^2 M_j (localized convention)."""
-    a, b = p.shape(j)
-    trip = localized_triple(u, p.fam, j, t)
-    return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + (a**2 + b**2) ** 2 * trip.Mj
+    """H_j = F_j + 2(b^2-a^2) E_j + (a^2+b^2)^2 M_j, the weakened form at nu = 1."""
+    return _weakened(localized_triple(u, p.fam, j, t), p.shape(j), 1.0)
 
 
 def weakened_F(u: Field, j: int, p: LyapunovParams, t: float, nu: float | None = None) -> float:
-    """Weakened functional: same combination with the mass coefficient nu < 1."""
-    a, b = p.shape(j)
-    nu_val = p.nu if nu is None else nu
-    trip = localized_triple(u, p.fam, j, t)
-    return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu_val * (a**2 + b**2) ** 2 * trip.Mj
+    """Weakened functional: the H_j combination with mass coefficient nu < 1."""
+    return _weakened(localized_triple(u, p.fam, j, t), p.shape(j), p.nu if nu is None else nu)
 
 
 def quadratic_form_H(
@@ -355,7 +357,6 @@ def monotonicity_report(
         raise ValueError(f"which must be one of {_WHICH}")
     if omega is None:
         omega = p.default_omega()
-    a, b = p.shape(j)
     values = []
     for t, u in zip(traj.times, traj.states):
         trip = localized_triple(u, p.fam, j, t)
@@ -366,11 +367,7 @@ def monotonicity_report(
         elif which == "Fj+omega*Mj":
             val = trip.Fj + omega * trip.Mj
         else:
-            val = (
-                trip.Fj
-                + 2.0 * (b**2 - a**2) * trip.Ej
-                + p.nu * (a**2 + b**2) ** 2 * trip.Mj
-            )
+            val = _weakened(trip, p.shape(j), p.nu)
         values.append(float(val))
 
     vals = np.asarray(values)
@@ -416,8 +413,6 @@ def calibrate_slack(
     for o in cfg.objects:
         u = make_field(g, eval_object(o, t0, g.x))
         scale += 2.0 * mass(u) + abs(energy(u)) + abs(second_energy(u))
-
-    from .profiles import center
 
     centers = sorted(center(o, t0) for o in cfg.objects)
     if len(centers) > 1 and np.isfinite(tau0):

@@ -16,17 +16,11 @@ from .errors import NoConvergence, SingularJacobian
 from .functionals import CutoffFamily
 from .grid import Field, Grid, h2_norm_sq, integrate, make_field, spectral_derivative
 from .profiles import (
-    Breather,
     OrderedConfiguration,
-    Soliton,
-    breather_d1,
-    breather_d2,
-    breather_second_partials,
+    _offset_partials,
     eval_object,
     n_offsets,
     shape_pair,
-    soliton_d0,
-    soliton_d00,
 )
 
 
@@ -53,16 +47,8 @@ def modulation_directions(o, shifts, t: float, g: Grid) -> list[Field]:
     One field for a soliton (the spatial derivative of the shifted profile),
     two for a breather (partials in each phase parameter), all closed-form.
     """
-    x = g.x
-    if isinstance(o, Soliton):
-        sh = shifts[0] if len(shifts) else 0.0
-        return [make_field(g, soliton_d0(o, t, x, sh))]
-    s1 = shifts[0] if len(shifts) else 0.0
-    s2 = shifts[1] if len(shifts) > 1 else 0.0
-    return [
-        make_field(g, breather_d1(o, t, x, s1, s2)),
-        make_field(g, breather_d2(o, t, x, s1, s2)),
-    ]
+    dirs, _ = _offset_partials(o, shifts, t, g.x, second=False)
+    return [make_field(g, d) for d in dirs]
 
 
 def _direction_arrays(cfg, offsets, t, x):
@@ -77,21 +63,11 @@ def _direction_arrays(cfg, offsets, t, x):
     local: list[int] = []
     second: list[list[list[np.ndarray]]] = []
     for idx, (o, sh) in enumerate(zip(cfg.objects, offsets)):
-        if isinstance(o, Soliton):
-            s0 = sh[0] if len(sh) else 0.0
-            dirs.append(soliton_d0(o, t, x, s0))
-            owner.append(idx)
-            local.append(0)
-            second.append([[soliton_d00(o, t, x, s0)]])
-        else:
-            s1 = sh[0] if len(sh) else 0.0
-            s2 = sh[1] if len(sh) > 1 else 0.0
-            d11, d12, d22 = breather_second_partials(o, t, x, s1, s2)
-            dirs.append(breather_d1(o, t, x, s1, s2))
-            dirs.append(breather_d2(o, t, x, s1, s2))
-            owner.extend([idx, idx])
-            local.extend([0, 1])
-            second.append([[d11, d12], [d12, d22]])
+        d, hess = _offset_partials(o, sh, t, x, second=True)
+        dirs.extend(d)
+        owner.extend([idx] * len(d))
+        local.extend(range(len(d)))
+        second.append(hess)
     return dirs, owner, local, second
 
 

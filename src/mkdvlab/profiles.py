@@ -91,7 +91,8 @@ _HYP_CLAMP = 100.0  # |beta*y2| cap; beyond it the profile is ~1e-44, and
 # cosh powers up to the 6th must stay below double-precision overflow
 
 
-def _breather_frame(b: Breather, t: float, x, shift1: float, shift2: float):
+def _breather_quotient(b: Breather, t: float, x, shift1: float, shift2: float):
+    """k, N, D of the breather quotient k N / D and its frame samples s, c, sh, ch."""
     x = np.asarray(x, dtype=float)
     y1 = x + b.delta * t + b.x1 + shift1
     y2 = x + b.gamma * t + b.x2 + shift2
@@ -100,79 +101,92 @@ def _breather_frame(b: Breather, t: float, x, shift1: float, shift2: float):
     arg = np.clip(b.beta * y2, -_HYP_CLAMP, _HYP_CLAMP)
     sh = np.sinh(arg)
     ch = np.cosh(arg)
-    return s, c, sh, ch
+    a, be = b.alpha, b.beta
+    k = 2.0 * np.sqrt(2.0) * a * be
+    N = a * c * ch - be * s * sh
+    D = a**2 * ch**2 + be**2 * s**2
+    return k, N, D, s, c, sh, ch
 
 
 def breather_eval(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0):
     """Closed-form value 2*sqrt(2) d/dx arctan((beta/alpha) sin(a y1)/cosh(b y2)).
 
-    Worked out with the quotient rule this is
-    2*sqrt(2)*alpha*beta*(alpha cos(a y1) cosh(b y2) - beta sin(a y1) sinh(b y2))
-    / (alpha^2 cosh^2(b y2) + beta^2 sin^2(a y1)).
+    Worked out with the quotient rule this is k N / D with k =
+    2*sqrt(2)*alpha*beta, N = alpha cos(a y1) cosh(b y2) - beta sin(a y1)
+    sinh(b y2) and D = alpha^2 cosh^2(b y2) + beta^2 sin^2(a y1).
     """
-    s, c, sh, ch = _breather_frame(b, t, x, shift1, shift2)
-    a, be = b.alpha, b.beta
-    num = a * c * ch - be * s * sh
-    den = a**2 * ch**2 + be**2 * s**2
-    return 2.0 * np.sqrt(2.0) * a * be * num / den
+    k, N, D, *_ = _breather_quotient(b, t, x, shift1, shift2)
+    return k * N / D
 
 
-def _breather_nd(b: Breather, t: float, x, shift1: float, shift2: float):
-    """N, D of the breather quotient and their first/second phase partials."""
-    s, c, sh, ch = _breather_frame(b, t, x, shift1, shift2)
+def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float, second: bool):
+    """Phase partials (d1, d2) of the breather, then (d11, d12, d22) if second."""
+    k, N, D, s, c, sh, ch = _breather_quotient(b, t, x, shift1, shift2)
     a, be = b.alpha, b.beta
-    N = a * c * ch - be * s * sh
-    D = a**2 * ch**2 + be**2 * s**2
     N1 = -(a**2) * s * ch - a * be * c * sh
     N2 = a * be * c * sh - be**2 * s * ch
     D1 = 2.0 * a * be**2 * s * c
     D2 = 2.0 * a**2 * be * ch * sh
+    g1 = N1 * D - N * D1
+    g2 = N2 * D - N * D2
+    first = (k * g1 / D**2, k * g2 / D**2)
+    if not second:
+        return first
     N11 = -(a**3) * c * ch + a**2 * be * s * sh
     N12 = -(a**2) * be * s * sh - a * be**2 * c * ch
     N22 = a * be**2 * c * ch - be**3 * s * sh
     D11 = 2.0 * a**2 * be**2 * (c**2 - s**2)
     D12 = np.zeros_like(D)
     D22 = 2.0 * a**2 * be**2 * (sh**2 + ch**2)
-    return N, D, N1, N2, D1, D2, N11, N12, N22, D11, D12, D22
+    d11 = k * ((N11 * D - N * D11) / D**2 - 2.0 * D1 * g1 / D**3)
+    d12 = k * ((N12 * D + N1 * D2 - N2 * D1 - N * D12) / D**2 - 2.0 * D2 * g1 / D**3)
+    d22 = k * ((N22 * D - N * D22) / D**2 - 2.0 * D2 * g2 / D**3)
+    return first + (d11, d12, d22)
 
 
 def breather_d1(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0):
     """Partial derivative of the breather in its first phase parameter x1."""
-    N, D, N1, _, D1, _, *_ = _breather_nd(b, t, x, shift1, shift2)
-    k = 2.0 * np.sqrt(2.0) * b.alpha * b.beta
-    return k * (N1 * D - N * D1) / D**2
+    return _breather_partials(b, t, x, shift1, shift2, second=False)[0]
 
 
 def breather_d2(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0):
     """Partial derivative of the breather in its second phase parameter x2."""
-    N, D, _, N2, _, D2, *_ = _breather_nd(b, t, x, shift1, shift2)
-    k = 2.0 * np.sqrt(2.0) * b.alpha * b.beta
-    return k * (N2 * D - N * D2) / D**2
+    return _breather_partials(b, t, x, shift1, shift2, second=False)[1]
 
 
 def breather_second_partials(
     b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0
 ):
     """Second partials (d11, d12, d22) in the phase parameters."""
-    N, D, N1, N2, D1, D2, N11, N12, N22, D11, D12, D22 = _breather_nd(
-        b, t, x, shift1, shift2
-    )
-    k = 2.0 * np.sqrt(2.0) * b.alpha * b.beta
-    g1 = N1 * D - N * D1
-    g2 = N2 * D - N * D2
-    d11 = k * ((N11 * D - N * D11) / D**2 - 2.0 * D1 * g1 / D**3)
-    d12 = k * ((N12 * D + N1 * D2 - N2 * D1 - N * D12) / D**2 - 2.0 * D2 * g1 / D**3)
-    d22 = k * ((N22 * D - N * D22) / D**2 - 2.0 * D2 * g2 / D**3)
-    return d11, d12, d22
+    return _breather_partials(b, t, x, shift1, shift2, second=True)[2:]
+
+
+def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
+    """First and second translation offsets, 0.0 where shifts stops short."""
+    s1 = shifts[0] if len(shifts) else 0.0
+    s2 = shifts[1] if len(shifts) > 1 else 0.0
+    return s1, s2
+
+
+def _offset_partials(o: WaveObject, shifts: Sequence[float], t: float, x, second: bool):
+    """Offset partials of one shifted profile, as used by the modulation solver.
+
+    Returns (dirs, hess): one direction array per offset (one for a soliton,
+    two for a breather) and, if second, the matrix hess[a][b] of their own
+    offset partials (None otherwise).
+    """
+    s1, s2 = _offsets(shifts)
+    if isinstance(o, Soliton):
+        return [soliton_d0(o, t, x, s1)], [[soliton_d00(o, t, x, s1)]] if second else None
+    d = _breather_partials(o, t, x, s1, s2, second)
+    return [d[0], d[1]], [[d[2], d[3]], [d[3], d[4]]] if second else None
 
 
 def eval_object(o: WaveObject, t: float, x, shifts: Sequence[float] = ()):
     """Evaluate a soliton or breather, with optional translation offsets."""
+    s1, s2 = _offsets(shifts)
     if isinstance(o, Soliton):
-        shift = shifts[0] if len(shifts) else 0.0
-        return soliton_eval(o, t, x, shift)
-    s1 = shifts[0] if len(shifts) else 0.0
-    s2 = shifts[1] if len(shifts) > 1 else 0.0
+        return soliton_eval(o, t, x, s1)
     return breather_eval(o, t, x, s1, s2)
 
 
@@ -197,10 +211,9 @@ def n_offsets(o: WaveObject) -> int:
 
 def center(o: WaveObject, t: float, shifts: Sequence[float] = ()) -> float:
     """Instantaneous center of the profile."""
+    s1, s2 = _offsets(shifts)
     if isinstance(o, Soliton):
-        shift = shifts[0] if len(shifts) else 0.0
-        return o.x0 - shift + o.c * t
-    s2 = shifts[1] if len(shifts) > 1 else 0.0
+        return o.x0 - s1 + o.c * t
     return -(o.x2 + s2) - o.gamma * t
 
 

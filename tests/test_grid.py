@@ -10,7 +10,6 @@ from mkdvlab.grid import (
     integrate,
     make_field,
     make_grid,
-    quadrature,
     sample,
     spectral_derivative,
 )
@@ -69,7 +68,6 @@ def test_spectral_derivative_order_validation():
 def test_quadrature_of_gaussian():
     g = make_grid(30.0, 512)
     f = sample(g, lambda x: np.exp(-(x**2)))
-    assert quadrature(f) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
     assert integrate(g, f.values) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
 
 

@@ -2,12 +2,17 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mkdvlab import cli
 from mkdvlab.cli import main
-from mkdvlab.errors import DuplicateVelocity, NonPositiveDistance
+from mkdvlab.errors import BlowUp, DuplicateVelocity, NonPositiveDistance
 from mkdvlab.lab import (
     ExperimentReport,
     emit_plot_data,
@@ -75,11 +80,33 @@ def test_parse_rejects_duplicate_velocities():
         ("kind: soliton", "kind: vortex"),  # unknown kind
         ("c: 1.0", "q: 1.0"),  # unknown/missing object field
         ("n: 1024", "n: 1000"),  # not a power of two
+        ("{kind: soliton, c: 1.0}", "5"),  # object entry is not a mapping
+        ("{kind: soliton, c: 1.0}", "[1]"),
     ],
 )
 def test_parse_schema_violations(mutation):
     old, new = mutation
     with pytest.raises((ValueError, KeyError)):
+        parse_scenario(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        ("t_end: 0.1", "t_end: 0"),
+        ("t_end: 0.1", "t_end: -1"),
+        ("t_end: 0.1", "t_end: .inf"),
+        ("t_end: 0.1", "t_end: .nan"),
+        ("dt: 1.0e-3", "dt: .inf"),
+        ("dt: 1.0e-3", "dt: .nan"),
+        ("{dt: 1.0e-3, t_end: 0.1}", "{dt: 4.0e-4, t_end: 1.0e-3}"),  # stops short of t_end
+        ("t_end: 0.1}", "t_end: 0.1}\nsigma: 0"),
+        ("t_end: 0.1}", "t_end: 0.1}\nsigma: -1.0"),
+    ],
+)
+def test_parse_rejects_bad_controls(mutation):
+    old, new = mutation
+    with pytest.raises(ValueError):
         parse_scenario(MINIMAL.replace(old, new))
 
 
@@ -206,6 +233,8 @@ def test_cli_override(tmp_path, capsys):
             "grid.n=2048",
             "--override",
             "name=renamed",
+            "--override",
+            "objects.0.c=2",
         ]
     )
     assert code == 0
@@ -213,4 +242,73 @@ def test_cli_override(tmp_path, capsys):
 
 def test_cli_bad_override(tmp_path):
     path = _write(tmp_path, MINIMAL)
-    assert main(["verify-exact", "--scenario", path, "--override", "oops"]) == 2
+    for override in ("oops", "objects.9.c=2", "name.x=1"):
+        assert main(["verify-exact", "--scenario", path, "--override", override]) == 2
+
+
+def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
+    path = _write(tmp_path, MINIMAL)
+    for exc in (BlowUp(0.5), RuntimeError("unexpected")):
+
+        def fail(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert main(["verify-exact", "--scenario", path]) == 3
+
+
+_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 300),
+    st.floats(-300.0, 300.0),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.text(max_size=4),
+)
+# nested values stay small: every integer or float is at most 300, and a
+# string of four characters parses to at most 9999, so no grid gets large
+_VALUE = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_BASE = yaml.safe_load(MINIMAL)
+_PATHS = [
+    "name", "objects", "objects.0", "objects.0.c", "objects.0.kind", "objects.1.c",
+    "objects.x", "grid", "grid.n", "grid.half_length", "grid.n.x", "evolution.dt",
+    "evolution.t_end", "sigma", "seed", "name.x", "",
+]
+
+
+@st.composite
+def _documents(draw):
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    doc = dict(_BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(_BASE) + ["sigma", "seed"]), max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_VALUE)
+    return yaml.safe_dump(doc)
+
+
+_OVERRIDES = st.lists(
+    st.one_of(
+        st.builds(lambda k, v: f"{k}={yaml.safe_dump(v).splitlines()[0]}", st.sampled_from(_PATHS), _LEAF),
+        st.builds(lambda k, v: f"{k}={v}", st.sampled_from(_PATHS), st.text(max_size=4)),
+        st.text(max_size=8),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_documents(), overrides=_OVERRIDES)
+def test_cli_fuzzed_input_exits_cleanly(text, overrides):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "scenario.yaml")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        argv = ["verify-exact", "--scenario", path] + [f"--override={o}" for o in overrides]
+        assert main(argv) in (0, 1, 2, 3)

@@ -79,30 +79,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_failure(exc: Exception, where: str = "") -> int:
+    """Print the one-line message for a failure and return its exit code."""
+    code = _exit_code(exc)
+    label = "invalid input" if code == EXIT_INVALID else "runtime failure"
+    message = " ".join(str(exc).split()) or type(exc).__name__
+    print(f"{where}{label}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run the requested kinds and return the largest exit code among them.
+
+    A scenario that does not parse stops before any kind runs; under `all`, a
+    kind that fails is reported and the remaining kinds still run.
+    """
     args = build_parser().parse_args(argv)
     kinds = EXPERIMENT_KINDS if args.command == "all" else (args.command,)
-    where = ""
-    worst = EXIT_PASS
     try:
         with open(args.scenario) as f:
             text = f.read()
         if args.override:
             text = _apply_overrides(text, args.override)
         scenario = parse_scenario(text)
-        for kind in kinds:
-            where = f"{kind}: "
-            report = run_experiment(scenario, kind, out_dir=args.out)
-            status = "PASS" if report.passed else "FAIL"
-            print(f"{kind}: {status}")
-            if not report.passed:
-                worst = EXIT_FAIL
     except Exception as exc:
-        code = _exit_code(exc)
-        label = "invalid input" if code == EXIT_INVALID else "runtime failure"
-        message = " ".join(str(exc).split()) or type(exc).__name__
-        print(f"{where}{label}: {message}", file=sys.stderr)
-        return code
+        return _report_failure(exc)
+    worst = EXIT_PASS
+    for kind in kinds:
+        try:
+            report = run_experiment(scenario, kind, out_dir=args.out)
+        except Exception as exc:
+            worst = max(worst, _report_failure(exc, f"{kind}: "))
+            continue
+        print(f"{kind}: {'PASS' if report.passed else 'FAIL'}")
+        if not report.passed:
+            worst = max(worst, EXIT_FAIL)
     return worst
 
 

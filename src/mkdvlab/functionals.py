@@ -21,12 +21,16 @@ def mass(u: Field) -> float:
     return 0.5 * integrate(u.grid, u.values**2)
 
 
+# Products, not v**4 and v**6: numpy sends every array power other than a
+# square to libm pow, which on signed data costs about 50 times the products.
 def _energy_density(v, ux):
-    return 0.5 * ux**2 - 0.25 * v**4
+    v2 = v * v
+    return 0.5 * ux**2 - 0.25 * (v2 * v2)
 
 
 def _second_energy_density(v, ux, uxx):
-    return 0.5 * uxx**2 - 2.5 * v**2 * ux**2 + 0.25 * v**6
+    v2 = v * v
+    return 0.5 * uxx**2 - 2.5 * v2 * ux**2 + 0.25 * (v2 * v2 * v2)
 
 
 def energy(u: Field) -> float:

@@ -58,6 +58,14 @@ class Scenario:
     output_dir: str
 
 
+def _integer(value, name: str) -> int:
+    """int() of a scenario field; an infinity is invalid input, not a runtime failure."""
+    try:
+        return int(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} must be finite, got {value}") from exc
+
+
 def _parse_object(entry: dict, index: int):
     if not isinstance(entry, dict):
         raise ValueError(f"objects[{index}] must be a mapping")
@@ -75,7 +83,7 @@ def _parse_object(entry: dict, index: int):
         if kind == "soliton":
             return Soliton(
                 c=float(entry["c"]),
-                kappa=int(entry.get("kappa", 1)),
+                kappa=_integer(entry.get("kappa", 1), f"objects[{index}].kappa"),
                 x0=float(entry.get("x0", 0.0)),
             )
         return Breather(
@@ -102,13 +110,13 @@ def parse_scenario(text: str) -> Scenario:
         raise ValueError("objects must be a non-empty list")
     cfg = order_and_validate([_parse_object(o, i) for i, o in enumerate(objs)])
     gspec = doc["grid"]
-    g = make_grid(float(gspec["half_length"]), int(gspec["n"]))
+    g = make_grid(float(gspec["half_length"]), _integer(gspec["n"], "grid.n"))
     espec = doc["evolution"]
     controls = EvolutionControls(
         dt=float(espec["dt"]),
         t_end=float(espec["t_end"]),
         dealias=bool(espec.get("dealias", True)),
-        save_every=int(espec.get("save_every", 1)),
+        save_every=_integer(espec.get("save_every", 1), "evolution.save_every"),
     )
     sigma = float(doc.get("sigma", 0.01))
     if not sigma > 0:
@@ -119,7 +127,7 @@ def parse_scenario(text: str) -> Scenario:
         grid=g,
         controls=controls,
         sigma=sigma,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
         output_dir=str(doc.get("output_dir", "out")),
     )
     check_tails(cfg, 0.0, g)

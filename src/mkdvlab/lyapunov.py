@@ -199,16 +199,17 @@ def quadratic_form_H(
     wx = spectral_derivative(w, 1).values
     wxx = spectral_derivative(w, 2).values
     pv = profile.values
+    pv2 = pv * pv
     px = spectral_derivative(profile, 1).values
     pxx = spectral_derivative(profile, 2).values
     core = (
         0.5 * wxx**2
-        - 2.5 * wx**2 * pv**2
+        - 2.5 * wx**2 * pv2
         + 2.5 * wv**2 * px**2
         + 5.0 * wv**2 * pv * pxx
-        + 3.75 * wv**2 * pv**4
+        + 3.75 * wv**2 * (pv2 * pv2)
     )
-    mid = (b**2 - a**2) * (wx**2 - 3.0 * wv**2 * pv**2)
+    mid = (b**2 - a**2) * (wx**2 - 3.0 * wv**2 * pv2)
     low = 0.5 * (a**2 + b**2) ** 2 * wv**2
     return integrate(g, (core + mid + low) * phi)
 
@@ -220,16 +221,17 @@ def _quadratic_form_matrix(
     d1 = derivative_matrix(g, 1)
     d2 = derivative_matrix(g, 2)
     pv = profile_vals
+    pv2 = pv * pv
     pf = make_field(g, pv)
     px = spectral_derivative(pf, 1).values
     pxx = spectral_derivative(pf, 2).values
     W = np.diag(phi)
     diag_terms = (
-        2.5 * px**2 + 5.0 * pv * pxx + 3.75 * pv**4
-    ) * phi - 3.0 * (b**2 - a**2) * pv**2 * phi + 0.5 * (a**2 + b**2) ** 2 * phi
+        2.5 * px**2 + 5.0 * pv * pxx + 3.75 * (pv2 * pv2)
+    ) * phi - 3.0 * (b**2 - a**2) * pv2 * phi + 0.5 * (a**2 + b**2) ** 2 * phi
     A = (
         0.5 * d2.T @ W @ d2
-        - 2.5 * d1.T @ np.diag(pv**2 * phi) @ d1
+        - 2.5 * d1.T @ np.diag(pv2 * phi) @ d1
         + (b**2 - a**2) * d1.T @ W @ d1
         + np.diag(diag_terms)
     )

@@ -129,7 +129,8 @@ def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float, s
     D2 = 2.0 * a**2 * be * ch * sh
     g1 = N1 * D - N * D1
     g2 = N2 * D - N * D2
-    first = (k * g1 / D**2, k * g2 / D**2)
+    Dsq = D * D
+    first = (k * g1 / Dsq, k * g2 / Dsq)
     if not second:
         return first
     N11 = -(a**3) * c * ch + a**2 * be * s * sh
@@ -138,9 +139,10 @@ def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float, s
     D11 = 2.0 * a**2 * be**2 * (c**2 - s**2)
     D12 = np.zeros_like(D)
     D22 = 2.0 * a**2 * be**2 * (sh**2 + ch**2)
-    d11 = k * ((N11 * D - N * D11) / D**2 - 2.0 * D1 * g1 / D**3)
-    d12 = k * ((N12 * D + N1 * D2 - N2 * D1 - N * D12) / D**2 - 2.0 * D2 * g1 / D**3)
-    d22 = k * ((N22 * D - N * D22) / D**2 - 2.0 * D2 * g2 / D**3)
+    Dcu = Dsq * D
+    d11 = k * ((N11 * D - N * D11) / Dsq - 2.0 * D1 * g1 / Dcu)
+    d12 = k * ((N12 * D + N1 * D2 - N2 * D1 - N * D12) / Dsq - 2.0 * D2 * g1 / Dcu)
+    d22 = k * ((N22 * D - N * D22) / Dsq - 2.0 * D2 * g2 / Dcu)
     return first + (d11, d12, d22)
 
 

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from mkdvlab.errors import BlowUp
 from mkdvlab.evolution import (
     EvolutionControls,
+    _phi_functions,
+    _Stepper,
     evolve,
     pde_residual,
     stability_bound,
     step,
 )
+from mkdvlab.functionals import _energy_density, _second_energy_density
 from mkdvlab.grid import h2_norm_sq, make_field, make_grid
 from mkdvlab.profiles import Breather, Soliton, breather_eval, soliton_eval
 
@@ -113,3 +117,86 @@ def test_zero_initial_data_stays_zero(grid):
     u0 = make_field(grid, np.zeros(grid.n))
     traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.01))
     assert np.max(np.abs(traj.states[-1].values)) == 0.0
+
+
+def test_blowup_is_caught_at_its_step(grid, monkeypatch):
+    calls = []
+    real_step = _Stepper.step
+
+    def step_nan_at_third(self, uh):
+        calls.append(None)
+        out = real_step(self, uh)
+        return out * np.nan if len(calls) == 3 else out
+
+    monkeypatch.setattr(_Stepper, "step", step_nan_at_third)
+    dt = 1e-3
+    with pytest.raises(BlowUp) as info:
+        evolve(_breather_field(grid, 0.0), EvolutionControls(dt=dt, t_end=0.01, save_every=1000))
+    assert info.value.t == pytest.approx(3 * dt)
+    assert len(calls) == 3
+
+
+def _reference_krogstad_step(g, dt, uh, dealias):
+    """Krogstad ETDRK4 in its plain form: h outside the sums, -ik and u**3 at every stage."""
+    n, m = g.n, 2 * g.n
+    ik = 1j * g.wavenumbers
+    ik[-1] = 0.0
+    L = 1j * g.wavenumbers**3
+    E, E2 = np.exp(dt * L), np.exp(dt * L / 2.0)
+    p1h, p2h, _ = _phi_functions(dt * L / 2.0)
+    p1, p2, p3 = _phi_functions(dt * L)
+
+    def nonlinear(vh):
+        if not dealias:
+            return -ik * np.fft.rfft(np.fft.irfft(vh, n) ** 3)
+        pad = np.zeros(m // 2 + 1, dtype=complex)
+        pad[: n // 2 + 1] = vh
+        up = np.fft.irfft(pad, m) * (m / n)
+        return -ik * (np.fft.rfft(up**3)[: n // 2 + 1] * (n / m))
+
+    n1 = nonlinear(uh)
+    n2 = nonlinear(E2 * uh + dt * (0.5 * p1h) * n1)
+    n3 = nonlinear(E2 * uh + dt * ((0.5 * p1h - p2h) * n1 + p2h * n2))
+    n4 = nonlinear(E * uh + dt * ((p1 - 2.0 * p2) * n1 + 2.0 * p2 * n3))
+    return E * uh + dt * (
+        (p1 - 3.0 * p2 + 4.0 * p3) * n1
+        + (2.0 * p2 - 4.0 * p3) * n2
+        + (2.0 * p2 - 4.0 * p3) * n3
+        + (-p2 + 4.0 * p3) * n4
+    )
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_stepper_matches_reference_krogstad_step(dealias):
+    g = make_grid(50.0, 512)
+    dt = 1e-3
+    ref = fast = np.fft.rfft(_breather_field(g, 0.0).values)
+    stepper = _Stepper(g, dt, dealias)
+    for _ in range(10):
+        ref = _reference_krogstad_step(g, dt, ref, dealias)
+        fast = stepper.step(fast)
+    u_ref, u_fast = np.fft.irfft(ref, g.n), np.fft.irfft(fast, g.n)
+    assert np.max(np.abs(u_fast - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+
+
+def test_stepper_step_is_pure(grid):
+    stepper = _Stepper(grid, 1e-3)
+    uh = np.fft.rfft(_breather_field(grid, 0.0).values)
+    before = uh.copy()
+    first = stepper.step(uh)
+    np.testing.assert_array_equal(uh, before)
+    second = stepper.step(uh)
+    np.testing.assert_array_equal(first, second)
+    # a stage result must not alias the reused padding buffer
+    assert not np.shares_memory(first, stepper._pad)
+
+
+def test_densities_match_power_forms(grid):
+    u = _breather_field(grid, 0.3)
+    v = u.values
+    ux = np.gradient(v, grid.h)
+    uxx = np.gradient(ux, grid.h)
+    e = 0.5 * ux**2 - 0.25 * v**4
+    f = 0.5 * uxx**2 - 2.5 * v**2 * ux**2 + 0.25 * v**6
+    assert np.max(np.abs(_energy_density(v, ux) - e)) <= 1e-14 * np.max(np.abs(e))
+    assert np.max(np.abs(_second_energy_density(v, ux, uxx) - f)) <= 1e-14 * np.max(np.abs(f))

@@ -24,6 +24,8 @@ from mkdvlab.lab import (
 )
 from mkdvlab.grid import make_grid
 
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
+
 MINIMAL = """
 name: minimal
 objects:
@@ -255,6 +257,37 @@ def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, "run_experiment", fail)
         assert main(["verify-exact", "--scenario", path]) == 3
+
+
+@pytest.mark.parametrize(
+    "override", ["grid.n=.inf", "evolution.save_every=.inf", "seed=.inf", "objects.0.kappa=.inf"]
+)
+def test_cli_infinite_integer_field_is_invalid_input(tmp_path, capsys, override):
+    path = _write(tmp_path, MINIMAL)
+    assert main(["verify-exact", "--scenario", path, "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "must be finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_all_runs_every_kind_past_a_failure(capsys):
+    # a lone breather has no positive second velocity, so the kinds that
+    # need the rightward cutoff family stop with exit 2; the others still run
+    code = main(
+        ["all", "--scenario", SCENARIOS + "single-breather.yaml", "--override", "evolution.t_end=0.01"]
+    )
+    out, err = capsys.readouterr()
+    assert "monotonicity: invalid input: " in err
+    assert "modulate: PASS" in out and "coercivity: PASS" in out
+    assert code == 2
+
+
+def test_cli_scenario_failure_stops_before_any_kind(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+    path = _write(tmp_path, MINIMAL.replace("c: 1.0", "c: -1.0"))
+    assert main(["all", "--scenario", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
 
 
 _LEAF = st.one_of(

@@ -41,15 +41,12 @@ class EvolutionControls:
 
 @dataclass
 class Trajectory:
-    """Snapshots of an evolution run, aligned with strictly increasing times."""
+    """Snapshots of an evolution run: row i of values (T, n) is the state at times[i]."""
 
-    times: list[float]
-    states: list[Field]
+    times: np.ndarray
+    values: np.ndarray
+    grid: Grid
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
 
 
 def stability_bound(u: Field) -> float:
@@ -155,10 +152,13 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
             f"dt={controls.dt:.3e} exceeds the nonlinear CFL safety bound {bound:.3e}"
         )
     n_steps = int(round(controls.t_end / controls.dt))
+    n_saves = 1 + math.ceil(n_steps / controls.save_every)
     stepper = _Stepper(u0.grid, controls.dt, controls.dealias)
     uh = np.fft.rfft(u0.values)
-    times = [t0]
-    states = [u0]
+    times = np.empty(n_saves)
+    values = np.empty((n_saves, u0.grid.n))
+    times[0], values[0] = t0, u0.values
+    row = 1
     for i in range(1, n_steps + 1):
         uh = stepper.step(uh)
         t = t0 + i * controls.dt
@@ -167,10 +167,10 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
         if not np.isfinite(np.vdot(uh, uh).real):
             raise BlowUp(t)
         if i % controls.save_every == 0 or i == n_steps:
-            vals = np.fft.irfft(uh, u0.grid.n)
-            _check_finite(vals, t)
-            times.append(t)
-            states.append(make_field(u0.grid, vals))
+            values[row] = np.fft.irfft(uh, u0.grid.n)
+            _check_finite(values[row], t)
+            times[row] = t
+            row += 1
     meta = {
         "dt": controls.dt,
         "t_end": controls.t_end,
@@ -179,7 +179,7 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
         "stability_bound": bound,
         "t0": t0,
     }
-    return Trajectory(times=times, states=states, metadata=meta)
+    return Trajectory(times=times, values=values, grid=u0.grid, metadata=meta)
 
 
 def pde_residual(source, t: float, g: Grid, dt: float = 1e-4) -> float:

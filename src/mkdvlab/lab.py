@@ -59,11 +59,16 @@ class Scenario:
 
 
 def _integer(value, name: str) -> int:
-    """int() of a scenario field; an infinity is invalid input, not a runtime failure."""
-    try:
-        return int(value)
-    except OverflowError as exc:
-        raise ValueError(f"{name} must be finite, got {value}") from exc
+    """A whole-number scenario field: an int or an integral float such as 4096.0.
+
+    A fraction is invalid input, never truncated; so is an infinity or a NaN.
+    """
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if not value.is_integer():
+            raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 def _parse_object(entry: dict, index: int):
@@ -285,8 +290,9 @@ def _run_verify_exact(s: Scenario) -> ExperimentReport:
 
 def _run_conservation(s: Scenario) -> ExperimentReport:
     traj = _evolve_scenario(s)
-    series = {"t": list(traj.times), "M": [], "E": [], "F": []}
-    for u in traj.states:
+    series = {"t": traj.times, "M": [], "E": [], "F": []}
+    for row in traj.values:
+        u = make_field(traj.grid, row)
         series["M"].append(mass(u))
         series["E"].append(energy(u))
         series["F"].append(second_energy(u))
@@ -346,16 +352,12 @@ def _run_monotonicity(s: Scenario, override: bool = False) -> ExperimentReport:
 def _run_modulate(s: Scenario) -> ExperimentReport:
     traj = _evolve_scenario(s)
     track = track_modulation(traj, s.cfg)
-    max_res = max(float(np.max(np.abs(st.ortho_residuals))) for st in track.states)
-    max_off = float(np.max(np.abs(track.offsets_matrix())))
+    max_res = float(np.max(np.abs(track.ortho_residuals)))
     series = {
         "modulation": {
             "t": track.times,
             "w_h2": track.w_h2,
-            **{
-                f"offset_{k}": list(track.offsets_matrix()[:, k])
-                for k in range(track.offsets_matrix().shape[1])
-            },
+            **{f"offset_{k}": col for k, col in enumerate(track.offsets.T)},
         }
     }
     return ExperimentReport(
@@ -364,8 +366,8 @@ def _run_modulate(s: Scenario) -> ExperimentReport:
         passed=max_res < ORTHO_TOL,
         summary={
             "max_ortho_residual": max_res,
-            "max_offset": max_off,
-            "max_w_h2": max(track.w_h2),
+            "max_offset": float(np.max(np.abs(track.offsets))),
+            "max_w_h2": float(np.max(track.w_h2)),
             "tolerance": ORTHO_TOL,
         },
         series=series,
@@ -399,19 +401,17 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
     )
 
 
-def _windowed_distance(w: Field, fam, t: float) -> float:
+def _windowed_distance(w: np.ndarray, g: Grid, fam, t: float) -> float:
     """H^2-type distance weighted by 1 - Phi_{J-1} (the fastest co-moving window).
 
     Radiation has nonpositive group velocity, so it exits this rightward-
     moving region; the global residual cannot decay on a periodic domain.
     """
-    g = w.grid
     one_minus = 1.0 - fam.weight(fam.J - 1, t, g.x) if fam.J > 1 else np.ones(g.n)
-    wx = spectral_derivative(w, 1).values
-    wxx = spectral_derivative(w, 2).values
-    return float(
-        np.sqrt(integrate(g, (w.values**2 + wx**2 + wxx**2) * one_minus))
-    )
+    wf = make_field(g, w)
+    wx = spectral_derivative(wf, 1).values
+    wxx = spectral_derivative(wf, 2).values
+    return float(np.sqrt(integrate(g, (w**2 + wx**2 + wxx**2) * one_minus)))
 
 
 def _run_rate_fit(s: Scenario) -> ExperimentReport:
@@ -422,9 +422,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
     u0 = make_field(s.grid, u0.values + bump.values)
     traj = evolve(u0, s.controls)
     track = track_modulation(traj, s.cfg)
-    windowed = [
-        _windowed_distance(st.w, p.fam, t) for t, st in zip(track.times, track.states)
-    ]
+    windowed = [_windowed_distance(w, s.grid, p.fam, t) for t, w in zip(track.times, track.w)]
     t_end = track.times[-1]
     window = (0.25 * t_end, t_end)
     fit = fit_exponential_rate(track.times, windowed, window)
@@ -459,7 +457,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
             "fit_window": list(fit.fit_window),
             "varpi_calibrated": varpi_hat,
             "scalar_product": sp,
-            "global_distance_final": track.w_h2[-1],
+            "global_distance_final": float(track.w_h2[-1]),
             "note": "distance measured on the 1-Phi_1 weighted region; the "
             "global residual cannot decay on a periodic domain because "
             "radiation never leaves",

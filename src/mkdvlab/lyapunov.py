@@ -177,6 +177,28 @@ def weakened_F(u: Field, j: int, p: LyapunovParams, t: float, nu: float | None =
     return _weakened(localized_triple(u, p.fam, j, t), p.shape(j), p.nu if nu is None else nu)
 
 
+def _second_variation_weights(
+    pv: np.ndarray, phi: np.ndarray, a: float, b: float, g: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (c2, c1, c0) of the second variation int c2 w_xx^2 + c1 w_x^2 + c0 w^2.
+
+    From the integrand [1/2 w_xx^2 - 5/2 w_x^2 P^2 + 5/2 w^2 P_x^2
+    + 5 w^2 P P_xx + 15/4 w^2 P^4] Phi_j + (b^2-a^2)[w_x^2 - 3 w^2 P^2] Phi_j
+    + 1/2 (a^2+b^2)^2 w^2 Phi_j.
+    """
+    pf = make_field(g, pv)
+    px = spectral_derivative(pf, 1).values
+    pxx = spectral_derivative(pf, 2).values
+    pv2 = pv * pv
+    d = b**2 - a**2
+    c1 = (d - 2.5 * pv2) * phi
+    c0 = (
+        2.5 * px**2 + 5.0 * pv * pxx + 3.75 * (pv2 * pv2) - 3.0 * d * pv2
+        + 0.5 * (a**2 + b**2) ** 2
+    ) * phi
+    return 0.5 * phi, c1, c0
+
+
 def quadratic_form_H(
     w: Field,
     profile: Field,
@@ -186,55 +208,23 @@ def quadratic_form_H(
 ) -> float:
     """Second-variation quadratic form of the Lyapunov functional at a profile.
 
-    Integrand: [1/2 w_xx^2 - 5/2 w_x^2 P^2 + 5/2 w^2 P_x^2 + 5 w^2 P P_xx
-    + 15/4 w^2 P^4] Phi_j + (b^2-a^2)[w_x^2 - 3 w^2 P^2] Phi_j
-    + 1/2 (a^2+b^2)^2 w^2 Phi_j.
+    The integrand is written out in _second_variation_weights.
     """
     if w.grid is not profile.grid and w.grid != profile.grid:
         raise ValueError("w and profile must share a grid")
     g = w.grid
-    a, b = p.shape(j)
-    phi = p.fam.weight(j, t, g.x)
-    wv = w.values
+    c2, c1, c0 = _second_variation_weights(
+        profile.values, p.fam.weight(j, t, g.x), *p.shape(j), g
+    )
     wx = spectral_derivative(w, 1).values
     wxx = spectral_derivative(w, 2).values
-    pv = profile.values
-    pv2 = pv * pv
-    px = spectral_derivative(profile, 1).values
-    pxx = spectral_derivative(profile, 2).values
-    core = (
-        0.5 * wxx**2
-        - 2.5 * wx**2 * pv2
-        + 2.5 * wv**2 * px**2
-        + 5.0 * wv**2 * pv * pxx
-        + 3.75 * wv**2 * (pv2 * pv2)
-    )
-    mid = (b**2 - a**2) * (wx**2 - 3.0 * wv**2 * pv2)
-    low = 0.5 * (a**2 + b**2) ** 2 * wv**2
-    return integrate(g, (core + mid + low) * phi)
+    return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
 
 
-def _quadratic_form_matrix(
-    profile_vals: np.ndarray, phi: np.ndarray, a: float, b: float, g: Grid
-) -> np.ndarray:
-    """Dense symmetric matrix of quadratic_form_H (no quadrature h factor)."""
-    d1 = derivative_matrix(g, 1)
-    d2 = derivative_matrix(g, 2)
-    pv = profile_vals
-    pv2 = pv * pv
-    pf = make_field(g, pv)
-    px = spectral_derivative(pf, 1).values
-    pxx = spectral_derivative(pf, 2).values
-    W = np.diag(phi)
-    diag_terms = (
-        2.5 * px**2 + 5.0 * pv * pxx + 3.75 * (pv2 * pv2)
-    ) * phi - 3.0 * (b**2 - a**2) * pv2 * phi + 0.5 * (a**2 + b**2) ** 2 * phi
-    A = (
-        0.5 * d2.T @ W @ d2
-        - 2.5 * d1.T @ np.diag(pv2 * phi) @ d1
-        + (b**2 - a**2) * d1.T @ W @ d1
-        + np.diag(diag_terms)
-    )
+def _form_matrix(weights, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of int c2 w_xx^2 + c1 w_x^2 + c0 w^2 (no quadrature h factor)."""
+    c2, c1, c0 = weights
+    A = (d2.T * c2) @ d2 + (d1.T * c1) @ d1 + np.diag(c0)
     return 0.5 * (A + A.T)
 
 
@@ -274,12 +264,10 @@ def coercivity_check(
     pv = eval_object(obj, t, x)
     h = g.h
 
-    A = h * _quadratic_form_matrix(pv, phi, a, b, g)
     d1 = derivative_matrix(g, 1)
     d2 = derivative_matrix(g, 2)
-    W = np.diag(phi)
-    B = h * (d2.T @ W @ d2 + d1.T @ W @ d1 + W)
-    B = 0.5 * (B + B.T)
+    A = h * _form_matrix(_second_variation_weights(pv, phi, a, b, g), d1, d2)
+    B = h * _form_matrix((phi, phi, phi), d1, d2)
 
     if impose_orthogonality:
         dirs = modulation_directions(obj, (), t, g)
@@ -328,7 +316,7 @@ class MonotonicityReport:
 
     j: int
     which: str
-    times: list[float]
+    times: np.ndarray
     values: list[float]
     worst_drop: float  # largest decrease in excess of the slack (0 = verified)
     slack_bound: float  # slack at the start of the window (largest allowed)
@@ -360,8 +348,8 @@ def monotonicity_report(
     if omega is None:
         omega = p.default_omega()
     values = []
-    for t, u in zip(traj.times, traj.states):
-        trip = localized_triple(u, p.fam, j, t)
+    for t, row in zip(traj.times, traj.values):
+        trip = localized_triple(make_field(traj.grid, row), p.fam, j, t)
         if which == "Mj":
             val = trip.Mj
         elif which == "Ej+omega*Mj":
@@ -373,22 +361,21 @@ def monotonicity_report(
         values.append(float(val))
 
     vals = np.asarray(values)
-    times = np.asarray(traj.times)
     worst = 0.0
     # running maximum makes the pairwise scan linear: the worst decrease from
     # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
     best_so_far = -np.inf
     for i in range(len(vals)):
-        slack = C * np.exp(-2.0 * varpi * times[i]) + budget
+        slack = C * np.exp(-2.0 * varpi * traj.times[i]) + budget
         best_so_far = max(best_so_far, vals[i] - slack)
         worst = max(worst, best_so_far - vals[i])
     return MonotonicityReport(
         j=j,
         which=which,
-        times=list(traj.times),
+        times=traj.times,
         values=values,
         worst_drop=float(worst),
-        slack_bound=float(C * np.exp(-2.0 * varpi * times[0]) + budget),
+        slack_bound=float(C * np.exp(-2.0 * varpi * traj.times[0]) + budget),
         varpi=varpi,
         C=C,
         budget=budget,

@@ -8,7 +8,7 @@ reaches 1e-12 residuals in a handful of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +77,7 @@ class ModulationState:
 
     offsets: list[tuple[float, ...]]
     w: Field
+    w_h2: float  # H^2 norm of w, the basin check's measure
     ortho_residuals: np.ndarray
     converged: bool
     iterations: int
@@ -123,7 +124,8 @@ def fit_translations(
         dirs, owner, local, second = _direction_arrays(cfg, offsets, t, x)
         G = np.array([h * np.sum(d * w) for d in dirs])
         if np.max(np.abs(G)) < tol:
-            w_norm = np.sqrt(h2_norm_sq(make_field(g, w)))
+            wf = make_field(g, w)
+            w_norm = float(np.sqrt(h2_norm_sq(wf)))
             if w_norm > basin_radius:
                 raise NoConvergence(
                     f"orthogonality root found but residual H2 norm "
@@ -131,7 +133,8 @@ def fit_translations(
                 )
             return ModulationState(
                 offsets=offsets,
-                w=make_field(g, w),
+                w=wf,
+                w_h2=w_norm,
                 ortho_residuals=G,
                 converged=True,
                 iterations=it,
@@ -161,41 +164,41 @@ def fit_translations(
 
 @dataclass
 class ModulationTrack:
-    """Per-snapshot modulation states and derived diagnostics."""
+    """Fits along a trajectory: row i of each array belongs to times[i]."""
 
-    times: list[float]
-    states: list[ModulationState]
-    w_h2: list[float]
-    offset_rates: np.ndarray = field(default=None)  # finite-difference |y'|
-
-    def offsets_matrix(self) -> np.ndarray:
-        return np.array([s.flat_offsets() for s in self.states])
+    times: np.ndarray
+    offsets: np.ndarray  # (T, m) flat offsets, slowest object first
+    ortho_residuals: np.ndarray  # (T, m)
+    w: np.ndarray  # (T, n) residuals u - sum of shifted profiles
+    w_h2: np.ndarray  # (T,) H^2 norms of the residuals
+    grid: Grid
 
 
 def track_modulation(
     traj, cfg: OrderedConfiguration, tol: float = 1e-12, max_iters: int = 50
 ) -> ModulationTrack:
     """Fit offsets at every snapshot, warm-starting from the previous one."""
-    states = []
-    w_h2 = []
+    T, m = len(traj.times), total_offsets(cfg)
+    track = ModulationTrack(
+        times=traj.times,
+        offsets=np.empty((T, m)),
+        ortho_residuals=np.empty((T, m)),
+        w=np.empty_like(traj.values),
+        w_h2=np.empty(T),
+        grid=traj.grid,
+    )
     guess = None
-    for t, u in zip(traj.times, traj.states):
+    for i, (t, row) in enumerate(zip(traj.times, traj.values)):
+        u = make_field(traj.grid, row)
         try:
             st = fit_translations(u, cfg, t, guess=guess, tol=tol, max_iters=max_iters)
         except NoConvergence as exc:
             raise NoConvergence(f"snapshot t={t:.6g}: {exc}") from exc
-        states.append(st)
-        w_h2.append(float(np.sqrt(h2_norm_sq(st.w))))
-        guess = st.flat_offsets()
-    offs = np.array([s.flat_offsets() for s in states])
-    times = np.asarray(traj.times)
-    if len(times) > 1:
-        rates = np.abs(np.gradient(offs, times, axis=0))
-    else:
-        rates = np.zeros_like(offs)
-    return ModulationTrack(
-        times=list(traj.times), states=states, w_h2=w_h2, offset_rates=rates
-    )
+        guess = track.offsets[i] = st.flat_offsets()
+        track.ortho_residuals[i] = st.ortho_residuals
+        track.w[i] = st.w.values
+        track.w_h2[i] = st.w_h2
+    return track
 
 
 def scalar_product_series(
@@ -209,14 +212,12 @@ def scalar_product_series(
     Returns the series |int Ptilde_j w|, the quadratic reference
     int (w^2 + w_x^2) Phi_j, and their pointwise ratio.
     """
+    g = track.grid
     lhs, quad = [], []
-    for t, st in zip(track.times, track.states):
-        g = st.w.grid
-        pj = eval_object(cfg.objects[j - 1], t, g.x, st.offsets[j - 1])
+    for t, y, w in zip(track.times, track.offsets, track.w):
+        pj = eval_object(cfg.objects[j - 1], t, g.x, split_offsets(cfg, y)[j - 1])
         phi = fam.weight(j, t, g.x)
-        wx = spectral_derivative(st.w, 1).values
-        lhs.append(abs(integrate(g, pj * st.w.values)))
-        quad.append(integrate(g, (st.w.values**2 + wx**2) * phi))
-    lhs = np.array(lhs)
-    quad = np.array(quad)
-    return {"times": list(track.times), "scalar": lhs, "quadratic": quad}
+        wx = spectral_derivative(make_field(g, w), 1).values
+        lhs.append(abs(integrate(g, pj * w)))
+        quad.append(integrate(g, (w**2 + wx**2) * phi))
+    return {"times": track.times, "scalar": np.array(lhs), "quadratic": np.array(quad)}

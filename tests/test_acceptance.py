@@ -91,7 +91,7 @@ def test_A2_conservation(breather_run):
     _, traj, elapsed = breather_run
     drifts = {}
     for name, fn in (("M", mass), ("E", energy), ("F", second_energy)):
-        vals = np.array([fn(u) for u in traj.states])
+        vals = np.array([fn(make_field(traj.grid, row)) for row in traj.values])
         drifts[name] = np.max(np.abs(vals - vals[0])) / abs(vals[0])
     worst = max(drifts.values())
     ok = worst < 1e-6 and elapsed < 120.0
@@ -107,18 +107,18 @@ def test_A2_conservation(breather_run):
 def test_A3_solution_tracking(breather_run, big_grid):
     b, traj, b_elapsed = breather_run
     errs_b = []
-    for t, u in zip(traj.times, traj.states):
+    for t, row in zip(traj.times, traj.values):
         exact = breather_eval(b, t, big_grid.x)
-        errs_b.append(np.sqrt(h2_norm_sq(make_field(big_grid, u.values - exact))))
+        errs_b.append(np.sqrt(h2_norm_sq(make_field(big_grid, row - exact))))
     s = Soliton(c=1.0)
     u0 = make_field(big_grid, soliton_eval(s, 0.0, big_grid.x))
     start = time.perf_counter()
     straj = evolve(u0, EvolutionControls(dt=5e-4, t_end=10.0, save_every=2000))
     s_elapsed = time.perf_counter() - start
     errs_s = []
-    for t, u in zip(straj.times, straj.states):
+    for t, row in zip(straj.times, straj.values):
         exact = soliton_eval(s, t, big_grid.x)
-        errs_s.append(np.sqrt(h2_norm_sq(make_field(big_grid, u.values - exact))))
+        errs_s.append(np.sqrt(h2_norm_sq(make_field(big_grid, row - exact))))
     worst_b, worst_s = max(errs_b), max(errs_s)
     ok = worst_b < 1e-5 and worst_s < 1e-5 and b_elapsed < 120.0 and s_elapsed < 120.0
     _report(

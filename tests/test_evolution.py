@@ -73,16 +73,20 @@ def test_soliton_short_evolution_tracks_exact(grid):
     u0 = make_field(grid, soliton_eval(Soliton(c=1.0), 0.0, grid.x))
     traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=1.0, save_every=1000))
     exact = make_field(grid, soliton_eval(Soliton(c=1.0), 1.0, grid.x))
-    err = np.sqrt(h2_norm_sq(make_field(grid, traj.states[-1].values - exact.values)))
+    err = np.sqrt(h2_norm_sq(make_field(grid, traj.values[-1] - exact.values)))
     assert err < 1e-7
 
 
 def test_evolve_snapshot_times(grid):
     u0 = _breather_field(grid, 0.0)
-    traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.1, save_every=20))
-    np.testing.assert_allclose(traj.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
-    assert traj.grid is grid
-    assert traj.metadata["dt"] == 1e-3
+    # 100 steps; a save_every that does not divide them still saves the last step
+    for save_every, times in ((20, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]), (30, [0.0, 0.03, 0.06, 0.09, 0.1])):
+        traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.1, save_every=save_every))
+        np.testing.assert_allclose(traj.times, times)
+        assert traj.values.shape == (len(times), grid.n)
+        np.testing.assert_array_equal(traj.values[0], u0.values)
+        assert traj.grid is grid
+        assert traj.metadata["dt"] == 1e-3
 
 
 def test_evolve_from_nonzero_t0(grid):
@@ -116,7 +120,7 @@ def test_controls_validation():
 def test_zero_initial_data_stays_zero(grid):
     u0 = make_field(grid, np.zeros(grid.n))
     traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.01))
-    assert np.max(np.abs(traj.states[-1].values)) == 0.0
+    assert np.max(np.abs(traj.values[-1])) == 0.0
 
 
 def test_blowup_is_caught_at_its_step(grid, monkeypatch):

@@ -270,6 +270,20 @@ def test_cli_infinite_integer_field_is_invalid_input(tmp_path, capsys, override)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, fraction, whole",
+    [("grid.n", 1024.5, 1024.0), ("evolution.save_every", 1.7, 2.0), ("seed", 0.5, 3.0), ("objects.0.kappa", 1.5, 1.0)],
+)
+def test_cli_fractional_integer_field_is_invalid_input(tmp_path, capsys, field, fraction, whole):
+    # a fraction is rejected, not truncated; an integral float is accepted
+    path = _write(tmp_path, MINIMAL)
+    assert main(["verify-exact", "--scenario", path, "--override", f"{field}={fraction}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "must be a whole number" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert main(["verify-exact", "--scenario", path, "--override", f"{field}={whole}"]) == 0
+
+
 def test_cli_all_runs_every_kind_past_a_failure(capsys):
     # a lone breather has no positive second velocity, so the kinds that
     # need the rightward cutoff family stop with exit 2; the others still run

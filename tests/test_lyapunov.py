@@ -6,9 +6,11 @@ import pytest
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
 from mkdvlab.functionals import energy, make_cutoff_family, mass, second_energy
-from mkdvlab.grid import integrate, make_field, make_grid, spectral_derivative
+from mkdvlab.grid import derivative_matrix, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
+    _form_matrix,
+    _second_variation_weights,
     calibrate_slack,
     coefficient_positivity,
     coercivity_check,
@@ -22,8 +24,10 @@ from mkdvlab.lyapunov import (
 from mkdvlab.profiles import (
     Breather,
     Soliton,
+    eval_object,
     order_and_validate,
     q_profile,
+    shape_pair,
     soliton_eval,
 )
 
@@ -174,6 +178,23 @@ def test_quadratic_form_free_field_reduction(grid):
     )
 
 
+@pytest.mark.parametrize("obj", [Soliton(1.0), Breather(1.0, 1.0)], ids=["soliton", "breather"])
+def test_form_matrix_matches_quadratic_form_H(obj):
+    # the eigencheck's dense matrix and quadratic_form_H share their weights
+    g = make_grid(25.0, 256)
+    p = select_parameters(order_and_validate([obj]), 0.01, override=True)
+    prof = make_field(g, eval_object(obj, 0.0, g.x))
+    weights = _second_variation_weights(
+        prof.values, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g
+    )
+    A = _form_matrix(weights, derivative_matrix(g, 1), derivative_matrix(g, 2))
+    rng = np.random.default_rng(11)
+    w = make_field(g, np.exp(-(g.x**2) / 25) * rng.standard_normal(g.n))
+    assert g.h * (w.values @ A @ w.values) == pytest.approx(
+        quadratic_form_H(w, prof, 1, p, 0.0), rel=1e-12
+    )
+
+
 def test_coercivity_soliton_small_grid():
     g = make_grid(25.0, 256)
     cfg = order_and_validate([Soliton(1.0)])
@@ -192,8 +213,7 @@ def test_coercivity_rejects_oversized_grid():
 
 def test_monotonicity_zero_trajectory(grid):
     p = select_parameters(_flagship(), 0.01)
-    zero = make_field(grid, np.zeros(grid.n))
-    traj = Trajectory(times=[0.0, 1.0, 2.0], states=[zero, zero, zero])
+    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=np.zeros((3, grid.n)), grid=grid)
     rep = monotonicity_report(traj, 1, p, "Mj")
     assert rep.worst_drop == 0.0
     assert rep.values == [0.0, 0.0, 0.0]
@@ -202,11 +222,8 @@ def test_monotonicity_zero_trajectory(grid):
 def test_monotonicity_flags_synthetic_decrease(grid):
     # a decaying artificial series must register a positive worst_drop
     p = select_parameters(_flagship(), 0.01)
-    fields = [
-        make_field(grid, amp * q_profile(1.0, grid.x + 45.0))
-        for amp in (1.0, 0.9, 0.8)
-    ]
-    traj = Trajectory(times=[0.0, 1.0, 2.0], states=fields)
+    values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9, 0.8)])
+    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=values, grid=grid)
     rep = monotonicity_report(traj, 1, p, "Mj", C=0.0, budget=1e-5)
     assert rep.worst_drop > 0.1
 
@@ -224,8 +241,7 @@ def test_monotonicity_conserved_single_soliton():
 
 def test_monotonicity_rejects_unknown_functional(grid):
     p = select_parameters(_flagship(), 0.01)
-    zero = make_field(grid, np.zeros(grid.n))
-    traj = Trajectory(times=[0.0], states=[zero])
+    traj = Trajectory(times=np.array([0.0]), values=np.zeros((1, grid.n)), grid=grid)
     with pytest.raises(ValueError):
         monotonicity_report(traj, 1, p, "Hj")
 

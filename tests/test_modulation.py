@@ -5,7 +5,7 @@ import pytest
 
 from mkdvlab.errors import NoConvergence
 from mkdvlab.evolution import EvolutionControls, evolve
-from mkdvlab.grid import integrate, make_field, make_grid, spectral_derivative
+from mkdvlab.grid import h2_norm_sq, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.modulation import (
     fit_translations,
     modulation_directions,
@@ -137,7 +137,10 @@ def test_track_modulation_exact_breather():
     u0 = make_field(g, breather_eval(cfg.objects[0], 0.0, g.x))
     traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=2.0, save_every=500))
     track = track_modulation(traj, cfg)
+    T = len(traj.times)
+    assert track.offsets.shape == track.ortho_residuals.shape == (T, 2)
+    assert track.w.shape == (T, g.n) and track.w_h2.shape == (T,)
     # offsets on an exact solution only reflect solver error
-    assert np.max(np.abs(track.offsets_matrix())) < 1e-6
-    assert all(st.converged for st in track.states)
-    assert track.offset_rates.shape == track.offsets_matrix().shape
+    assert np.max(np.abs(track.offsets)) < 1e-6
+    for w, w_h2 in zip(track.w, track.w_h2):
+        assert w_h2 == np.sqrt(h2_norm_sq(make_field(g, w)))

@@ -32,9 +32,9 @@ class TailsTooLarge(MkdvLabError):
 class BlowUp(MkdvLabError):
     """Time integration produced non-finite or absurdly large values."""
 
-    def __init__(self, t: float, message: str = ""):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"solution blew up at t={t:.6g}")
+        super().__init__(f"solution blew up at t={t:.6g}")
 
 
 class NoConvergence(MkdvLabError):

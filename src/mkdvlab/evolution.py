@@ -25,7 +25,6 @@ BLOWUP_LIMIT = 1e6
 class EvolutionControls:
     dt: float
     t_end: float
-    dealias: bool = True
     save_every: int = 1
 
     def __post_init__(self):
@@ -57,13 +56,13 @@ def stability_bound(u: Field) -> float:
     return 2.0 / (amp**2 * u.grid.k_max)
 
 
-def _phi_functions(z: np.ndarray, n_points: int = 64):
-    """phi_1, phi_2, phi_3 on a diagonal argument, via a contour mean.
+def _phi_functions(z: np.ndarray):
+    """phi_1, phi_2, phi_3 on a diagonal argument, via a 64-point contour mean.
 
     The mean over a unit circle around each point equals the function value
     (mean value property) and avoids cancellation for small |z|.
     """
-    r = np.exp(2j * np.pi * (np.arange(n_points) + 0.5) / n_points)
+    r = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
     zr = z[:, None] + r[None, :]
     ez = np.exp(zr)
     p1 = np.mean((ez - 1.0) / zr, axis=1)
@@ -82,9 +81,8 @@ class _Stepper:
     a power of two, it changes no bit of the result.
     """
 
-    def __init__(self, g: Grid, dt: float, dealias: bool = True):
+    def __init__(self, g: Grid, dt: float):
         self.grid = g
-        self.dealias = dealias
         k = g.wavenumbers
         L = 1j * k**3  # symbol of -d^3/dx^3
         h = dt
@@ -92,7 +90,7 @@ class _Stepper:
         self.E2 = np.exp(h * L / 2.0)
         p1h, p2h, _ = _phi_functions(h * L / 2.0)
         p1, p2, p3 = _phi_functions(h * L)
-        hf = -h * _fourier_symbol(g, 1) * (4.0 if dealias else 1.0)
+        hf = -h * _fourier_symbol(g, 1) * 4.0
         self.a21 = hf * (0.5 * p1h)
         self.a31 = hf * (0.5 * p1h - p2h)
         self.a32 = hf * p2h
@@ -107,11 +105,8 @@ class _Stepper:
         self._pad = np.zeros(g.n + 1, dtype=complex)
 
     def _cube_hat(self, uh: np.ndarray) -> np.ndarray:
-        """(u^3)^ for coefficients uh; a quarter of it when dealiased (see the class)."""
+        """A quarter of the dealiased (u^3)^ for coefficients uh (see the class)."""
         n = self.grid.n
-        if not self.dealias:
-            u = np.fft.irfft(uh, n)
-            return np.fft.rfft(u * u * u)
         self._pad[: n // 2 + 1] = uh
         up = np.fft.irfft(self._pad, 2 * n)
         return np.fft.rfft(up * up * up)[: n // 2 + 1]
@@ -131,9 +126,9 @@ def _check_finite(values: np.ndarray, t: float):
         raise BlowUp(t)
 
 
-def step(u: Field, dt: float, dealias: bool = True) -> Field:
+def step(u: Field, dt: float) -> Field:
     """Advance one scheme step of size dt."""
-    stepper = _Stepper(u.grid, dt, dealias)
+    stepper = _Stepper(u.grid, dt)
     uh = stepper.step(np.fft.rfft(u.values))
     out = np.fft.irfft(uh, u.grid.n)
     _check_finite(out, dt)
@@ -153,7 +148,7 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
         )
     n_steps = int(round(controls.t_end / controls.dt))
     n_saves = 1 + math.ceil(n_steps / controls.save_every)
-    stepper = _Stepper(u0.grid, controls.dt, controls.dealias)
+    stepper = _Stepper(u0.grid, controls.dt)
     uh = np.fft.rfft(u0.values)
     times = np.empty(n_saves)
     values = np.empty((n_saves, u0.grid.n))
@@ -174,7 +169,6 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
     meta = {
         "dt": controls.dt,
         "t_end": controls.t_end,
-        "dealias": controls.dealias,
         "save_every": controls.save_every,
         "stability_bound": bound,
         "t0": t0,
@@ -182,12 +176,12 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
     return Trajectory(times=times, values=values, grid=u0.grid, metadata=meta)
 
 
-def pde_residual(source, t: float, g: Grid, dt: float = 1e-4) -> float:
+def pde_residual(source, t: float, g: Grid) -> float:
     """Sup norm of u_t + (u_xx + u^3)_x for a profile or profile sum.
 
-    The time derivative uses a 4th-order centered difference; space is
-    spectral.  Sums of distinct objects are not exact solutions and give
-    O(1) residuals when the objects overlap.
+    The time derivative uses a 4th-order centered difference of step 1e-4;
+    space is spectral.  Sums of distinct objects are not exact solutions
+    and give O(1) residuals when the objects overlap.
     """
     if isinstance(source, OrderedConfiguration):
         cfg = source
@@ -195,6 +189,8 @@ def pde_residual(source, t: float, g: Grid, dt: float = 1e-4) -> float:
         cfg = order_and_validate(list(source))
     else:
         cfg = order_and_validate([source])
+
+    dt = 1e-4
 
     def u_at(tt: float) -> np.ndarray:
         return sum(eval_object(o, tt, g.x) for o in cfg.objects)

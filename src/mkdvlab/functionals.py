@@ -140,8 +140,6 @@ class LocalizedTriple:
     Mj: float
     Ej: float
     Fj: float
-    j: int
-    t: float
 
     def __post_init__(self):
         if self.Mj < 0:
@@ -158,4 +156,4 @@ def localized_triple(u: Field, fam: CutoffFamily, j: int, t: float) -> Localized
     Mj = integrate(g, v**2 * phi)
     Ej = integrate(g, _energy_density(v, ux) * phi)
     Fj = integrate(g, _second_energy_density(v, ux, uxx) * phi)
-    return LocalizedTriple(Mj=Mj, Ej=Ej, Fj=Fj, j=j, t=t)
+    return LocalizedTriple(Mj=Mj, Ej=Ej, Fj=Fj)

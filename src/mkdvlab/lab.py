@@ -55,15 +55,36 @@ class Scenario:
     controls: EvolutionControls
     sigma: float
     seed: int
-    output_dir: str
+
+
+def _fields(node, required, optional, where: str) -> dict:
+    """node as a mapping with every required key and no key outside required and optional."""
+    if not isinstance(node, dict):
+        raise ValueError(f"{where} must be a mapping")
+    extra = set(node) - set(required) - set(optional)
+    if extra:
+        raise ValueError(f"{where} has unknown fields {sorted(extra, key=str)}")
+    missing = set(required) - set(node)
+    if missing:
+        raise ValueError(f"{where} missing required fields {sorted(missing)}")
+    return node
+
+
+def _number(value, name: str) -> float:
+    """A real scenario field; a boolean is invalid input, not 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value}")
+    return float(value)
 
 
 def _integer(value, name: str) -> int:
     """A whole-number scenario field: an int or an integral float such as 4096.0.
 
-    A fraction is invalid input, never truncated; so is an infinity or a NaN.
+    A fraction is invalid input, never truncated; so is an infinity, a NaN
+    or a boolean.
     """
-    if isinstance(value, float):
+    if isinstance(value, (bool, float)):
+        value = _number(value, name)
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
         if not value.is_integer():
@@ -71,59 +92,53 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _parse_object(entry: dict, index: int):
+_OBJECT_FIELDS = {  # (required, optional) per kind
+    "soliton": (("kind", "c"), ("kappa", "x0")),
+    "breather": (("kind", "alpha", "beta"), ("x1", "x2")),
+}
+
+
+def _parse_object(entry, index: int):
+    where = f"objects[{index}]"
     if not isinstance(entry, dict):
-        raise ValueError(f"objects[{index}] must be a mapping")
+        raise ValueError(f"{where} must be a mapping")
     kind = entry.get("kind")
-    known = {
-        "soliton": ("c", "kappa", "x0"),
-        "breather": ("alpha", "beta", "x1", "x2"),
-    }
-    if kind not in known:
-        raise ValueError(f"objects[{index}].kind must be 'soliton' or 'breather', got {kind!r}")
-    extra = set(entry) - set(known[kind]) - {"kind"}
-    if extra:
-        raise ValueError(f"objects[{index}] has unknown fields {sorted(extra)}")
-    try:
-        if kind == "soliton":
-            return Soliton(
-                c=float(entry["c"]),
-                kappa=_integer(entry.get("kappa", 1), f"objects[{index}].kappa"),
-                x0=float(entry.get("x0", 0.0)),
-            )
-        return Breather(
-            alpha=float(entry["alpha"]),
-            beta=float(entry["beta"]),
-            x1=float(entry.get("x1", 0.0)),
-            x2=float(entry.get("x2", 0.0)),
+    if kind not in _OBJECT_FIELDS:
+        raise ValueError(f"{where}.kind must be 'soliton' or 'breather', got {kind!r}")
+    _fields(entry, *_OBJECT_FIELDS[kind], where)
+    if kind == "soliton":
+        return Soliton(
+            c=_number(entry["c"], f"{where}.c"),
+            kappa=_integer(entry.get("kappa", 1), f"{where}.kappa"),
+            x0=_number(entry.get("x0", 0.0), f"{where}.x0"),
         )
-    except KeyError as exc:
-        raise ValueError(f"objects[{index}] missing required field {exc}") from exc
+    return Breather(
+        alpha=_number(entry["alpha"], f"{where}.alpha"),
+        beta=_number(entry["beta"], f"{where}.beta"),
+        x1=_number(entry.get("x1", 0.0), f"{where}.x1"),
+        x2=_number(entry.get("x2", 0.0), f"{where}.x2"),
+    )
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a YAML scenario document."""
+    """Parse and validate a YAML scenario document; an unknown key is invalid input."""
     doc = yaml.safe_load(text)
-    if not isinstance(doc, dict):
-        raise ValueError("scenario document must be a mapping")
-    required = {"name", "objects", "grid", "evolution"}
-    missing = required - set(doc)
-    if missing:
-        raise ValueError(f"scenario missing required fields {sorted(missing)}")
+    _fields(doc, ("name", "objects", "grid", "evolution"), ("sigma", "seed"), "scenario")
     objs = doc["objects"]
     if not isinstance(objs, list) or not objs:
         raise ValueError("objects must be a non-empty list")
     cfg = order_and_validate([_parse_object(o, i) for i, o in enumerate(objs)])
-    gspec = doc["grid"]
-    g = make_grid(float(gspec["half_length"]), _integer(gspec["n"], "grid.n"))
-    espec = doc["evolution"]
+    gspec = _fields(doc["grid"], ("half_length", "n"), (), "grid")
+    g = make_grid(
+        _number(gspec["half_length"], "grid.half_length"), _integer(gspec["n"], "grid.n")
+    )
+    espec = _fields(doc["evolution"], ("dt", "t_end"), ("save_every",), "evolution")
     controls = EvolutionControls(
-        dt=float(espec["dt"]),
-        t_end=float(espec["t_end"]),
-        dealias=bool(espec.get("dealias", True)),
+        dt=_number(espec["dt"], "evolution.dt"),
+        t_end=_number(espec["t_end"], "evolution.t_end"),
         save_every=_integer(espec.get("save_every", 1), "evolution.save_every"),
     )
-    sigma = float(doc.get("sigma", 0.01))
+    sigma = _number(doc.get("sigma", 0.01), "sigma")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     s = Scenario(
@@ -133,7 +148,6 @@ def parse_scenario(text: str) -> Scenario:
         controls=controls,
         sigma=sigma,
         seed=_integer(doc.get("seed", 0), "seed"),
-        output_dir=str(doc.get("output_dir", "out")),
     )
     check_tails(cfg, 0.0, g)
     return s
@@ -163,7 +177,6 @@ def resolved_config(s: Scenario) -> dict:
         "evolution": {
             "dt": s.controls.dt,
             "t_end": s.controls.t_end,
-            "dealias": s.controls.dealias,
             "save_every": s.controls.save_every,
         },
         "sigma": s.sigma,
@@ -195,8 +208,6 @@ def resolved_config(s: Scenario) -> dict:
 class RateFit:
     """Least-squares exponential fit distance ~ C exp(-varpi t) on a window."""
 
-    times: list[float]
-    distances: list[float]
     varpi: float
     C: float
     fit_window: tuple[float, float]
@@ -225,8 +236,6 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
     ss_tot = float(np.sum((logd - np.mean(logd)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return RateFit(
-        times=list(times),
-        distances=list(distances),
         varpi=float(-slope),
         C=float(np.exp(intercept)),
         fit_window=(ta, tb),
@@ -235,14 +244,12 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
     )
 
 
-def localized_bump(
-    g: Grid, seed: int, amplitude: float = 1e-3, center: float = 0.0
-) -> Field:
-    """Seeded smooth localized perturbation (a Gaussian with jittered center/width)."""
+def localized_bump(g: Grid, seed: int, center: float = 0.0) -> Field:
+    """Seeded smooth localized perturbation: a height-1e-3 Gaussian, jittered center/width."""
     rng = np.random.default_rng(seed)
     x0 = center + rng.uniform(-2.0, 2.0)
     width = rng.uniform(1.5, 3.0)
-    return make_field(g, amplitude * np.exp(-((g.x - x0) ** 2) / (2.0 * width**2)))
+    return make_field(g, 1e-3 * np.exp(-((g.x - x0) ** 2) / (2.0 * width**2)))
 
 
 def _bump_center(cfg: OrderedConfiguration) -> float:
@@ -311,8 +318,8 @@ def _run_conservation(s: Scenario) -> ExperimentReport:
     )
 
 
-def _run_monotonicity(s: Scenario, override: bool = False) -> ExperimentReport:
-    p = select_parameters(s.cfg, s.sigma, override=override)
+def _run_monotonicity(s: Scenario) -> ExperimentReport:
+    p = select_parameters(s.cfg, s.sigma)
     varpi, C = calibrate_slack(s.cfg, p, s.grid)
     traj = _evolve_scenario(s)
     reports = {}
@@ -389,7 +396,9 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
         res = coercivity_check(centered, p1, 1, g)
         results[f"object_{idx}"] = {
             "mu": res.mu,
-            "lambda_min_raw": res.lambda_min_raw,
+            # zero to round-off for a soliton; 8 decimals keep the summary
+            # byte-stable across summation orders, and + 0.0 turns -0.0 into 0.0
+            "lambda_min_raw": round(res.lambda_min_raw, 8) + 0.0,
             "n": res.n,
         }
         ok = ok and res.mu > 0

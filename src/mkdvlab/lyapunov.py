@@ -235,7 +235,6 @@ class CoercivityResult:
     mu: float  # largest certified penalty/coercivity constant (0 if none)
     lambda_min_raw: float  # smallest Rayleigh quotient of the bare form
     lambda_min_at_mu: float
-    orthogonalized: bool
     n: int
 
 
@@ -244,11 +243,10 @@ def coercivity_check(
     p: LyapunovParams,
     j: int,
     g: Grid,
-    t: float = 0.0,
     impose_orthogonality: bool = True,
     mu_grid: np.ndarray | None = None,
 ) -> CoercivityResult:
-    """Eigencheck of the localized quadratic form against the weighted H^2 form.
+    """Eigencheck of the localized quadratic form against the weighted H^2 form at t = 0.
 
     Assembles the dense matrix of quadratic_form_H plus the rank-one penalty
     (1/mu)(int P w sqrt(Phi))^2, restricts to the discrete-L^2 complement of
@@ -260,8 +258,8 @@ def coercivity_check(
         raise ValueError("dense eigensolve limited to n <= 4096")
     a, b = shape_pair(obj)
     x = g.x
-    phi = p.fam.weight(j, t, x)
-    pv = eval_object(obj, t, x)
+    phi = p.fam.weight(j, 0.0, x)
+    pv = eval_object(obj, 0.0, x)
     h = g.h
 
     d1 = derivative_matrix(g, 1)
@@ -270,7 +268,7 @@ def coercivity_check(
     B = h * _form_matrix((phi, phi, phi), d1, d2)
 
     if impose_orthogonality:
-        dirs = modulation_directions(obj, (), t, g)
+        dirs = modulation_directions(obj, (), 0.0, g)
         V = np.column_stack([d.values for d in dirs])
         basis = scipy.linalg.null_space(V.T)
     else:
@@ -305,7 +303,6 @@ def coercivity_check(
         mu=mu_best,
         lambda_min_raw=lam_raw,
         lambda_min_at_mu=lam_best,
-        orthogonalized=impose_orthogonality,
         n=g.n,
     )
 
@@ -314,15 +311,10 @@ def coercivity_check(
 class MonotonicityReport:
     """Almost-monotonicity audit of one functional along a trajectory."""
 
-    j: int
-    which: str
     times: np.ndarray
     values: list[float]
     worst_drop: float  # largest decrease in excess of the slack (0 = verified)
     slack_bound: float  # slack at the start of the window (largest allowed)
-    varpi: float
-    C: float
-    budget: float
 
 
 _WHICH = ("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F")
@@ -333,20 +325,18 @@ def monotonicity_report(
     j: int,
     p: LyapunovParams,
     which: str,
-    omega: float | None = None,
     varpi: float = 0.0,
     C: float = 0.0,
     budget: float = 1e-5,
 ) -> MonotonicityReport:
     """Record decreases of the selected functional beyond the decaying slack.
 
-    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + budget; the
-    report never raises on violations.
+    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + budget, and
+    omega is p.default_omega(); the report never raises on violations.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {_WHICH}")
-    if omega is None:
-        omega = p.default_omega()
+    omega = p.default_omega()
     values = []
     for t, row in zip(traj.times, traj.values):
         trip = localized_triple(make_field(traj.grid, row), p.fam, j, t)
@@ -370,22 +360,15 @@ def monotonicity_report(
         best_so_far = max(best_so_far, vals[i] - slack)
         worst = max(worst, best_so_far - vals[i])
     return MonotonicityReport(
-        j=j,
-        which=which,
         times=traj.times,
         values=values,
         worst_drop=float(worst),
         slack_bound=float(C * np.exp(-2.0 * varpi * traj.times[0]) + budget),
-        varpi=varpi,
-        C=C,
-        budget=budget,
     )
 
 
-def calibrate_slack(
-    cfg: OrderedConfiguration, p: LyapunovParams, g: Grid, t0: float = 0.0
-) -> tuple[float, float]:
-    """Diagnostic (varpi, C) for the monotonicity slack.
+def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tuple[float, float]:
+    """Diagnostic (varpi, C) for the monotonicity slack, from the profiles at t = 0.
 
     varpi is tied to the cutoff transition scale and the slowest profile
     decay; C scales with the total functional size of the profiles, damped
@@ -400,10 +383,10 @@ def calibrate_slack(
 
     scale = 0.0
     for o in cfg.objects:
-        u = make_field(g, eval_object(o, t0, g.x))
+        u = make_field(g, eval_object(o, 0.0, g.x))
         scale += 2.0 * mass(u) + abs(energy(u)) + abs(second_energy(u))
 
-    centers = sorted(center(o, t0) for o in cfg.objects)
+    centers = sorted(center(o, 0.0) for o in cfg.objects)
     if len(centers) > 1 and np.isfinite(tau0):
         d_min = min(b2 - a2 for a2, b2 in zip(centers, centers[1:]))
         t_sep = d_min / (2.0 * tau0)
@@ -415,20 +398,15 @@ def calibrate_slack(
 
 @dataclass
 class InterpolationReport:
-    X: float
-    A: float
-    eps: float
     holds_quadratic: bool  # X^2 <= A + eps X
     holds_linear: bool  # X <= eps + sqrt(A)
     ratio: float  # X^2 / (A + eps X), <= 1 when the bound holds
 
 
-def interpolation_inequality_check(
-    u: Field, fam: CutoffFamily, j: int, t: float = 0.0
-) -> InterpolationReport:
-    """Check X^2 <= A + eps X with the |Phi_jx|-weighted Sobolev quantities."""
+def interpolation_inequality_check(u: Field, fam: CutoffFamily, j: int) -> InterpolationReport:
+    """Check X^2 <= A + eps X with the |Phi_jx|-weighted Sobolev quantities at t = 0."""
     g = u.grid
-    wx = np.abs(fam.weight_x(j, t, g.x))
+    wx = np.abs(fam.weight_x(j, 0.0, g.x))
     u1 = spectral_derivative(u, 1).values
     u2 = spectral_derivative(u, 2).values
     u3 = spectral_derivative(u, 3).values
@@ -441,9 +419,6 @@ def interpolation_inequality_check(
     denom = A + eps * X
     tol = 1e-12 * max(1.0, X**2)
     return InterpolationReport(
-        X=float(X),
-        A=float(A),
-        eps=float(eps),
         holds_quadratic=bool(X**2 <= denom + tol),
         holds_linear=bool(X <= eps + np.sqrt(A) + tol),
         ratio=float(X**2 / denom) if denom > 0 else 0.0,
@@ -454,8 +429,6 @@ def interpolation_inequality_check(
 class CoefficientReport:
     """The four scalar positivity checks behind the weakened-functional growth."""
 
-    j: int
-    sigma: float
     values: tuple[float, float, float, float]
     holds: tuple[bool, bool, bool, bool]
 
@@ -480,8 +453,6 @@ def coefficient_positivity(p: LyapunovParams, j: int, sigma: float | None = None
     c3 = 3.0 * d * s / 4.0 + 1.5 * p.nu3 * r**2
     c4 = 1.5 * p.nu * r**2 + m * d - 1.5 * p.nu_prime * r**2
     return CoefficientReport(
-        j=j,
-        sigma=s,
         values=(float(c1), float(c2), float(c3), float(c4)),
         holds=(c1 >= 0, c2 >= 0, c3 >= 0, c4 > 0),
     )

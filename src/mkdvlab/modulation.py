@@ -73,15 +73,13 @@ def _direction_arrays(cfg, offsets, t, x):
 
 @dataclass
 class ModulationState:
-    """Converged (or failed) fit of the translation offsets at one time."""
+    """Converged fit of the translation offsets at one time."""
 
     offsets: list[tuple[float, ...]]
     w: Field
     w_h2: float  # H^2 norm of w, the basin check's measure
     ortho_residuals: np.ndarray
-    converged: bool
     iterations: int
-    t: float
 
     def flat_offsets(self) -> np.ndarray:
         return np.concatenate([np.asarray(s) for s in self.offsets])
@@ -92,24 +90,21 @@ def fit_translations(
     cfg: OrderedConfiguration,
     t: float,
     guess: np.ndarray | None = None,
-    tol: float = 1e-12,
     max_iters: int = 50,
-    basin_radius: float | None = None,
 ) -> ModulationState:
     """Newton-solve the orthogonality system for the translation offsets.
 
     The unknowns are ordered per object (slowest first), one entry per
-    soliton and two per breather.  Raises NoConvergence when u is too far
-    from the shifted-profile family: the orthogonality system can have
-    roots for arbitrary data (e.g. u = 0), so a converged root is only
-    accepted when the residual stays inside the basin radius (default
-    0.5 * min_j b_j).
+    soliton and two per breather.  Newton stops once every orthogonality
+    residual is below 1e-12.  Raises NoConvergence when u is too far from
+    the shifted-profile family: the orthogonality system can have roots for
+    arbitrary data (e.g. u = 0), so a converged root is only accepted when
+    the residual stays inside the basin radius 0.5 * min_j b_j.
     """
     g = u.grid
     x = g.x
     m = total_offsets(cfg)
-    if basin_radius is None:
-        basin_radius = 0.5 * min(b for _, b in map(shape_pair, cfg.objects))
+    radius = 0.5 * min(b for _, b in map(shape_pair, cfg.objects))
     y = np.zeros(m) if guess is None else np.array(guess, dtype=float)
     if y.shape != (m,):
         raise ValueError(f"guess must have {m} entries")
@@ -123,22 +118,20 @@ def fit_translations(
         w = u.values - p
         dirs, owner, local, second = _direction_arrays(cfg, offsets, t, x)
         G = np.array([h * np.sum(d * w) for d in dirs])
-        if np.max(np.abs(G)) < tol:
+        if np.max(np.abs(G)) < 1e-12:
             wf = make_field(g, w)
             w_norm = float(np.sqrt(h2_norm_sq(wf)))
-            if w_norm > basin_radius:
+            if w_norm > radius:
                 raise NoConvergence(
                     f"orthogonality root found but residual H2 norm "
-                    f"{w_norm:.3e} exceeds the basin radius {basin_radius:.3e}"
+                    f"{w_norm:.3e} exceeds the basin radius {radius:.3e}"
                 )
             return ModulationState(
                 offsets=offsets,
                 w=wf,
                 w_h2=w_norm,
                 ortho_residuals=G,
-                converged=True,
                 iterations=it,
-                t=t,
             )
         # J_ij = <d dir_i / d y_j, w> - <dir_i, dir_j> ; the first term is
         # nonzero only when i and j belong to the same object.
@@ -174,9 +167,7 @@ class ModulationTrack:
     grid: Grid
 
 
-def track_modulation(
-    traj, cfg: OrderedConfiguration, tol: float = 1e-12, max_iters: int = 50
-) -> ModulationTrack:
+def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
     """Fit offsets at every snapshot, warm-starting from the previous one."""
     T, m = len(traj.times), total_offsets(cfg)
     track = ModulationTrack(
@@ -191,7 +182,7 @@ def track_modulation(
     for i, (t, row) in enumerate(zip(traj.times, traj.values)):
         u = make_field(traj.grid, row)
         try:
-            st = fit_translations(u, cfg, t, guess=guess, tol=tol, max_iters=max_iters)
+            st = fit_translations(u, cfg, t, guess=guess)
         except NoConvergence as exc:
             raise NoConvergence(f"snapshot t={t:.6g}: {exc}") from exc
         guess = track.offsets[i] = st.flat_offsets()

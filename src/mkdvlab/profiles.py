@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DuplicateVelocity, TailsTooLarge
 from .grid import Field, Grid, make_field
 
+# largest decay envelope allowed at the domain boundary
+TAIL_BUDGET = 1e-10
+
 
 @dataclass(frozen=True)
 class Soliton:
@@ -156,11 +159,9 @@ def breather_d2(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0
     return _breather_partials(b, t, x, shift1, shift2, second=False)[1]
 
 
-def breather_second_partials(
-    b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0
-):
+def breather_second_partials(b: Breather, t: float, x):
     """Second partials (d11, d12, d22) in the phase parameters."""
-    return _breather_partials(b, t, x, shift1, shift2, second=True)[2:]
+    return _breather_partials(b, t, x, 0.0, 0.0, second=True)[2:]
 
 
 def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
@@ -211,12 +212,11 @@ def n_offsets(o: WaveObject) -> int:
     return 1 if isinstance(o, Soliton) else 2
 
 
-def center(o: WaveObject, t: float, shifts: Sequence[float] = ()) -> float:
+def center(o: WaveObject, t: float) -> float:
     """Instantaneous center of the profile."""
-    s1, s2 = _offsets(shifts)
     if isinstance(o, Soliton):
-        return o.x0 - s1 + o.c * t
-    return -(o.x2 + s2) - o.gamma * t
+        return o.x0 + o.c * t
+    return -o.x2 - o.gamma * t
 
 
 def decay_envelope(o: WaveObject, t: float, x):
@@ -277,14 +277,14 @@ def order_and_validate(objects: Sequence[WaveObject]) -> OrderedConfiguration:
     )
 
 
-def check_tails(cfg: OrderedConfiguration, t: float, g: Grid, budget: float = 1e-10):
-    """Raise TailsTooLarge if any envelope exceeds the budget at the boundary."""
+def check_tails(cfg: OrderedConfiguration, t: float, g: Grid):
+    """Raise TailsTooLarge if any envelope exceeds TAIL_BUDGET at the boundary."""
     for o in cfg.objects:
         tail = max(decay_envelope(o, t, -g.half_length), decay_envelope(o, t, g.half_length))
-        if tail > budget:
+        if tail > TAIL_BUDGET:
             raise TailsTooLarge(
                 f"{type(o).__name__} envelope {tail:.3e} at the boundary exceeds "
-                f"{budget:.1e} (t={t:.3g}, L={g.half_length:.3g})"
+                f"{TAIL_BUDGET:.1e} (t={t:.3g}, L={g.half_length:.3g})"
             )
 
 
@@ -293,10 +293,9 @@ def profile_sum(
     t: float,
     g: Grid,
     shifts: Sequence[Sequence[float]] | None = None,
-    tail_budget: float = 1e-10,
 ) -> Field:
     """Pointwise sum of all object evaluations at time t on the grid."""
-    check_tails(cfg, t, g, tail_budget)
+    check_tails(cfg, t, g)
     x = g.x
     total = np.zeros_like(x)
     for i, o in enumerate(cfg.objects):

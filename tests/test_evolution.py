@@ -140,7 +140,7 @@ def test_blowup_is_caught_at_its_step(grid, monkeypatch):
     assert len(calls) == 3
 
 
-def _reference_krogstad_step(g, dt, uh, dealias):
+def _reference_krogstad_step(g, dt, uh):
     """Krogstad ETDRK4 in its plain form: h outside the sums, -ik and u**3 at every stage."""
     n, m = g.n, 2 * g.n
     ik = 1j * g.wavenumbers
@@ -151,8 +151,6 @@ def _reference_krogstad_step(g, dt, uh, dealias):
     p1, p2, p3 = _phi_functions(dt * L)
 
     def nonlinear(vh):
-        if not dealias:
-            return -ik * np.fft.rfft(np.fft.irfft(vh, n) ** 3)
         pad = np.zeros(m // 2 + 1, dtype=complex)
         pad[: n // 2 + 1] = vh
         up = np.fft.irfft(pad, m) * (m / n)
@@ -170,14 +168,13 @@ def _reference_krogstad_step(g, dt, uh, dealias):
     )
 
 
-@pytest.mark.parametrize("dealias", [True, False])
-def test_stepper_matches_reference_krogstad_step(dealias):
+def test_stepper_matches_reference_krogstad_step():
     g = make_grid(50.0, 512)
     dt = 1e-3
     ref = fast = np.fft.rfft(_breather_field(g, 0.0).values)
-    stepper = _Stepper(g, dt, dealias)
+    stepper = _Stepper(g, dt)
     for _ in range(10):
-        ref = _reference_krogstad_step(g, dt, ref, dealias)
+        ref = _reference_krogstad_step(g, dt, ref)
         fast = stepper.step(fast)
     u_ref, u_fast = np.fft.irfft(ref, g.n), np.fft.irfft(fast, g.n)
     assert np.max(np.abs(u_fast - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))

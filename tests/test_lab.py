@@ -84,6 +84,12 @@ def test_parse_rejects_duplicate_velocities():
         ("n: 1024", "n: 1000"),  # not a power of two
         ("{kind: soliton, c: 1.0}", "5"),  # object entry is not a mapping
         ("{kind: soliton, c: 1.0}", "[1]"),
+        ("t_end: 0.1}", "t_end: 0.1}\nsigmaa: 3"),  # misspelt top-level key
+        ("n: 1024}", "n: 1024, nn: 4}"),  # misspelt grid key
+        ("t_end: 0.1}", "t_end: 0.1, save_evry: 10}"),  # misspelt evolution key
+        ("t_end: 0.1}", "t_end: 0.1, dealias: true}"),  # removed evolution key
+        ("t_end: 0.1}", "t_end: 0.1}\noutput_dir: out"),  # removed top-level key
+        ("grid: {half_length: 60.0, n: 1024}", "grid: [60.0, 1024]"),  # grid is not a mapping
     ],
 )
 def test_parse_schema_violations(mutation):
@@ -110,6 +116,25 @@ def test_parse_rejects_bad_controls(mutation):
     old, new = mutation
     with pytest.raises(ValueError):
         parse_scenario(MINIMAL.replace(old, new))
+
+
+def _readme_scenario() -> str:
+    with open(os.path.join(SCENARIOS, "..", "README.md")) as f:
+        section = f.read().split("## Scenario schema", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".yaml")) + ["README.md"]
+)
+def test_shipped_scenarios_parse(name):
+    # the shipped files and the documented schema stay inside the closed schema
+    if name == "README.md":
+        text = _readme_scenario()
+    else:
+        with open(SCENARIOS + name) as f:
+            text = f.read()
+    parse_scenario(text)
 
 
 def test_fit_exponential_rate_exact():
@@ -179,6 +204,15 @@ def test_summary_is_deterministic(tmp_path):
     assert (out1 / "resolved-config.json").read_bytes() == (
         out2 / "resolved-config.json"
     ).read_bytes()
+
+
+def test_coercivity_summary_rounds_lambda_min_raw(tmp_path):
+    # a soliton's orthogonalized bare form is zero to round-off (about 1e-11),
+    # whose sign depends on the summation order; the summary writes 8 decimals
+    run_experiment(parse_scenario(MINIMAL), "coercivity", out_dir=str(tmp_path))
+    text = (tmp_path / "coercivity-summary.json").read_text()
+    assert json.loads(text)["results"]["object_0"]["lambda_min_raw"] == 0.0
+    assert '"lambda_min_raw": 0.0,' in text
 
 
 def test_emit_plot_data_columns(tmp_path):
@@ -282,6 +316,32 @@ def test_cli_fractional_integer_field_is_invalid_input(tmp_path, capsys, field, 
     assert err.startswith("invalid input: ") and "must be a whole number" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert main(["verify-exact", "--scenario", path, "--override", f"{field}={whole}"]) == 0
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("evolution.save_evry=10", "evolution has unknown fields ['save_evry']"),
+        ("grid.nn=4", "grid has unknown fields ['nn']"),
+        ("sigmaa=3", "scenario has unknown fields ['sigmaa']"),
+        ("evolution.dealias=nope", "evolution has unknown fields ['dealias']"),
+        ("output_dir=out", "scenario has unknown fields ['output_dir']"),
+        ("seed=true", "seed must be a number, got True"),
+        ("objects.0.c=true", "objects[0].c must be a number, got True"),
+        ("sigma=true", "sigma must be a number, got True"),
+        ("objects.0.kappa=true", "objects[0].kappa must be a number, got True"),
+        ("evolution.save_every=true", "evolution.save_every must be a number, got True"),
+        ("grid={n: 1024}", "grid missing required fields ['half_length']"),
+    ],
+)
+def test_cli_schema_violation_is_invalid_input(tmp_path, capsys, override, message):
+    # no key is silently dropped and no boolean is read as 0 or 1; a number
+    # written as a string, which is how PyYAML reads 1e-3, still parses
+    path = _write(tmp_path, MINIMAL)
+    assert main(["verify-exact", "--scenario", path, "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: {message}\n"
+    assert main(["verify-exact", "--scenario", path, "--override", "evolution.dt=1e-3"]) == 0
 
 
 def test_cli_all_runs_every_kind_past_a_failure(capsys):

@@ -28,6 +28,6 @@ from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
 from .functionals import CutoffFamily, energy, make_cutoff_family, mass, second_energy
 from .modulation import fit_translations, track_modulation
 from .lyapunov import LyapunovParams, coercivity_check, select_parameters
-from .lab import Scenario, load_scenario, parse_scenario, run_experiment
+from .lab import Scenario, parse_scenario, run_experiment
 
 __version__ = "0.1.0"

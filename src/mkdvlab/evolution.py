@@ -10,13 +10,14 @@ to 2n, which is exact for cubic nonlinearities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BlowUp
 from .grid import Field, Grid, _fourier_symbol, make_field, spectral_derivative
-from .profiles import OrderedConfiguration, eval_object, order_and_validate
+from .profiles import WaveObject, eval_object
 
 BLOWUP_LIMIT = 1e6
 
@@ -45,7 +46,6 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray
     grid: Grid
-    metadata: dict = field(default_factory=dict)
 
 
 def stability_bound(u: Field) -> float:
@@ -126,15 +126,6 @@ def _check_finite(values: np.ndarray, t: float):
         raise BlowUp(t)
 
 
-def step(u: Field, dt: float) -> Field:
-    """Advance one scheme step of size dt."""
-    stepper = _Stepper(u.grid, dt)
-    uh = stepper.step(np.fft.rfft(u.values))
-    out = np.fft.irfft(uh, u.grid.n)
-    _check_finite(out, dt)
-    return make_field(u.grid, out)
-
-
 def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajectory:
     """Run from t0 to t0 + t_end, saving every save_every steps.
 
@@ -166,34 +157,20 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
             _check_finite(values[row], t)
             times[row] = t
             row += 1
-    meta = {
-        "dt": controls.dt,
-        "t_end": controls.t_end,
-        "save_every": controls.save_every,
-        "stability_bound": bound,
-        "t0": t0,
-    }
-    return Trajectory(times=times, values=values, grid=u0.grid, metadata=meta)
+    return Trajectory(times=times, values=values, grid=u0.grid)
 
 
-def pde_residual(source, t: float, g: Grid) -> float:
-    """Sup norm of u_t + (u_xx + u^3)_x for a profile or profile sum.
+def pde_residual(objects: Sequence[WaveObject], t: float, g: Grid) -> float:
+    """Sup norm of u_t + (u_xx + u^3)_x for the sum of the given profiles.
 
     The time derivative uses a 4th-order centered difference of step 1e-4;
     space is spectral.  Sums of distinct objects are not exact solutions
     and give O(1) residuals when the objects overlap.
     """
-    if isinstance(source, OrderedConfiguration):
-        cfg = source
-    elif isinstance(source, (list, tuple)):
-        cfg = order_and_validate(list(source))
-    else:
-        cfg = order_and_validate([source])
-
     dt = 1e-4
 
     def u_at(tt: float) -> np.ndarray:
-        return sum(eval_object(o, tt, g.x) for o in cfg.objects)
+        return sum(eval_object(o, tt, g.x) for o in objects)
 
     u_t = (
         u_at(t - 2 * dt) - 8.0 * u_at(t - dt) + 8.0 * u_at(t + dt) - u_at(t + 2 * dt)

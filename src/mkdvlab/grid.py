@@ -74,11 +74,6 @@ def make_field(grid: Grid, values: np.ndarray) -> Field:
     return Field(grid=grid, values=np.asarray(values, dtype=float))
 
 
-def sample(grid: Grid, fn) -> Field:
-    """Sample a callable x -> f(x) on the grid nodes."""
-    return make_field(grid, fn(grid.x))
-
-
 def _fourier_symbol(grid: Grid, order: int) -> np.ndarray:
     """(ik)^order on the rfft layout, order 1..4; zero at Nyquist for odd orders."""
     if order not in (1, 2, 3, 4):

@@ -71,10 +71,13 @@ def _fields(node, required, optional, where: str) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """A real scenario field; a boolean is invalid input, not 0 or 1."""
+    """A finite real scenario field; a boolean is invalid input, not 0 or 1."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value}")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _integer(value, name: str) -> int:
@@ -85,8 +88,6 @@ def _integer(value, name: str) -> int:
     """
     if isinstance(value, (bool, float)):
         value = _number(value, name)
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
         if not value.is_integer():
             raise ValueError(f"{name} must be a whole number, got {value}")
     return int(value)
@@ -153,11 +154,6 @@ def parse_scenario(text: str) -> Scenario:
     return s
 
 
-def load_scenario(path: str) -> Scenario:
-    with open(path) as f:
-        return parse_scenario(f.read())
-
-
 def _object_record(o) -> dict:
     if isinstance(o, Soliton):
         return {"kind": "soliton", "c": o.c, "kappa": o.kappa, "x0": o.x0}
@@ -212,7 +208,6 @@ class RateFit:
     C: float
     fit_window: tuple[float, float]
     r_squared: float
-    floor_limited: bool = False
 
 
 def fit_exponential_rate(times, distances, window) -> RateFit:
@@ -240,7 +235,6 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
         C=float(np.exp(intercept)),
         fit_window=(ta, tb),
         r_squared=float(r2),
-        floor_limited=bool(np.max(dw) < 1e-12),
     )
 
 
@@ -284,7 +278,7 @@ def _evolve_scenario(s: Scenario) -> Trajectory:
 def _run_verify_exact(s: Scenario) -> ExperimentReport:
     residuals = {}
     for i, o in enumerate(s.cfg.objects):
-        res = pde_residual(o, 0.0, s.grid)
+        res = pde_residual([o], 0.0, s.grid)
         residuals[f"object_{i}_{type(o).__name__.lower()}"] = res
     worst = max(residuals.values())
     return ExperimentReport(
@@ -520,12 +514,7 @@ def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
     with open(os.path.join(out_dir, "resolved-config.json"), "w") as f:
         json.dump(resolved_config(s), f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
-    emit_plot_data(report, out_dir)
-
-
-def emit_plot_data(report: ExperimentReport, out_dir: str):
-    """One whitespace-separated column file per tracked series."""
-    os.makedirs(out_dir, exist_ok=True)
+    # one whitespace-separated column file per tracked series
     for name, cols in report.series.items():
         path = os.path.join(out_dir, f"{report.kind}-{name}.dat")
         keys = list(cols)

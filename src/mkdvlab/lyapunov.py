@@ -167,13 +167,11 @@ def _weakened(trip: LocalizedTriple, shape: tuple[float, float], nu: float) -> f
     return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
 
 
-def lyapunov_H(u: Field, j: int, p: LyapunovParams, t: float) -> float:
-    """H_j = F_j + 2(b^2-a^2) E_j + (a^2+b^2)^2 M_j, the weakened form at nu = 1."""
-    return _weakened(localized_triple(u, p.fam, j, t), p.shape(j), 1.0)
-
-
 def weakened_F(u: Field, j: int, p: LyapunovParams, t: float, nu: float | None = None) -> float:
-    """Weakened functional: the H_j combination with mass coefficient nu < 1."""
+    """Weakened functional: the H_j combination with mass coefficient nu (p.nu < 1 by default).
+
+    At nu = 1 it is H_j = F_j + 2(b^2-a^2) E_j + (a^2+b^2)^2 M_j itself.
+    """
     return _weakened(localized_triple(u, p.fam, j, t), p.shape(j), p.nu if nu is None else nu)
 
 
@@ -437,13 +435,13 @@ class CoefficientReport:
         return all(self.holds)
 
 
-def coefficient_positivity(p: LyapunovParams, j: int, sigma: float | None = None) -> CoefficientReport:
+def coefficient_positivity(p: LyapunovParams, j: int) -> CoefficientReport:
     """Evaluate the four coefficient inequalities for cutoff index j < J."""
     if not p.fam.speeds:
         raise ValueError("coefficient positivity needs at least one cutoff (J >= 2)")
     if not 1 <= j <= len(p.fam.speeds):
         raise IndexError(f"j must be in 1..{len(p.fam.speeds)}")
-    s = p.fam.sigma if sigma is None else float(sigma)
+    s = p.fam.sigma
     a, b = p.shape(j)
     d = b**2 - a**2
     r = a**2 + b**2

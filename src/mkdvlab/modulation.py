@@ -23,6 +23,8 @@ from .profiles import (
     shape_pair,
 )
 
+MAX_NEWTON_ITERS = 50
+
 
 def split_offsets(cfg: OrderedConfiguration, flat: np.ndarray) -> list[tuple[float, ...]]:
     """Split a flat offset vector into per-object tuples (1 or 2 entries)."""
@@ -90,7 +92,6 @@ def fit_translations(
     cfg: OrderedConfiguration,
     t: float,
     guess: np.ndarray | None = None,
-    max_iters: int = 50,
 ) -> ModulationState:
     """Newton-solve the orthogonality system for the translation offsets.
 
@@ -110,7 +111,7 @@ def fit_translations(
         raise ValueError(f"guess must have {m} entries")
     h = g.h
 
-    for it in range(max_iters):
+    for it in range(MAX_NEWTON_ITERS):
         offsets = split_offsets(cfg, y)
         p = sum(
             eval_object(o, t, x, sh) for o, sh in zip(cfg.objects, offsets)
@@ -150,7 +151,7 @@ def fit_translations(
             raise NoConvergence("Newton iterates diverged")
 
     raise NoConvergence(
-        f"no convergence after {max_iters} iterations at t={t:.6g} "
+        f"no convergence after {MAX_NEWTON_ITERS} iterations at t={t:.6g} "
         f"(last residual {np.max(np.abs(G)):.3e})"
     )
 

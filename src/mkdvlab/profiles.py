@@ -149,21 +149,6 @@ def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float, s
     return first + (d11, d12, d22)
 
 
-def breather_d1(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0):
-    """Partial derivative of the breather in its first phase parameter x1."""
-    return _breather_partials(b, t, x, shift1, shift2, second=False)[0]
-
-
-def breather_d2(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0):
-    """Partial derivative of the breather in its second phase parameter x2."""
-    return _breather_partials(b, t, x, shift1, shift2, second=False)[1]
-
-
-def breather_second_partials(b: Breather, t: float, x):
-    """Second partials (d11, d12, d22) in the phase parameters."""
-    return _breather_partials(b, t, x, 0.0, 0.0, second=True)[2:]
-
-
 def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
     """First and second translation offsets, 0.0 where shifts stops short."""
     s1 = shifts[0] if len(shifts) else 0.0

@@ -1,0 +1,12 @@
+"""Test-session setup shared by every test module.
+
+BLAS runs on one thread unless the caller says otherwise: the dense
+coercivity eigensolves slow down by an order of magnitude when the default
+thread pool competes for shared cores.  This runs before any test module
+imports numpy, which is when the thread count is read.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")

@@ -75,8 +75,8 @@ def flagship_scenario():
 def test_A1_exactness():
     g = make_grid(50.0, 4096)
     start = time.perf_counter()
-    res_s = pde_residual(Soliton(c=1.0), 0.0, g)
-    res_b = pde_residual(Breather(alpha=1.0, beta=1.0), 0.0, g)
+    res_s = pde_residual([Soliton(c=1.0)], 0.0, g)
+    res_b = pde_residual([Breather(alpha=1.0, beta=1.0)], 0.0, g)
     elapsed = time.perf_counter() - start
     ok = res_s < 1e-7 and res_b < 1e-7 and elapsed < 10.0
     _report(

@@ -11,7 +11,6 @@ from mkdvlab.evolution import (
     evolve,
     pde_residual,
     stability_bound,
-    step,
 )
 from mkdvlab.functionals import _energy_density, _second_energy_density
 from mkdvlab.grid import h2_norm_sq, make_field, make_grid
@@ -27,12 +26,17 @@ def _breather_field(g, t):
     return make_field(g, breather_eval(Breather(alpha=1.0, beta=1.0), t, g.x))
 
 
+def _one_step(u, dt):
+    """One scheme step of size dt from the field u, as raw samples."""
+    return np.fft.irfft(_Stepper(u.grid, dt).step(np.fft.rfft(u.values)), u.grid.n)
+
+
 def test_pde_residual_soliton(grid):
-    assert pde_residual(Soliton(c=1.0), 0.0, grid) < 1e-7
+    assert pde_residual([Soliton(c=1.0)], 0.0, grid) < 1e-7
 
 
 def test_pde_residual_breather(grid):
-    assert pde_residual(Breather(alpha=1.0, beta=1.0), 0.5, grid) < 1e-7
+    assert pde_residual([Breather(alpha=1.0, beta=1.0)], 0.5, grid) < 1e-7
 
 
 def test_pde_residual_overlapping_sum_is_large(grid):
@@ -43,26 +47,26 @@ def test_pde_residual_overlapping_sum_is_large(grid):
 
 def test_one_step_breather_accuracy(grid):
     dt = 2.5e-4
-    u1 = step(_breather_field(grid, 0.0), dt)
+    u1 = _one_step(_breather_field(grid, 0.0), dt)
     exact = _breather_field(grid, dt)
-    err = np.max(np.abs(u1.values - exact.values))
+    err = np.max(np.abs(u1 - exact.values))
     assert err < 1e-9
 
 
 def test_one_step_breather_accuracy_coarse(grid):
     # at dt=1e-3 a 4th-order exponential integrator lands near 1e-7
     dt = 1e-3
-    u1 = step(_breather_field(grid, 0.0), dt)
+    u1 = _one_step(_breather_field(grid, 0.0), dt)
     exact = _breather_field(grid, dt)
-    assert np.max(np.abs(u1.values - exact.values)) < 5e-7
+    assert np.max(np.abs(u1 - exact.values)) < 5e-7
 
 
 def test_step_convergence_order(grid):
     errs = []
     dts = [2e-3, 1e-3, 5e-4]
     for dt in dts:
-        u1 = step(_breather_field(grid, 0.0), dt)
-        errs.append(np.max(np.abs(u1.values - _breather_field(grid, dt).values)))
+        u1 = _one_step(_breather_field(grid, 0.0), dt)
+        errs.append(np.max(np.abs(u1 - _breather_field(grid, dt).values)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     # one-step error of a 4th-order method decays at roughly 5th order
     assert np.all(orders > 3.5)
@@ -86,7 +90,6 @@ def test_evolve_snapshot_times(grid):
         assert traj.values.shape == (len(times), grid.n)
         np.testing.assert_array_equal(traj.values[0], u0.values)
         assert traj.grid is grid
-        assert traj.metadata["dt"] == 1e-3
 
 
 def test_evolve_from_nonzero_t0(grid):

@@ -17,7 +17,7 @@ from mkdvlab.functionals import (
     psi_second,
     second_energy,
 )
-from mkdvlab.grid import h2_norm_sq, integrate, make_field, make_grid, sample
+from mkdvlab.grid import h2_norm_sq, integrate, make_field, make_grid
 from mkdvlab.profiles import (
     Breather,
     Soliton,

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from mkdvlab.grid import (
-    Field,
     derivative_matrix,
     h2_norm_sq,
     integrate,
     make_field,
     make_grid,
-    sample,
     spectral_derivative,
 )
 
@@ -67,7 +65,7 @@ def test_spectral_derivative_order_validation():
 
 def test_quadrature_of_gaussian():
     g = make_grid(30.0, 512)
-    f = sample(g, lambda x: np.exp(-(x**2)))
+    f = make_field(g, np.exp(-(g.x**2)))
     assert integrate(g, f.values) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
 
 
@@ -75,7 +73,7 @@ def test_h2_norm_of_sine():
     # int over one period of sin^2(kx)(1 + k^2 + k^4) with k = pi/L
     g = make_grid(np.pi, 128)
     k = 1.0
-    f = sample(g, lambda x: np.sin(k * x))
+    f = make_field(g, np.sin(k * g.x))
     expected = np.pi * (1 + k**2 + k**4)
     assert h2_norm_sq(f) == pytest.approx(expected, rel=1e-12)
 

@@ -15,12 +15,12 @@ from mkdvlab.cli import main
 from mkdvlab.errors import BlowUp, DuplicateVelocity, NonPositiveDistance
 from mkdvlab.lab import (
     ExperimentReport,
-    emit_plot_data,
     fit_exponential_rate,
     localized_bump,
     parse_scenario,
     resolved_config,
     run_experiment,
+    write_report,
 )
 from mkdvlab.grid import make_grid
 
@@ -151,7 +151,6 @@ def test_fit_exponential_rate_floor_limited():
     d = np.full_like(t, 1e-14)
     fit = fit_exponential_rate(t, d, (0.0, 10.0))
     assert abs(fit.varpi) < 1e-6
-    assert fit.floor_limited
 
 
 def test_fit_exponential_rate_nonpositive():
@@ -223,7 +222,7 @@ def test_emit_plot_data_columns(tmp_path):
         summary={},
         series={"series": {"t": [0.0, 1.0], "v": [2.0, 3.0]}, "empty": {}},
     )
-    emit_plot_data(rep, str(tmp_path))
+    write_report(parse_scenario(MINIMAL), rep, str(tmp_path))
     lines = (tmp_path / "demo-series.dat").read_text().splitlines()
     assert lines[0] == "# t\tv"
     assert len(lines) == 3
@@ -294,7 +293,17 @@ def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "override", ["grid.n=.inf", "evolution.save_every=.inf", "seed=.inf", "objects.0.kappa=.inf"]
+    "override",
+    [
+        "grid.n=.inf",
+        "evolution.save_every=.inf",
+        "seed=.inf",
+        "objects.0.kappa=.inf",
+        "objects.0.x0=.inf",
+        "objects.0.c=.nan",
+        "sigma=.inf",
+        "grid.half_length=.inf",
+    ],
 )
 def test_cli_infinite_integer_field_is_invalid_input(tmp_path, capsys, override):
     path = _write(tmp_path, MINIMAL)

@@ -1,11 +1,13 @@
 """Parameter selection, Lyapunov/weakened functionals, coercivity, reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
-from mkdvlab.functionals import energy, make_cutoff_family, mass, second_energy
+from mkdvlab.functionals import energy, mass, second_energy
 from mkdvlab.grid import derivative_matrix, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
@@ -15,7 +17,6 @@ from mkdvlab.lyapunov import (
     coefficient_positivity,
     coercivity_check,
     interpolation_inequality_check,
-    lyapunov_H,
     monotonicity_report,
     quadratic_form_H,
     select_parameters,
@@ -112,7 +113,7 @@ def test_sigma_shrunk_when_first_shape_very_negative():
 def test_lyapunov_H_zero_field(grid):
     p = select_parameters(_flagship(), 0.01)
     zero = make_field(grid, np.zeros(grid.n))
-    assert lyapunov_H(zero, 1, p, 0.0) == 0.0
+    assert weakened_F(zero, 1, p, 0.0, nu=1.0) == 0.0
     assert weakened_F(zero, 1, p, 0.0) == 0.0
 
 
@@ -122,16 +123,7 @@ def test_lyapunov_H_single_soliton_composition(grid):
     u = make_field(grid, q_profile(1.0, grid.x))
     # j = J = 1: Phi == 1, (a,b) = (0,1), localized mass = 2 * mass
     expected = second_energy(u) + 2.0 * energy(u) + 2.0 * mass(u)
-    assert lyapunov_H(u, 1, p, 0.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_weakened_with_nu_one_is_lyapunov(grid):
-    p = select_parameters(_flagship(), 0.01)
-    rng = np.random.default_rng(2)
-    u = make_field(grid, np.exp(-(grid.x**2) / 9) * rng.standard_normal(grid.n))
-    assert weakened_F(u, 2, p, 0.5, nu=1.0) == pytest.approx(
-        lyapunov_H(u, 2, p, 0.5), rel=1e-12
-    )
+    assert weakened_F(u, 1, p, 0.0, nu=1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lyapunov_dominates_weakened(grid):
@@ -141,7 +133,7 @@ def test_lyapunov_dominates_weakened(grid):
         u = make_field(
             grid, np.exp(-(grid.x**2) / 16) * rng.standard_normal(grid.n)
         )
-        diff = lyapunov_H(u, 1, p, 0.3) - weakened_F(u, 1, p, 0.3)
+        diff = weakened_F(u, 1, p, 0.3, nu=1.0) - weakened_F(u, 1, p, 0.3)
         assert diff >= -1e-12
 
 
@@ -296,7 +288,7 @@ def test_coefficient_positivity_soliton_trivial():
 def test_coefficient_positivity_huge_sigma_negative_control():
     cfg = order_and_validate([Breather(2.0, 0.1, x2=40.0), Soliton(1.0)])
     p = select_parameters(cfg, 0.01)
-    rep = coefficient_positivity(p, 1, sigma=100.0)
+    rep = coefficient_positivity(replace(p, fam=replace(p.fam, sigma=100.0)), 1)
     assert not rep.holds[1] and not rep.holds[2]
 
 

@@ -8,10 +8,8 @@ from mkdvlab.grid import make_field, make_grid, spectral_derivative
 from mkdvlab.profiles import (
     Breather,
     Soliton,
-    breather_d1,
-    breather_d2,
+    _breather_partials,
     breather_eval,
-    breather_second_partials,
     center,
     check_tails,
     decay_envelope,
@@ -20,7 +18,6 @@ from mkdvlab.profiles import (
     profile_sum,
     q_profile,
     shape_pair,
-    soliton_d0,
     soliton_eval,
     velocity,
 )
@@ -74,8 +71,9 @@ def test_breather_phase_partials_match_finite_differences():
     eps = 1e-6
     fd1 = (breather_eval(b, t, x, eps, 0.0) - breather_eval(b, t, x, -eps, 0.0)) / (2 * eps)
     fd2 = (breather_eval(b, t, x, 0.0, eps) - breather_eval(b, t, x, 0.0, -eps)) / (2 * eps)
-    np.testing.assert_allclose(breather_d1(b, t, x), fd1, atol=1e-8)
-    np.testing.assert_allclose(breather_d2(b, t, x), fd2, atol=1e-8)
+    d1, d2 = _breather_partials(b, t, x, 0.0, 0.0, second=False)
+    np.testing.assert_allclose(d1, fd1, atol=1e-8)
+    np.testing.assert_allclose(d2, fd2, atol=1e-8)
 
 
 def test_breather_second_partials_match_finite_differences():
@@ -83,10 +81,14 @@ def test_breather_second_partials_match_finite_differences():
     x = np.linspace(-8, 8, 48)
     t = 0.2
     eps = 1e-5
-    d11, d12, d22 = breather_second_partials(b, t, x)
-    fd11 = (breather_d1(b, t, x, eps, 0) - breather_d1(b, t, x, -eps, 0)) / (2 * eps)
-    fd12 = (breather_d1(b, t, x, 0, eps) - breather_d1(b, t, x, 0, -eps)) / (2 * eps)
-    fd22 = (breather_d2(b, t, x, 0, eps) - breather_d2(b, t, x, 0, -eps)) / (2 * eps)
+    d11, d12, d22 = _breather_partials(b, t, x, 0.0, 0.0, second=True)[2:]
+
+    def first(s1, s2):
+        return _breather_partials(b, t, x, s1, s2, second=False)
+
+    fd11 = (first(eps, 0)[0] - first(-eps, 0)[0]) / (2 * eps)
+    fd12 = (first(0, eps)[0] - first(0, -eps)[0]) / (2 * eps)
+    fd22 = (first(0, eps)[1] - first(0, -eps)[1]) / (2 * eps)
     np.testing.assert_allclose(d11, fd11, atol=1e-7)
     np.testing.assert_allclose(d12, fd12, atol=1e-7)
     np.testing.assert_allclose(d22, fd22, atol=1e-7)
@@ -98,9 +100,8 @@ def test_breather_chain_rule_identity():
     b = Breather(alpha=1.0, beta=1.0)
     t = 1.3
     bx = spectral_derivative(make_field(g, breather_eval(b, t, g.x)), 1).values
-    np.testing.assert_allclose(
-        breather_d1(b, t, g.x) + breather_d2(b, t, g.x), bx, atol=1e-8
-    )
+    d1, d2 = _breather_partials(b, t, g.x, 0.0, 0.0, second=False)
+    np.testing.assert_allclose(d1 + d2, bx, atol=1e-8)
 
 
 def test_breather_no_overflow_far_away():

@@ -24,6 +24,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not np.isfinite(self.half_length):
+            raise ValueError(f"half_length must be finite, got {self.half_length}")
         if self.half_length <= 0:
             raise ValueError(f"half_length must be positive, got {self.half_length}")
         if not _is_power_of_two(self.n) or self.n < 16:

@@ -142,13 +142,16 @@ def parse_scenario(text: str) -> Scenario:
     sigma = _number(doc.get("sigma", 0.01), "sigma")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    seed = _integer(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     s = Scenario(
         name=str(doc["name"]),
         cfg=cfg,
         grid=g,
         controls=controls,
         sigma=sigma,
-        seed=_integer(doc.get("seed", 0), "seed"),
+        seed=seed,
     )
     check_tails(cfg, 0.0, g)
     return s
@@ -393,7 +396,7 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
             # zero to round-off for a soliton; 8 decimals keep the summary
             # byte-stable across summation orders, and + 0.0 turns -0.0 into 0.0
             "lambda_min_raw": round(res.lambda_min_raw, 8) + 0.0,
-            "n": res.n,
+            "n": g.n,
         }
         ok = ok and res.mu > 0
     return ExperimentReport(

@@ -222,7 +222,8 @@ def quadratic_form_H(
 def _form_matrix(weights, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Symmetric matrix of int c2 w_xx^2 + c1 w_x^2 + c0 w^2 (no quadrature h factor)."""
     c2, c1, c0 = weights
-    A = (d2.T * c2) @ d2 + (d1.T * c1) @ d1 + np.diag(c0)
+    A = (d2.T * c2) @ d2 + (d1.T * c1) @ d1
+    A[np.diag_indices_from(A)] += c0
     return 0.5 * (A + A.T)
 
 
@@ -232,8 +233,28 @@ class CoercivityResult:
 
     mu: float  # largest certified penalty/coercivity constant (0 if none)
     lambda_min_raw: float  # smallest Rayleigh quotient of the bare form
-    lambda_min_at_mu: float
-    n: int
+
+
+def _restricted_forms(
+    obj: WaveObject, p: LyapunovParams, j: int, g: Grid, impose_orthogonality: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ar, Br, pr): the matrices of quadratic_form_H and of int (w_xx^2 + w_x^2 + w^2) Phi
+    at t = 0 and the penalty vector P sqrt(Phi), with impose_orthogonality restricted to
+    the discrete-L^2 complement of the modulation directions.  The n x n assembly is
+    local, so it is freed before the caller's eigensolve.
+    """
+    phi = p.fam.weight(j, 0.0, g.x)
+    pv = eval_object(obj, 0.0, g.x)
+    d1 = derivative_matrix(g, 1)
+    d2 = derivative_matrix(g, 2)
+    A = g.h * _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), d1, d2)
+    B = g.h * _form_matrix((phi, phi, phi), d1, d2)
+    pen = pv * np.sqrt(phi)
+    if not impose_orthogonality:
+        return A, B, pen
+    dirs = modulation_directions(obj, (), 0.0, g)
+    basis = scipy.linalg.null_space(np.column_stack([d.values for d in dirs]).T)
+    return basis.T @ A @ basis, basis.T @ B @ basis, basis.T @ pen
 
 
 def coercivity_check(
@@ -244,65 +265,30 @@ def coercivity_check(
     impose_orthogonality: bool = True,
     mu_grid: np.ndarray | None = None,
 ) -> CoercivityResult:
-    """Eigencheck of the localized quadratic form against the weighted H^2 form at t = 0.
+    """Largest mu of the grid with Ar + (h^2/mu) pr pr^T - mu Br >= 0 (_restricted_forms).
 
-    Assembles the dense matrix of quadratic_form_H plus the rank-one penalty
-    (1/mu)(int P w sqrt(Phi))^2, restricts to the discrete-L^2 complement of
-    the object's modulation directions, and returns the largest mu for which
-    the minimal generalized Rayleigh quotient (against int (w_xx^2 + w_x^2 +
-    w^2) Phi) exceeds mu.
+    One eigendecomposition Ar Q = Br Q diag(lam), Q^T Br Q = I, decides every mu: by
+    congruence the matrix has the inertia of D + s z z^T, D = diag(lam - mu), s = h^2/mu,
+    z = Q^T pr, whose eigenvalues interlace those of D, and det(D + s z z^T) =
+    det(D) (1 + s z^T D^-1 z) (Golub, SIAM Rev. 15, 1973).  So mu is certified iff
+    mu <= lam[0], or lam[0] < mu < lam[1] and 1 + s sum z_i^2 / (lam_i - mu) <= 0.
     """
     if g.n > 4096:
         raise ValueError("dense eigensolve limited to n <= 4096")
-    a, b = shape_pair(obj)
-    x = g.x
-    phi = p.fam.weight(j, 0.0, x)
-    pv = eval_object(obj, 0.0, x)
-    h = g.h
-
-    d1 = derivative_matrix(g, 1)
-    d2 = derivative_matrix(g, 2)
-    A = h * _form_matrix(_second_variation_weights(pv, phi, a, b, g), d1, d2)
-    B = h * _form_matrix((phi, phi, phi), d1, d2)
-
-    if impose_orthogonality:
-        dirs = modulation_directions(obj, (), 0.0, g)
-        V = np.column_stack([d.values for d in dirs])
-        basis = scipy.linalg.null_space(V.T)
-    else:
-        basis = np.eye(g.n)
-
+    Ar, Br, pr = _restricted_forms(obj, p, j, g, impose_orthogonality)
     try:
-        Ar = basis.T @ A @ basis
-        Br = basis.T @ B @ basis
-        lam_raw = float(scipy.linalg.eigh(Ar, Br, eigvals_only=True, subset_by_index=[0, 0])[0])
+        lam, Q = scipy.linalg.eigh(Ar, Br, overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolveFailure(str(exc)) from exc
-
-    pen_vec = pv * np.sqrt(phi)
-    pr = basis.T @ pen_vec
+    z2 = (Q.T @ pr) ** 2
     if mu_grid is None:
         mu_grid = np.logspace(-4, 0.5, 46)
-
-    mu_best = 0.0
-    lam_best = lam_raw
-    for mu_hat in np.sort(mu_grid):
-        Apen = Ar + (h**2 / mu_hat) * np.outer(pr, pr)
-        try:
-            lam = float(
-                scipy.linalg.eigh(Apen, Br, eigvals_only=True, subset_by_index=[0, 0])[0]
-            )
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise EigensolveFailure(str(exc)) from exc
-        if lam >= mu_hat:
-            mu_best = mu_hat
-            lam_best = lam
-    return CoercivityResult(
-        mu=mu_best,
-        lambda_min_raw=lam_raw,
-        lambda_min_at_mu=lam_best,
-        n=g.n,
-    )
+    certified = [
+        mu
+        for mu in mu_grid
+        if mu <= lam[0] or (mu < lam[1] and 1.0 + g.h**2 / mu * np.sum(z2 / (lam - mu)) <= 0)
+    ]
+    return CoercivityResult(mu=max(certified, default=0.0), lambda_min_raw=float(lam[0]))
 
 
 @dataclass

@@ -28,6 +28,8 @@ class Soliton:
     x0: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite([self.c, self.x0]).all():
+            raise ValueError(f"soliton c and x0 must be finite, got c={self.c}, x0={self.x0}")
         if self.c <= 0:
             raise ValueError(f"soliton speed c must be positive, got {self.c}")
         if self.kappa not in (-1, 1):
@@ -44,6 +46,8 @@ class Breather:
     x2: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta, self.x1, self.x2]).all():
+            raise ValueError(f"breather fields must be finite, got {self}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("breather shape parameters must be positive")
 

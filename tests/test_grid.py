@@ -31,6 +31,9 @@ def test_grid_rejects_bad_sizes(n):
 def test_grid_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         make_grid(-1.0, 64)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            make_grid(bad, 64)
 
 
 def test_field_shape_and_finiteness():

@@ -341,6 +341,7 @@ def test_cli_fractional_integer_field_is_invalid_input(tmp_path, capsys, field, 
         ("objects.0.kappa=true", "objects[0].kappa must be a number, got True"),
         ("evolution.save_every=true", "evolution.save_every must be a number, got True"),
         ("grid={n: 1024}", "grid missing required fields ['half_length']"),
+        ("seed=-1", "seed must be non-negative, got -1"),
     ],
 )
 def test_cli_schema_violation_is_invalid_input(tmp_path, capsys, override, message):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
@@ -12,6 +13,7 @@ from mkdvlab.grid import derivative_matrix, integrate, make_field, make_grid, sp
 from mkdvlab.lyapunov import (
     LyapunovParams,
     _form_matrix,
+    _restricted_forms,
     _second_variation_weights,
     calibrate_slack,
     coefficient_positivity,
@@ -193,7 +195,25 @@ def test_coercivity_soliton_small_grid():
     p = select_parameters(cfg, 0.01)
     res = coercivity_check(cfg.objects[0], p, 1, g)
     assert res.mu > 0
-    assert res.lambda_min_at_mu >= res.mu
+
+
+@pytest.mark.parametrize(
+    "obj", [Soliton(1.0), Soliton(4.0), Breather(1.0, 1.0)], ids=["c1", "c4", "breather"]
+)
+def test_coercivity_mu_matches_per_mu_eigensolves(obj):
+    # the inertia rule against one penalized eigensolve per mu, on the
+    # re-centred grid of the coercivity kind
+    g = make_grid(max(20.0, 8.0 / shape_pair(obj)[1]), 256)
+    p = select_parameters(order_and_validate([obj]), 0.01, override=True)
+    Ar, Br, pr = _restricted_forms(obj, p, 1, g, True)
+    ref = 0.0
+    for mu in np.logspace(-4, 0.5, 46):
+        lam = scipy.linalg.eigh(
+            Ar + (g.h**2 / mu) * np.outer(pr, pr), Br, eigvals_only=True, subset_by_index=[0, 0]
+        )[0]
+        if lam >= mu:
+            ref = max(ref, mu)
+    assert coercivity_check(obj, p, 1, g).mu == ref > 0
 
 
 def test_coercivity_rejects_oversized_grid():

@@ -33,11 +33,20 @@ def test_soliton_validation():
         Soliton(c=-1.0)
     with pytest.raises(ValueError):
         Soliton(c=1.0, kappa=2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Soliton(c=bad)
+        with pytest.raises(ValueError):
+            Soliton(c=1.0, x0=bad)
 
 
 def test_breather_validation():
     with pytest.raises(ValueError):
         Breather(alpha=-1.0, beta=1.0)
+    nan, inf = float("nan"), float("inf")
+    for fields in ((inf, 1.0), (1.0, nan), (1.0, 1.0, nan), (1.0, 1.0, 0.0, -inf)):
+        with pytest.raises(ValueError):
+            Breather(*fields)
 
 
 def test_soliton_translation_and_sign():

@@ -10,10 +10,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkdvlab import cli
+from mkdvlab import cli, lab
 from mkdvlab.cli import main
 from mkdvlab.errors import BlowUp, DuplicateVelocity, NonPositiveDistance
 from mkdvlab.lab import (
+    EXPERIMENT_KINDS,
     ExperimentReport,
     fit_exponential_rate,
     localized_bump,
@@ -237,6 +238,84 @@ def test_conservation_experiment_short(tmp_path):
     assert os.path.exists(tmp_path / "conservation-conserved.dat")
 
 
+# two solitons with a positive second velocity, so every kind runs, and
+# five saves, so rate-fit has two in its window [t_end/4, t_end]
+TWO_SOLITONS = """
+name: two-solitons
+objects:
+  - {kind: soliton, c: 1.0}
+  - {kind: soliton, c: 2.25, x0: 25.0}
+grid: {half_length: 60.0, n: 1024}
+evolution: {dt: 1.0e-3, t_end: 0.1, save_every: 25}
+seed: 3
+"""
+
+
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """The data lab integrates, starting from an empty slot."""
+    calls = []
+    evolve = lab.evolve
+
+    def counted(u0, controls):
+        calls.append(u0)
+        return evolve(u0, controls)
+
+    monkeypatch.setattr(lab, "_slot", {})
+    monkeypatch.setattr(lab, "evolve", counted)
+    return calls
+
+
+def test_all_kinds_integrate_each_datum_once(evolve_calls):
+    # conservation, monotonicity and modulate share the profile sum's run;
+    # rate-fit integrates its bumped datum
+    s = parse_scenario(TWO_SOLITONS)
+    for kind in EXPERIMENT_KINDS:
+        assert run_experiment(s, kind).passed
+    assert len(evolve_calls) == 2
+    assert not np.array_equal(evolve_calls[0].values, evolve_calls[1].values)
+
+
+def test_shared_trajectory_gives_the_artifacts_of_a_fresh_one(tmp_path, evolve_calls):
+    s = parse_scenario(TWO_SOLITONS)
+    kinds = ("conservation", "monotonicity", "modulate")
+    for kind in kinds:
+        run_experiment(s, kind, out_dir=str(tmp_path / "shared"))
+    assert len(evolve_calls) == 1
+    for kind in kinds:
+        lab._slot.clear()
+        run_experiment(s, kind, out_dir=str(tmp_path / "fresh"))
+    assert len(evolve_calls) == 4
+    names = sorted(os.listdir(tmp_path / "shared"))
+    assert names == sorted(os.listdir(tmp_path / "fresh"))
+    assert sum(n.endswith("-summary.json") for n in names) == 3
+    assert sum(n.endswith(".dat") for n in names) == 4
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    # a consumer cannot write into the block the next kind reads
+    traj = lab._evolve_scenario(s)
+    assert len(evolve_calls) == 4
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 0.0
+
+    # rate-fit's bumped datum replaces the profile sum's run
+    run_experiment(s, "rate-fit")
+    assert len(evolve_calls) == 5 and len(lab._slot) == 1
+    run_experiment(s, "conservation")
+    assert len(evolve_calls) == 6
+
+
+def test_failed_integration_leaves_the_slot_empty(evolve_calls):
+    s = parse_scenario(TWO_SOLITONS)
+    run_experiment(s, "conservation")
+    unstable = parse_scenario(TWO_SOLITONS.replace("dt: 1.0e-3", "dt: 0.1"))
+    with pytest.raises(ValueError, match="CFL"):
+        run_experiment(unstable, "conservation")
+    assert lab._slot == {}
+    assert len(evolve_calls) == 2
+
+
 def _write(tmp_path, text):
     p = tmp_path / "scenario.yaml"
     p.write_text(text)
@@ -342,6 +421,9 @@ def test_cli_fractional_integer_field_is_invalid_input(tmp_path, capsys, field, 
         ("evolution.save_every=true", "evolution.save_every must be a number, got True"),
         ("grid={n: 1024}", "grid missing required fields ['half_length']"),
         ("seed=-1", "seed must be non-negative, got -1"),
+        ("name=null", "name must be a non-empty string, got None"),
+        ("name=[1]", "name must be a non-empty string, got [1]"),
+        ("name=''", "name must be a non-empty string, got ''"),
     ],
 )
 def test_cli_schema_violation_is_invalid_input(tmp_path, capsys, override, message):

@@ -111,6 +111,13 @@ def h2_norm_sq(f: Field) -> float:
 
 
 def derivative_matrix(grid: Grid, order: int) -> np.ndarray:
-    """Dense spectral differentiation matrix (used by the coercivity check)."""
-    eye_hat = _fourier_symbol(grid, order)[:, None] * np.fft.rfft(np.eye(grid.n), axis=0)
-    return np.fft.irfft(eye_hat, grid.n, axis=0)
+    """Dense spectral differentiation matrix (used by the coercivity check).
+
+    Differentiation commutes with shifts, so the matrix is the circulant
+    D[i, j] = col[(i - j) mod n] of its first column, the derivative of a unit
+    impulse: row i is the window of ext = (col[n-1], ..., col[0], col[n-1], ..., col[1])
+    that starts at n - 1 - i.
+    """
+    col = np.fft.irfft(_fourier_symbol(grid, order), grid.n)
+    ext = np.concatenate((col[::-1], col[:0:-1]))
+    return np.lib.stride_tricks.sliding_window_view(ext, grid.n)[::-1].copy()

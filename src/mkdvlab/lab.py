@@ -529,6 +529,25 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+# resolved-config.json's text for the most recent scenario, at most one entry: repr(s) -> text
+_config_text: dict = {}
+
+
+def _resolved_config_text(s: Scenario) -> str:
+    """resolved_config(s) as JSON text, serialized once while the scenario stays the same.
+
+    Every kind writes the record, and building it reruns select_parameters and
+    calibrate_slack.  The key is repr(s), not s: -0.0 == 0.0, but the two are
+    written differently.
+    """
+    key = repr(s)
+    if key not in _config_text:
+        _config_text.clear()
+        text = json.dumps(resolved_config(s), indent=2, sort_keys=True, default=_json_default)
+        _config_text[key] = text + "\n"
+    return _config_text[key]
+
+
 def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
     """Persist summary, resolved config, and plot columns under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -542,8 +561,7 @@ def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
         json.dump(summary, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
     with open(os.path.join(out_dir, "resolved-config.json"), "w") as f:
-        json.dump(resolved_config(s), f, indent=2, sort_keys=True, default=_json_default)
-        f.write("\n")
+        f.write(_resolved_config_text(s))
     # one whitespace-separated column file per tracked series
     for name, cols in report.series.items():
         path = os.path.join(out_dir, f"{report.kind}-{name}.dat")

@@ -27,6 +27,7 @@ from .functionals import (
 from .grid import (
     Field,
     Grid,
+    _fourier_symbol,
     derivative_matrix,
     integrate,
     make_field,
@@ -219,10 +220,20 @@ def quadratic_form_H(
     return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
 
 
-def _form_matrix(weights, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of int c2 w_xx^2 + c1 w_x^2 + c0 w^2 (no quadrature h factor)."""
+def _form_matrix(weights, g: Grid) -> np.ndarray:
+    """Symmetric matrix of int c2 w_xx^2 + c1 w_x^2 + c0 w^2 (no quadrature h factor).
+
+    With the derivative circulants D2 = D2^T and D1 = -D1^T (even and odd symbols
+    S2, S1), the matrix is D2 C2 D2 - D1 C1 D1.  A product X D applies D^T to each row
+    of X, so A = irfft(S2 rfft(D2 C2) + S1 rfft(D1 C1)) row by row: three n x n real
+    FFTs instead of two dense products.
+    """
     c2, c1, c0 = weights
-    A = (d2.T * c2) @ d2 + (d1.T * c1) @ d1
+    A = np.fft.irfft(
+        _fourier_symbol(g, 2) * np.fft.rfft(derivative_matrix(g, 2) * c2)
+        + _fourier_symbol(g, 1) * np.fft.rfft(derivative_matrix(g, 1) * c1),
+        g.n,
+    )
     A[np.diag_indices_from(A)] += c0
     return 0.5 * (A + A.T)
 
@@ -235,26 +246,47 @@ class CoercivityResult:
     lambda_min_raw: float  # smallest Rayleigh quotient of the bare form
 
 
+def _restrict_to_complement(V: np.ndarray, mats, vec: np.ndarray):
+    """The symmetric mats and vec in an orthonormal basis of the complement of V's columns.
+
+    The m Householder reflectors H = I - 2 v v^T of V's QR factorization give
+    Q = H_1 ... H_m, whose first m columns span V's columns, so the trailing
+    (n - m) block of Q^T X Q is X on the complement.  Each H X H is the rank-two
+    update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v.  mats and vec are overwritten.
+    """
+    (qr, _), _ = scipy.linalg.qr(V, mode="raw")
+    n, m = V.shape
+    for k in range(m):
+        v = np.zeros(n)  # LAPACK stores H_k's vector as (0, ..., 0, 1, qr[k+1:, k])
+        v[k] = 1.0
+        v[k + 1 :] = qr[k + 1 :, k]
+        v /= np.linalg.norm(v)
+        for X in mats:
+            Xv = X @ v
+            w = 2.0 * Xv - 2.0 * (v @ Xv) * v
+            X -= np.outer(v, w)
+            X -= np.outer(w, v)
+        vec -= 2.0 * (v @ vec) * v
+    return [X[m:, m:] for X in mats], vec[m:]
+
+
 def _restricted_forms(
     obj: WaveObject, p: LyapunovParams, j: int, g: Grid, impose_orthogonality: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Ar, Br, pr): the matrices of quadratic_form_H and of int (w_xx^2 + w_x^2 + w^2) Phi
     at t = 0 and the penalty vector P sqrt(Phi), with impose_orthogonality restricted to
-    the discrete-L^2 complement of the modulation directions.  The n x n assembly is
-    local, so it is freed before the caller's eigensolve.
+    the discrete-L^2 complement of the m <= 2 modulation directions.
     """
     phi = p.fam.weight(j, 0.0, g.x)
     pv = eval_object(obj, 0.0, g.x)
-    d1 = derivative_matrix(g, 1)
-    d2 = derivative_matrix(g, 2)
-    A = g.h * _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), d1, d2)
-    B = g.h * _form_matrix((phi, phi, phi), d1, d2)
+    A = g.h * _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g)
+    B = g.h * _form_matrix((phi, phi, phi), g)
     pen = pv * np.sqrt(phi)
     if not impose_orthogonality:
         return A, B, pen
-    dirs = modulation_directions(obj, (), 0.0, g)
-    basis = scipy.linalg.null_space(np.column_stack([d.values for d in dirs]).T)
-    return basis.T @ A @ basis, basis.T @ B @ basis, basis.T @ pen
+    dirs = np.column_stack([d.values for d in modulation_directions(obj, (), 0.0, g)])
+    (Ar, Br), pr = _restrict_to_complement(dirs, (A, B), pen)
+    return Ar, Br, pr
 
 
 def coercivity_check(

@@ -215,6 +215,43 @@ def test_coercivity_summary_rounds_lambda_min_raw(tmp_path):
     assert '"lambda_min_raw": 0.0,' in text
 
 
+def test_flagship_coercivity_summary():
+    with open(SCENARIOS + "flagship.yaml") as f:
+        rep = run_experiment(parse_scenario(f.read()), "coercivity")
+    assert rep.summary["results"] == {
+        "object_0": {"mu": 0.025118864315095822, "lambda_min_raw": -0.18317121, "n": 512},
+        "object_1": {"mu": 0.06309573444801936, "lambda_min_raw": 0.0, "n": 512},
+        "object_2": {"mu": 0.07943282347242822, "lambda_min_raw": 0.0, "n": 512},
+    }
+
+
+def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
+    calls = []
+    calibrate = lab.calibrate_slack
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(lab, "calibrate_slack", counted)
+    monkeypatch.setattr(lab, "_config_text", {})
+    rep = ExperimentReport(kind="demo", scenario="s", passed=True, summary={})
+    s = parse_scenario(TWO_SOLITONS)
+    for out in ("a", "b", "c"):
+        write_report(s, rep, str(tmp_path / out))
+    assert len(calls) == 1
+    text = (tmp_path / "c" / "resolved-config.json").read_text()
+    assert text == json.dumps(
+        resolved_config(s), indent=2, sort_keys=True, default=lab._json_default
+    ) + "\n"
+    # equal scenarios that are written differently are not confused
+    negative_zero = parse_scenario(TWO_SOLITONS.replace("c: 1.0}", "c: 1.0, x0: -0.0}"))
+    assert negative_zero == s
+    write_report(negative_zero, rep, str(tmp_path / "d"))
+    assert '"x0": -0.0' in (tmp_path / "d" / "resolved-config.json").read_text()
+    assert '"x0": -0.0' not in text
+
+
 def test_emit_plot_data_columns(tmp_path):
     rep = ExperimentReport(
         kind="demo",

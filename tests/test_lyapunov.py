@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mkdvlab import lyapunov
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
 from mkdvlab.functionals import energy, mass, second_energy
@@ -13,6 +14,7 @@ from mkdvlab.grid import derivative_matrix, integrate, make_field, make_grid, sp
 from mkdvlab.lyapunov import (
     LyapunovParams,
     _form_matrix,
+    _restrict_to_complement,
     _restricted_forms,
     _second_variation_weights,
     calibrate_slack,
@@ -24,6 +26,7 @@ from mkdvlab.lyapunov import (
     select_parameters,
     weakened_F,
 )
+from mkdvlab.modulation import modulation_directions
 from mkdvlab.profiles import (
     Breather,
     Soliton,
@@ -181,11 +184,79 @@ def test_form_matrix_matches_quadratic_form_H(obj):
     weights = _second_variation_weights(
         prof.values, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g
     )
-    A = _form_matrix(weights, derivative_matrix(g, 1), derivative_matrix(g, 2))
+    A = _form_matrix(weights, g)
     rng = np.random.default_rng(11)
     w = make_field(g, np.exp(-(g.x**2) / 25) * rng.standard_normal(g.n))
     assert g.h * (w.values @ A @ w.values) == pytest.approx(
         quadratic_form_H(w, prof, 1, p, 0.0), rel=1e-12
+    )
+
+
+OBJECTS = [Soliton(1.0), Soliton(4.0), Breather(1.0, 1.0)]
+OBJECT_IDS = ["c1", "c4", "breather"]
+
+
+def _coercivity_setup(obj):
+    """The coercivity kind's re-centred grid at n = 256 and the object's parameters."""
+    g = make_grid(max(20.0, 8.0 / shape_pair(obj)[1]), 256)
+    return g, select_parameters(order_and_validate([obj]), 0.01, override=True)
+
+
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
+def test_form_matrix_matches_dense_products(obj):
+    # the FFT assembly against the two dense products it replaces
+    g, p = _coercivity_setup(obj)
+    phi = p.fam.weight(1, 0.0, g.x)
+    d1, d2 = derivative_matrix(g, 1), derivative_matrix(g, 2)
+    for c2, c1, c0 in (
+        _second_variation_weights(eval_object(obj, 0.0, g.x), phi, *shape_pair(obj), g),
+        (phi, phi, phi),
+    ):
+        ref = (d2.T * c2) @ d2 + (d1.T * c1) @ d1 + np.diag(c0)
+        A = _form_matrix((c2, c1, c0), g)
+        assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
+def test_reflector_restriction_matches_null_space_basis(obj, monkeypatch):
+    # the Householder restriction and an orthonormal null-space basis differ by
+    # a rotation of the complement, which moves no generalized eigenvalue and no mu
+    g, p = _coercivity_setup(obj)
+
+    def null_space_forms(obj, p, j, g, impose_orthogonality):
+        A, B, pen = _restricted_forms(obj, p, j, g, False)
+        dirs = modulation_directions(obj, (), 0.0, g)
+        basis = scipy.linalg.null_space(np.column_stack([d.values for d in dirs]).T)
+        return basis.T @ A @ basis, basis.T @ B @ basis, basis.T @ pen
+
+    lowest, invariants = [], []
+    for forms in (_restricted_forms, null_space_forms):
+        Ar, Br, pr = forms(obj, p, 1, g, True)
+        assert Ar.shape == Br.shape == (g.n - len(modulation_directions(obj, (), 0.0, g)),) * 2
+        lowest.append(scipy.linalg.eigh(Ar, Br, eigvals_only=True, subset_by_index=[0, 4]))
+        invariants.append([pr @ pr, pr @ Ar @ pr, pr @ Br @ pr])
+    np.testing.assert_allclose(lowest[0], lowest[1], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(invariants[0], invariants[1], rtol=1e-10)
+    mu = coercivity_check(obj, p, 1, g).mu
+    monkeypatch.setattr(lyapunov, "_restricted_forms", null_space_forms)
+    assert coercivity_check(obj, p, 1, g).mu == mu > 0
+
+
+def test_restriction_to_complement_on_random_data():
+    # a vector with a component along the directions, which the profiles' own
+    # penalty vectors (orthogonal to their derivatives) never have
+    rng = np.random.default_rng(4)
+    n = 64
+    V = rng.standard_normal((n, 2))
+    M = rng.standard_normal((n, n))
+    X = M + M.T
+    vec = rng.standard_normal(n)
+    basis = scipy.linalg.null_space(V.T)
+    ref_X, ref_vec = basis.T @ X @ basis, basis.T @ vec
+    (Xr,), vr = _restrict_to_complement(V, (X.copy(),), vec.copy())
+    np.testing.assert_allclose(np.linalg.eigvalsh(Xr), np.linalg.eigvalsh(ref_X), atol=1e-12)
+    np.testing.assert_allclose(
+        [vr @ vr, vr @ Xr @ vr], [ref_vec @ ref_vec, ref_vec @ ref_X @ ref_vec], rtol=1e-12
     )
 
 
@@ -197,14 +268,11 @@ def test_coercivity_soliton_small_grid():
     assert res.mu > 0
 
 
-@pytest.mark.parametrize(
-    "obj", [Soliton(1.0), Soliton(4.0), Breather(1.0, 1.0)], ids=["c1", "c4", "breather"]
-)
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_coercivity_mu_matches_per_mu_eigensolves(obj):
     # the inertia rule against one penalized eigensolve per mu, on the
     # re-centred grid of the coercivity kind
-    g = make_grid(max(20.0, 8.0 / shape_pair(obj)[1]), 256)
-    p = select_parameters(order_and_validate([obj]), 0.01, override=True)
+    g, p = _coercivity_setup(obj)
     Ar, Br, pr = _restricted_forms(obj, p, 1, g, True)
     ref = 0.0
     for mu in np.logspace(-4, 0.5, 46):

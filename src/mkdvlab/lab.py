@@ -21,6 +21,7 @@ from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
 from .functionals import energy, mass, second_energy
 from .grid import Field, Grid, integrate, make_field, make_grid, spectral_derivative
 from .lyapunov import (
+    DROP_BUDGET,
     calibrate_slack,
     coefficient_positivity,
     coercivity_check,
@@ -74,7 +75,10 @@ def _number(value, name: str) -> float:
     """A finite real scenario field; a boolean is invalid input, not 0 or 1."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -200,7 +204,7 @@ def resolved_config(s: Scenario) -> dict:
                 "omega": p.default_omega(),
                 "varpi_hat": varpi,
                 "C_hat": C,
-                "drop_budget": 1e-5,
+                "drop_budget": DROP_BUDGET,
             }
         )
     return record
@@ -351,8 +355,9 @@ def _run_monotonicity(s: Scenario) -> ExperimentReport:
     worst = 0.0
     tracked_j = list(range(1, s.cfg.J)) or [1]
     for j in tracked_j:
+        reps = monotonicity_report(traj, j, p, varpi=varpi, C=C)
         for which in ("Mj", "weakened_F"):
-            rep = monotonicity_report(traj, j, p, which, varpi=varpi, C=C)
+            rep = reps[which]
             key = f"j{j}_{which}"
             reports[key] = {
                 "worst_drop": rep.worst_drop,

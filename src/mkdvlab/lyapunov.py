@@ -42,6 +42,10 @@ from .profiles import (
 )
 from .modulation import modulation_directions
 
+# slack floor of the monotonicity audit: the decrease any functional may show
+# on top of the decaying term C exp(-2 varpi t)
+DROP_BUDGET = 1e-5
+
 
 @dataclass(frozen=True)
 class LyapunovParams:
@@ -284,7 +288,7 @@ def _restricted_forms(
     pen = pv * np.sqrt(phi)
     if not impose_orthogonality:
         return A, B, pen
-    dirs = np.column_stack([d.values for d in modulation_directions(obj, (), 0.0, g)])
+    dirs = modulation_directions(obj, (), 0.0, g).T
     (Ar, Br), pr = _restrict_to_complement(dirs, (A, B), pen)
     return Ar, Br, pr
 
@@ -333,54 +337,42 @@ class MonotonicityReport:
     slack_bound: float  # slack at the start of the window (largest allowed)
 
 
-_WHICH = ("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F")
-
-
 def monotonicity_report(
     traj: Trajectory,
     j: int,
     p: LyapunovParams,
-    which: str,
     varpi: float = 0.0,
     C: float = 0.0,
-    budget: float = 1e-5,
-) -> MonotonicityReport:
-    """Record decreases of the selected functional beyond the decaying slack.
+    budget: float = DROP_BUDGET,
+) -> dict[str, MonotonicityReport]:
+    """Record decreases of the four audited functionals beyond the decaying slack.
 
-    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + budget, and
-    omega is p.default_omega(); the report never raises on violations.
+    The functionals are M_j, E_j + omega M_j, F_j + omega M_j and the weakened F,
+    all read from one localized triple per snapshot, with omega = p.default_omega().
+    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + budget; the report
+    never raises on violations.
     """
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
     omega = p.default_omega()
-    values = []
+    rows = []
     for t, row in zip(traj.times, traj.values):
         trip = localized_triple(make_field(traj.grid, row), p.fam, j, t)
-        if which == "Mj":
-            val = trip.Mj
-        elif which == "Ej+omega*Mj":
-            val = trip.Ej + omega * trip.Mj
-        elif which == "Fj+omega*Mj":
-            val = trip.Fj + omega * trip.Mj
-        else:
-            val = _weakened(trip, p.shape(j), p.nu)
-        values.append(float(val))
-
-    vals = np.asarray(values)
-    worst = 0.0
-    # running maximum makes the pairwise scan linear: the worst decrease from
-    # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
-    best_so_far = -np.inf
-    for i in range(len(vals)):
-        slack = C * np.exp(-2.0 * varpi * traj.times[i]) + budget
-        best_so_far = max(best_so_far, vals[i] - slack)
-        worst = max(worst, best_so_far - vals[i])
-    return MonotonicityReport(
-        times=traj.times,
-        values=values,
-        worst_drop=float(worst),
-        slack_bound=float(C * np.exp(-2.0 * varpi * traj.times[0]) + budget),
-    )
+        weak = _weakened(trip, p.shape(j), p.nu)
+        rows.append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
+    slack = [C * np.exp(-2.0 * varpi * t) + budget for t in traj.times]
+    reports = {}
+    for name, column in zip(("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F"), zip(*rows)):
+        values = [float(v) for v in column]
+        # running maximum makes the pairwise scan linear: the worst decrease from
+        # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
+        worst = 0.0
+        best_so_far = -np.inf
+        for v, sl in zip(values, slack):
+            best_so_far = max(best_so_far, v - sl)
+            worst = max(worst, best_so_far - v)
+        reports[name] = MonotonicityReport(
+            times=traj.times, values=values, worst_drop=float(worst), slack_bound=float(slack[0])
+        )
+    return reports
 
 
 def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tuple[float, float]:

@@ -43,34 +43,13 @@ def total_offsets(cfg: OrderedConfiguration) -> int:
     return sum(n_offsets(o) for o in cfg.objects)
 
 
-def modulation_directions(o, shifts, t: float, g: Grid) -> list[Field]:
-    """Translation-parameter derivatives of one shifted profile.
+def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:
+    """Translation-parameter derivatives of one shifted profile, one row each.
 
-    One field for a soliton (the spatial derivative of the shifted profile),
+    One row for a soliton (the spatial derivative of the shifted profile),
     two for a breather (partials in each phase parameter), all closed-form.
     """
-    dirs, _ = _offset_partials(o, shifts, t, g.x, second=False)
-    return [make_field(g, d) for d in dirs]
-
-
-def _direction_arrays(cfg, offsets, t, x):
-    """Direction samples plus their offset derivatives, per object.
-
-    Returns (dirs, owner, local, second) where dirs[i] is the i-th direction
-    sample array, owner[i]/local[i] locate it within its object, and
-    second[idx][a][b] is the mixed offset derivative of object idx.
-    """
-    dirs: list[np.ndarray] = []
-    owner: list[int] = []
-    local: list[int] = []
-    second: list[list[list[np.ndarray]]] = []
-    for idx, (o, sh) in enumerate(zip(cfg.objects, offsets)):
-        d, hess = _offset_partials(o, sh, t, x, second=True)
-        dirs.extend(d)
-        owner.extend([idx] * len(d))
-        local.extend(range(len(d)))
-        second.append(hess)
-    return dirs, owner, local, second
+    return np.array(_offset_partials(o, shifts, t, g.x)[1])
 
 
 @dataclass
@@ -113,11 +92,9 @@ def fit_translations(
 
     for it in range(MAX_NEWTON_ITERS):
         offsets = split_offsets(cfg, y)
-        p = sum(
-            eval_object(o, t, x, sh) for o, sh in zip(cfg.objects, offsets)
-        )
-        w = u.values - p
-        dirs, owner, local, second = _direction_arrays(cfg, offsets, t, x)
+        parts = [_offset_partials(o, sh, t, x) for o, sh in zip(cfg.objects, offsets)]
+        w = u.values - sum(value for value, _, _ in parts)
+        dirs = [d for _, ds, _ in parts for d in ds]
         G = np.array([h * np.sum(d * w) for d in dirs])
         if np.max(np.abs(G)) < 1e-12:
             wf = make_field(g, w)
@@ -135,14 +112,13 @@ def fit_translations(
                 iterations=it,
             )
         # J_ij = <d dir_i / d y_j, w> - <dir_i, dir_j> ; the first term is
-        # nonzero only when i and j belong to the same object.
-        J = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                J[i, j] = -h * np.sum(dirs[i] * dirs[j])
-                if owner[i] == owner[j]:
-                    sec = second[owner[i]][local[i]][local[j]]
-                    J[i, j] += h * np.sum(sec * w)
+        # nonzero only in the diagonal block of the object that owns i and j.
+        J = np.array([[-h * np.sum(di * dj) for dj in dirs] for di in dirs])
+        i = 0
+        for _, ds, hess in parts:
+            k = i + len(ds)
+            J[i:k, i:k] += [[h * np.sum(sec * w) for sec in row] for row in hess]
+            i = k
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularJacobian(f"modulation Jacobian condition number {cond:.3e}")

@@ -85,15 +85,6 @@ def soliton_eval(s: Soliton, t: float, x, shift: float = 0.0):
     return s.kappa * q_profile(s.c, np.asarray(x) - s.x0 + shift - s.c * t)
 
 
-def soliton_d0(s: Soliton, t: float, x, shift: float = 0.0):
-    """Partial derivative in the translation offset (equals the x-derivative)."""
-    return s.kappa * q_prime(s.c, np.asarray(x) - s.x0 + shift - s.c * t)
-
-
-def soliton_d00(s: Soliton, t: float, x, shift: float = 0.0):
-    return s.kappa * q_second(s.c, np.asarray(x) - s.x0 + shift - s.c * t)
-
-
 _HYP_CLAMP = 100.0  # |beta*y2| cap; beyond it the profile is ~1e-44, and
 # cosh powers up to the 6th must stay below double-precision overflow
 
@@ -126,8 +117,12 @@ def breather_eval(b: Breather, t: float, x, shift1: float = 0.0, shift2: float =
     return k * N / D
 
 
-def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float, second: bool):
-    """Phase partials (d1, d2) of the breather, then (d11, d12, d22) if second."""
+def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float):
+    """Value k N / D of the shifted breather, its phase partials and their Hessian.
+
+    Returns (value, d1, d2, d11, d12, d22) from one evaluation of the quotient;
+    value has the bits of breather_eval.  D has no mixed phase partial.
+    """
     k, N, D, s, c, sh, ch = _breather_quotient(b, t, x, shift1, shift2)
     a, be = b.alpha, b.beta
     N1 = -(a**2) * s * ch - a * be * c * sh
@@ -137,20 +132,16 @@ def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float, s
     g1 = N1 * D - N * D1
     g2 = N2 * D - N * D2
     Dsq = D * D
-    first = (k * g1 / Dsq, k * g2 / Dsq)
-    if not second:
-        return first
     N11 = -(a**3) * c * ch + a**2 * be * s * sh
     N12 = -(a**2) * be * s * sh - a * be**2 * c * ch
     N22 = a * be**2 * c * ch - be**3 * s * sh
     D11 = 2.0 * a**2 * be**2 * (c**2 - s**2)
-    D12 = np.zeros_like(D)
     D22 = 2.0 * a**2 * be**2 * (sh**2 + ch**2)
     Dcu = Dsq * D
     d11 = k * ((N11 * D - N * D11) / Dsq - 2.0 * D1 * g1 / Dcu)
-    d12 = k * ((N12 * D + N1 * D2 - N2 * D1 - N * D12) / Dsq - 2.0 * D2 * g1 / Dcu)
+    d12 = k * ((N12 * D + N1 * D2 - N2 * D1) / Dsq - 2.0 * D2 * g1 / Dcu)
     d22 = k * ((N22 * D - N * D22) / Dsq - 2.0 * D2 * g2 / Dcu)
-    return first + (d11, d12, d22)
+    return k * N / D, k * g1 / Dsq, k * g2 / Dsq, d11, d12, d22
 
 
 def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
@@ -160,18 +151,20 @@ def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
     return s1, s2
 
 
-def _offset_partials(o: WaveObject, shifts: Sequence[float], t: float, x, second: bool):
-    """Offset partials of one shifted profile, as used by the modulation solver.
+def _offset_partials(o: WaveObject, shifts: Sequence[float], t: float, x):
+    """One shifted profile with its offset partials, as used by the modulation solver.
 
-    Returns (dirs, hess): one direction array per offset (one for a soliton,
-    two for a breather) and, if second, the matrix hess[a][b] of their own
-    offset partials (None otherwise).
+    Returns (value, dirs, hess) from a single evaluation: value has the bits of
+    eval_object, dirs holds one partial per offset (one for a soliton, two for a
+    breather) and hess[a][b] is the partial of dirs[a] in offset b.
     """
     s1, s2 = _offsets(shifts)
     if isinstance(o, Soliton):
-        return [soliton_d0(o, t, x, s1)], [[soliton_d00(o, t, x, s1)]] if second else None
-    d = _breather_partials(o, t, x, s1, s2, second)
-    return [d[0], d[1]], [[d[2], d[3]], [d[3], d[4]]] if second else None
+        z = np.asarray(x) - o.x0 + s1 - o.c * t  # soliton_eval's argument
+        k, c = o.kappa, o.c
+        return k * q_profile(c, z), [k * q_prime(c, z)], [[k * q_second(c, z)]]
+    value, d1, d2, d11, d12, d22 = _breather_partials(o, t, x, s1, s2)
+    return value, [d1, d2], [[d11, d12], [d12, d22]]
 
 
 def eval_object(o: WaveObject, t: float, x, shifts: Sequence[float] = ()):

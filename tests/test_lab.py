@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkdvlab import cli, lab
+from mkdvlab import cli, lab, lyapunov
 from mkdvlab.cli import main
 from mkdvlab.errors import BlowUp, DuplicateVelocity, NonPositiveDistance
 from mkdvlab.lab import (
@@ -225,6 +226,91 @@ def test_flagship_coercivity_summary():
     }
 
 
+def _flagship_every_step():
+    # t_end = 0.02 with a snapshot every step: 41 snapshots reach every per-snapshot summary
+    with open(SCENARIOS + "flagship.yaml") as f:
+        s = parse_scenario(f.read())
+    return replace(s, controls=replace(s.controls, t_end=0.02, save_every=1))
+
+
+def test_flagship_per_snapshot_summaries():
+    # every number of the per-snapshot audits, exactly: a refactor of the
+    # modulation fit or the monotonicity scan must not move one bit
+    s = _flagship_every_step()
+    slack = 10.055742550689246
+    assert run_experiment(s, "modulate").summary == {
+        "max_ortho_residual": 6.424854978379964e-14,
+        "max_offset": 7.80852156114556e-10,
+        "max_w_h2": 2.5888219039098663e-06,
+        "tolerance": 1e-10,
+    }
+    assert run_experiment(s, "monotonicity").summary == {
+        "functionals": {
+            "j1_Mj": {
+                "worst_drop": 0.0,
+                "slack_bound": slack,
+                "initial": 9.999697769047016,
+                "final": 9.998807801128597,
+            },
+            "j1_weakened_F": {
+                "worst_drop": 0.0,
+                "slack_bound": slack,
+                "initial": 30.83865602735891,
+                "final": 30.833961455371238,
+            },
+            "j2_Mj": {
+                "worst_drop": 0.0,
+                "slack_bound": slack,
+                "initial": 9.999697769047016,
+                "final": 10.00236125392714,
+            },
+            "j2_weakened_F": {
+                "worst_drop": 0.0,
+                "slack_bound": slack,
+                "initial": 9.999786469931223,
+                "final": 10.001936200470432,
+            },
+        },
+        "coefficient_positivity": {"j1": True, "j2": True},
+        "varpi": 0.0125,
+        "C": 10.055732550689246,
+        "worst_drop": 0.0,
+    }
+    summary = run_experiment(s, "rate-fit").summary
+    assert summary.pop("note").startswith("distance measured on the 1-Phi_1 weighted region")
+    assert summary == {
+        "varpi": 0.010442315138530934,
+        "C": 0.0021612573649231687,
+        "r_squared": 0.9999999003441417,
+        "fit_window": [0.005, 0.02],
+        "varpi_calibrated": 0.0125,
+        "scalar_product": {
+            "j1": {"C_measured": 2.2485057827024463e-10, "max_scalar": 2.2475684465566318e-10},
+            "j2": {"C_measured": 6.566093315241114e-14, "max_scalar": 6.566051596119095e-14},
+            "j3": {"C_measured": 3.926309468517636e-10, "max_scalar": 3.9246908478916624e-10},
+        },
+        "global_distance_final": 0.002326625129765082,
+    }
+
+
+def test_monotonicity_computes_one_triple_per_snapshot_and_j(monkeypatch):
+    # the four audited functionals share one localized triple
+    calls = []
+    triple = lyapunov.localized_triple
+
+    def counted(*args):
+        calls.append(args[2:])
+        return triple(*args)
+
+    monkeypatch.setattr(lyapunov, "localized_triple", counted)
+    s = _flagship_every_step()
+    T = len(lab._evolve_scenario(s).times)
+    assert lab._run_monotonicity(s).passed
+    assert T == 41
+    assert len(calls) == (s.cfg.J - 1) * T
+    assert len(set(calls)) == len(calls)
+
+
 def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
     calls = []
     calibrate = lab.calibrate_slack
@@ -419,6 +505,17 @@ def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
         "objects.0.c=.nan",
         "sigma=.inf",
         "grid.half_length=.inf",
+        # an int beyond the float range is no finite number either
+        *(
+            pytest.param(f"{field}={sign}{10**400}", id=f"{field}={sign}10**400")
+            for field, sign in (
+                ("sigma", ""),
+                ("grid.half_length", ""),
+                ("objects.0.c", ""),
+                ("objects.0.x0", "-"),
+                ("evolution.dt", ""),
+            )
+        ),
     ],
 )
 def test_cli_infinite_integer_field_is_invalid_input(tmp_path, capsys, override):
@@ -426,6 +523,7 @@ def test_cli_infinite_integer_field_is_invalid_input(tmp_path, capsys, override)
     assert main(["verify-exact", "--scenario", path, "--override", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and "must be finite" in err
+    assert f"{override.split('=')[0].replace('.0.', '[0].')} must be finite" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -9,7 +9,7 @@ import scipy.linalg
 from mkdvlab import lyapunov
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
-from mkdvlab.functionals import energy, mass, second_energy
+from mkdvlab.functionals import energy, localized_triple, mass, second_energy
 from mkdvlab.grid import derivative_matrix, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
@@ -225,8 +225,7 @@ def test_reflector_restriction_matches_null_space_basis(obj, monkeypatch):
 
     def null_space_forms(obj, p, j, g, impose_orthogonality):
         A, B, pen = _restricted_forms(obj, p, j, g, False)
-        dirs = modulation_directions(obj, (), 0.0, g)
-        basis = scipy.linalg.null_space(np.column_stack([d.values for d in dirs]).T)
+        basis = scipy.linalg.null_space(modulation_directions(obj, (), 0.0, g))
         return basis.T @ A @ basis, basis.T @ B @ basis, basis.T @ pen
 
     lowest, invariants = [], []
@@ -294,9 +293,11 @@ def test_coercivity_rejects_oversized_grid():
 def test_monotonicity_zero_trajectory(grid):
     p = select_parameters(_flagship(), 0.01)
     traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=np.zeros((3, grid.n)), grid=grid)
-    rep = monotonicity_report(traj, 1, p, "Mj")
-    assert rep.worst_drop == 0.0
-    assert rep.values == [0.0, 0.0, 0.0]
+    reps = monotonicity_report(traj, 1, p)
+    assert list(reps) == ["Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F"]
+    for rep in reps.values():
+        assert rep.worst_drop == 0.0
+        assert rep.values == [0.0, 0.0, 0.0]
 
 
 def test_monotonicity_flags_synthetic_decrease(grid):
@@ -304,8 +305,24 @@ def test_monotonicity_flags_synthetic_decrease(grid):
     p = select_parameters(_flagship(), 0.01)
     values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9, 0.8)])
     traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=values, grid=grid)
-    rep = monotonicity_report(traj, 1, p, "Mj", C=0.0, budget=1e-5)
+    rep = monotonicity_report(traj, 1, p, C=0.0, budget=1e-5)["Mj"]
     assert rep.worst_drop > 0.1
+
+
+def test_monotonicity_report_values_are_the_named_functionals(grid):
+    p = select_parameters(_flagship(), 0.01)
+    omega = p.default_omega()
+    values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9)])
+    traj = Trajectory(times=np.array([0.0, 1.0]), values=values, grid=grid)
+    reps = monotonicity_report(traj, 1, p)
+    for i, (t, row) in enumerate(zip(traj.times, values)):
+        u = make_field(grid, row)
+        trip = localized_triple(u, p.fam, 1, t)
+        assert trip.Mj != 0.0 and trip.Ej != 0.0 and trip.Fj != 0.0
+        assert reps["Mj"].values[i] == trip.Mj
+        assert reps["Ej+omega*Mj"].values[i] == trip.Ej + omega * trip.Mj
+        assert reps["Fj+omega*Mj"].values[i] == trip.Fj + omega * trip.Mj
+        assert reps["weakened_F"].values[i] == weakened_F(u, 1, p, t)
 
 
 def test_monotonicity_conserved_single_soliton():
@@ -314,16 +331,10 @@ def test_monotonicity_conserved_single_soliton():
     p = select_parameters(cfg, 0.01)
     u0 = make_field(g, soliton_eval(Soliton(1.0), 0.0, g.x))
     traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=2.0, save_every=500))
-    for which in ("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F"):
-        rep = monotonicity_report(traj, 1, p, which, C=0.0, budget=1e-6)
+    reps = monotonicity_report(traj, 1, p, C=0.0, budget=1e-6)
+    assert len(reps) == 4
+    for rep in reps.values():
         assert rep.worst_drop == 0.0
-
-
-def test_monotonicity_rejects_unknown_functional(grid):
-    p = select_parameters(_flagship(), 0.01)
-    traj = Trajectory(times=np.array([0.0]), values=np.zeros((1, grid.n)), grid=grid)
-    with pytest.raises(ValueError):
-        monotonicity_report(traj, 1, p, "Hj")
 
 
 def test_interpolation_inequality_zero(grid):

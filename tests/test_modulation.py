@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mkdvlab import profiles
 from mkdvlab.errors import NoConvergence
 from mkdvlab.evolution import EvolutionControls, evolve
 from mkdvlab.grid import h2_norm_sq, integrate, make_field, make_grid, spectral_derivative
@@ -19,7 +20,7 @@ from mkdvlab.profiles import (
     breather_eval,
     order_and_validate,
     profile_sum,
-    soliton_d0,
+    q_prime,
 )
 
 
@@ -44,28 +45,23 @@ def test_offset_bookkeeping():
 def test_soliton_direction_is_q_prime(grid):
     s = Soliton(c=1.0)
     dirs = modulation_directions(s, (), 0.0, grid)
-    assert len(dirs) == 1
-    np.testing.assert_allclose(dirs[0].values, soliton_d0(s, 0.0, grid.x))
+    assert dirs.shape == (1, grid.n)
+    np.testing.assert_allclose(dirs[0], q_prime(1.0, grid.x))
 
 
 def test_breather_directions_sum_to_x_derivative(grid):
     b = Breather(alpha=1.0, beta=1.0)
     dirs = modulation_directions(b, (), 0.0, grid)
-    assert len(dirs) == 2
+    assert dirs.shape == (2, grid.n)
     bf = make_field(grid, breather_eval(b, 0.0, grid.x))
     bx = spectral_derivative(bf, 1).values
-    np.testing.assert_allclose(dirs[0].values + dirs[1].values, bx, atol=1e-8)
+    np.testing.assert_allclose(dirs[0] + dirs[1], bx, atol=1e-8)
 
 
 def test_breather_directions_linearly_independent(grid):
     b = Breather(alpha=1.0, beta=1.0)
     dirs = modulation_directions(b, (), 0.0, grid)
-    G = np.array(
-        [
-            [integrate(grid, di.values * dj.values) for dj in dirs]
-            for di in dirs
-        ]
-    )
+    G = np.array([[integrate(grid, di * dj) for dj in dirs] for di in dirs])
     assert np.linalg.cond(G) < 1e6
 
 
@@ -85,6 +81,24 @@ def test_round_trip_recovers_injected_offsets(grid):
     u = profile_sum(cfg, 0.0, grid, shifts=injected)
     st = fit_translations(u, cfg, 0.0)
     np.testing.assert_allclose(st.flat_offsets(), [-0.03, 0.05, 0.07], atol=1e-8)
+
+
+def test_fit_evaluates_each_breather_once_per_newton_step(grid, monkeypatch):
+    # the residual, the directions and the Jacobian come from one evaluation
+    calls = []
+    quotient = profiles._breather_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(profiles, "_breather_quotient", counted)
+    cfg = _pair_cfg()
+    u = profile_sum(cfg, 0.0, grid, shifts=[(0.02, -0.01), (0.03,)])
+    calls.clear()
+    st = fit_translations(u, cfg, 0.0)
+    assert st.iterations >= 2
+    assert len(calls) == st.iterations + 1
 
 
 def test_fit_far_field_raises(grid):
@@ -116,9 +130,7 @@ def test_converged_root_is_locally_isolated(grid):
         p = sum(eval_object(o, 0.0, grid.x, sh) for o, sh in zip(cfg.objects, offs))
         w = u.values - p
         dirs = [
-            d.values
-            for o, sh in zip(cfg.objects, offs)
-            for d in modulation_directions(o, sh, 0.0, grid)
+            d for o, sh in zip(cfg.objects, offs) for d in modulation_directions(o, sh, 0.0, grid)
         ]
         return sum(integrate(grid, d * w) ** 2 for d in dirs)
 

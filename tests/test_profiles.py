@@ -9,6 +9,7 @@ from mkdvlab.profiles import (
     Breather,
     Soliton,
     _breather_partials,
+    _offset_partials,
     breather_eval,
     center,
     check_tails,
@@ -80,7 +81,7 @@ def test_breather_phase_partials_match_finite_differences():
     eps = 1e-6
     fd1 = (breather_eval(b, t, x, eps, 0.0) - breather_eval(b, t, x, -eps, 0.0)) / (2 * eps)
     fd2 = (breather_eval(b, t, x, 0.0, eps) - breather_eval(b, t, x, 0.0, -eps)) / (2 * eps)
-    d1, d2 = _breather_partials(b, t, x, 0.0, 0.0, second=False)
+    d1, d2 = _breather_partials(b, t, x, 0.0, 0.0)[1:3]
     np.testing.assert_allclose(d1, fd1, atol=1e-8)
     np.testing.assert_allclose(d2, fd2, atol=1e-8)
 
@@ -90,10 +91,10 @@ def test_breather_second_partials_match_finite_differences():
     x = np.linspace(-8, 8, 48)
     t = 0.2
     eps = 1e-5
-    d11, d12, d22 = _breather_partials(b, t, x, 0.0, 0.0, second=True)[2:]
+    d11, d12, d22 = _breather_partials(b, t, x, 0.0, 0.0)[3:]
 
     def first(s1, s2):
-        return _breather_partials(b, t, x, s1, s2, second=False)
+        return _breather_partials(b, t, x, s1, s2)[1:3]
 
     fd11 = (first(eps, 0)[0] - first(-eps, 0)[0]) / (2 * eps)
     fd12 = (first(0, eps)[0] - first(0, -eps)[0]) / (2 * eps)
@@ -109,8 +110,22 @@ def test_breather_chain_rule_identity():
     b = Breather(alpha=1.0, beta=1.0)
     t = 1.3
     bx = spectral_derivative(make_field(g, breather_eval(b, t, g.x)), 1).values
-    d1, d2 = _breather_partials(b, t, g.x, 0.0, 0.0, second=False)
+    d1, d2 = _breather_partials(b, t, g.x, 0.0, 0.0)[1:3]
     np.testing.assert_allclose(d1 + d2, bx, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "obj,shifts",
+    [(Soliton(4.0, kappa=-1, x0=3.0), (0.37,)), (Breather(1.1, 0.9, x1=0.3, x2=-2.0), (0.37, -0.21))],
+    ids=["soliton", "breather"],
+)
+def test_offset_partials_value_is_eval_object_bitwise(obj, shifts):
+    # the modulation residual is built from this value, so it must carry the
+    # exact bits of the profile that eval_object and profile_sum produce
+    x = make_grid(40.0, 512).x
+    value, dirs, hess = _offset_partials(obj, shifts, 0.7, x)
+    assert np.array_equal(value, eval_object(obj, 0.7, x, shifts))
+    assert len(dirs) == len(hess) == len(shifts)
 
 
 def test_breather_no_overflow_far_away():

@@ -4,7 +4,9 @@ A scenario is a small YAML document naming the wave objects, the grid, the
 evolution controls, the cutoff scale sigma and a seed.  Experiment kinds
 reuse the computational modules and write deterministic artifacts: a JSON
 summary (sorted keys, no timestamps), a resolved-config record with every
-derived constant, and plain-text column files for plotting.
+derived constant, and plain-text column files for plotting.  Derived state
+lives on the parsed `Scenario`, computed once per instance and shared by the
+kinds run on it; the module itself holds no mutable state.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -22,6 +25,7 @@ from .functionals import energy, mass, second_energy
 from .grid import Field, Grid, integrate, make_field, make_grid, spectral_derivative
 from .lyapunov import (
     DROP_BUDGET,
+    LyapunovParams,
     calibrate_slack,
     coefficient_positivity,
     coercivity_check,
@@ -48,7 +52,7 @@ RATE_R2_TOL = 0.9
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully validated experiment description."""
+    """Fully validated experiment description; `replace` starts with no derived state."""
 
     name: str
     cfg: OrderedConfiguration
@@ -56,6 +60,40 @@ class Scenario:
     controls: EvolutionControls
     sigma: float
     seed: int
+    # the most recent integration, at most one entry: datum bytes -> Trajectory
+    _held: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def params(self) -> LyapunovParams:
+        """The Lyapunov parameters of the whole configuration."""
+        return select_parameters(self.cfg, self.sigma)
+
+    @cached_property
+    def slack(self) -> tuple[float, float]:
+        """The calibrated (varpi, C) of the monotonicity audit."""
+        return calibrate_slack(self.cfg, self.params, self.grid)
+
+    @cached_property
+    def config_text(self) -> str:
+        """resolved-config.json's text, which every kind writes."""
+        text = json.dumps(resolved_config(self), indent=2, sort_keys=True, default=_json_default)
+        return text + "\n"
+
+    def trajectory(self, u0: Field) -> Trajectory:
+        """evolve(u0, controls), reused while the datum stays the same bit for bit.
+
+        A miss empties the holder before integrating, so at most one trajectory
+        is held and a run that raises leaves nothing behind.  The stored arrays
+        are read-only: a consumer that writes into them fails loudly.
+        """
+        key = u0.values.tobytes()
+        if key not in self._held:
+            self._held.clear()
+            traj = evolve(u0, self.controls)
+            traj.times.flags.writeable = False
+            traj.values.flags.writeable = False
+            self._held[key] = traj
+        return self._held[key]
 
 
 def _fields(node, required, optional, where: str) -> dict:
@@ -189,8 +227,8 @@ def resolved_config(s: Scenario) -> dict:
         "seed": s.seed,
     }
     if s.cfg.positive_v2:
-        p = select_parameters(s.cfg, s.sigma)
-        varpi, C = calibrate_slack(s.cfg, p, s.grid)
+        p = s.params
+        varpi, C = s.slack
         record.update(
             {
                 "nu1": p.nu1,
@@ -281,32 +319,8 @@ class ExperimentReport:
     series: dict = field(default_factory=dict)  # name -> dict of equal-length columns
 
 
-# the most recent integration, at most one entry: (grid, controls, datum bytes) -> Trajectory
-_slot: dict = {}
-
-
-def _integrate(u0: Field, controls: EvolutionControls) -> Trajectory:
-    """evolve(u0, controls), reused while the grid, controls and datum stay the same bit for bit.
-
-    The kinds of `mkdvlab all` each call run_experiment and integrate the same
-    profile sum, so one slot serves them all; evolve is deterministic, so a hit
-    returns what a fresh call would.  A miss empties the slot before
-    integrating: at most one trajectory is held, and a run that raises leaves
-    nothing behind.  The stored arrays are read-only, so a consumer that
-    writes into them fails loudly instead of corrupting a later kind.
-    """
-    key = (u0.grid, controls, u0.values.tobytes())
-    if key not in _slot:
-        _slot.clear()
-        traj = evolve(u0, controls)
-        traj.times.flags.writeable = False
-        traj.values.flags.writeable = False
-        _slot[key] = traj
-    return _slot[key]
-
-
 def _evolve_scenario(s: Scenario) -> Trajectory:
-    return _integrate(profile_sum(s.cfg, 0.0, s.grid), s.controls)
+    return s.trajectory(profile_sum(s.cfg, 0.0, s.grid))
 
 
 def _run_verify_exact(s: Scenario) -> ExperimentReport:
@@ -347,8 +361,8 @@ def _run_conservation(s: Scenario) -> ExperimentReport:
 
 
 def _run_monotonicity(s: Scenario) -> ExperimentReport:
-    p = select_parameters(s.cfg, s.sigma)
-    varpi, C = calibrate_slack(s.cfg, p, s.grid)
+    p = s.params
+    varpi, C = s.slack
     traj = _evolve_scenario(s)
     reports = {}
     series = {}
@@ -420,8 +434,12 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
         p1 = select_parameters(single, s.sigma, override=True)
         a, b = shape_pair(o)
         g = make_grid(max(20.0, 8.0 / b), n_eig)
-        # re-center the profile so the dense grid can stay small
-        centered = replace(o, x0=0.0) if isinstance(o, Soliton) else replace(o, x1=0.0, x2=0.0)
+        # re-centre the profile so the dense grid can stay small; a
+        # translation shifts a breather's x1 and x2 alike
+        if isinstance(o, Soliton):
+            centered = replace(o, x0=0.0)
+        else:
+            centered = replace(o, x1=o.x1 - o.x2, x2=0.0)
         res = coercivity_check(centered, p1, 1, g)
         results[f"object_{idx}"] = {
             "mu": res.mu,
@@ -453,12 +471,12 @@ def _windowed_distance(w: np.ndarray, g: Grid, fam, t: float) -> float:
 
 
 def _run_rate_fit(s: Scenario) -> ExperimentReport:
-    p = select_parameters(s.cfg, s.sigma)
-    varpi_hat, _ = calibrate_slack(s.cfg, p, s.grid)
+    p = s.params
+    varpi_hat, _ = s.slack
     u0 = profile_sum(s.cfg, 0.0, s.grid)
     bump = localized_bump(s.grid, s.seed, center=_bump_center(s.cfg))
     u0 = make_field(s.grid, u0.values + bump.values)
-    traj = _integrate(u0, s.controls)
+    traj = s.trajectory(u0)
     track = track_modulation(traj, s.cfg)
     windowed = [_windowed_distance(w, s.grid, p.fam, t) for t, w in zip(track.times, track.w)]
     t_end = track.times[-1]
@@ -534,25 +552,6 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
-# resolved-config.json's text for the most recent scenario, at most one entry: repr(s) -> text
-_config_text: dict = {}
-
-
-def _resolved_config_text(s: Scenario) -> str:
-    """resolved_config(s) as JSON text, serialized once while the scenario stays the same.
-
-    Every kind writes the record, and building it reruns select_parameters and
-    calibrate_slack.  The key is repr(s), not s: -0.0 == 0.0, but the two are
-    written differently.
-    """
-    key = repr(s)
-    if key not in _config_text:
-        _config_text.clear()
-        text = json.dumps(resolved_config(s), indent=2, sort_keys=True, default=_json_default)
-        _config_text[key] = text + "\n"
-    return _config_text[key]
-
-
 def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
     """Persist summary, resolved config, and plot columns under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -566,7 +565,7 @@ def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
         json.dump(summary, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
     with open(os.path.join(out_dir, "resolved-config.json"), "w") as f:
-        f.write(_resolved_config_text(s))
+        f.write(s.config_text)
     # one whitespace-separated column file per tracked series
     for name, cols in report.series.items():
         path = os.path.join(out_dir, f"{report.kind}-{name}.dat")

@@ -159,7 +159,9 @@ def test_A5_almost_monotonicity(flagship_scenario):
     # negative control: v2 < 0 with a positive cutoff speed anyway.  The
     # faster-left breather starts right of the transition and enters
     # region 1 carrying F < 0, so the localized second-energy combination
-    # drops by O(1) -- far beyond any decaying slack.  Reported, not asserted.
+    # drops by O(1) -- far beyond any decaying slack.  The measured drop is
+    # 2.44; requiring more than 1.0 leaves a margin of 2.4 and still asks for
+    # 1e5 times the 1e-5 budget.
     g = make_grid(100.0, 4096)
     neg_cfg = order_and_validate(
         [Breather(1.2, 1.0, x2=30.0), Breather(1.0, 1.0, x2=-8.0)]
@@ -191,13 +193,13 @@ def test_A5_almost_monotonicity(flagship_scenario):
         "Fj+omega*Mj"
     ].worst_drop
     elapsed = time.perf_counter() - start
-    ok = worst == 0.0 and elapsed < 600.0
+    ok = worst == 0.0 and neg_drop > 1.0 and elapsed < 600.0
     _report(
         "A5 almost-monotonicity",
         ok,
         f"flagship worst_drop beyond slack = {worst:.2e} for "
         f"{sorted(drops)} (all 0 required); negative control v2<0 "
-        f"unslacked drop {neg_drop:.2e} (reported, not asserted); {elapsed:.0f}s",
+        f"unslacked drop {neg_drop:.2e} (> 1 required); {elapsed:.0f}s",
     )
 
 

@@ -24,7 +24,8 @@ from mkdvlab.lab import (
     run_experiment,
     write_report,
 )
-from mkdvlab.grid import make_grid
+from mkdvlab.grid import make_field, make_grid
+from mkdvlab.profiles import order_and_validate
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
 
@@ -220,10 +221,28 @@ def test_flagship_coercivity_summary():
     with open(SCENARIOS + "flagship.yaml") as f:
         rep = run_experiment(parse_scenario(f.read()), "coercivity")
     assert rep.summary["results"] == {
-        "object_0": {"mu": 0.025118864315095822, "lambda_min_raw": -0.18317121, "n": 512},
+        "object_0": {"mu": 0.025118864315095822, "lambda_min_raw": -0.18255312, "n": 512},
         "object_1": {"mu": 0.06309573444801936, "lambda_min_raw": 0.0, "n": 512},
         "object_2": {"mu": 0.07943282347242822, "lambda_min_raw": 0.0, "n": 512},
     }
+
+
+def test_coercivity_certifies_the_breather_at_its_own_place():
+    # the kind re-centres each object on a small grid; for a breather with
+    # x1 != x2 that is a translation only if x1 moves with x2.  Against the
+    # breather checked where it stands (L = 30 holds both), lambda_min_raw
+    # differs by 1.5e-12 before the summary rounds it to 8 decimals; the bound
+    # 1e-8 covers that rounding (at most 5e-9) with a margin of 2, and is far
+    # below the 5.4e-2 that re-centring with x1 = x2 = 0 was off by
+    obj = "{kind: breather, alpha: 1.0, beta: 1.0, x1: 3.0, x2: 5.0}"
+    s = parse_scenario(MINIMAL.replace("{kind: soliton, c: 1.0}", obj))
+    got = run_experiment(s, "coercivity").summary["results"]["object_0"]
+    (o,) = s.cfg.objects
+    p1 = lyapunov.select_parameters(order_and_validate([o]), s.sigma, override=True)
+    own = lyapunov.coercivity_check(o, p1, 1, make_grid(30.0, 512))
+    assert got["n"] == 512
+    assert got["mu"] == own.mu
+    assert abs(got["lambda_min_raw"] - own.lambda_min_raw) < 1e-8
 
 
 def _flagship_every_step():
@@ -320,7 +339,6 @@ def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
         return calibrate(*args)
 
     monkeypatch.setattr(lab, "calibrate_slack", counted)
-    monkeypatch.setattr(lab, "_config_text", {})
     rep = ExperimentReport(kind="demo", scenario="s", passed=True, summary={})
     s = parse_scenario(TWO_SOLITONS)
     for out in ("a", "b", "c"):
@@ -376,7 +394,7 @@ seed: 3
 
 @pytest.fixture
 def evolve_calls(monkeypatch):
-    """The data lab integrates, starting from an empty slot."""
+    """The data lab integrates."""
     calls = []
     evolve = lab.evolve
 
@@ -384,7 +402,6 @@ def evolve_calls(monkeypatch):
         calls.append(u0)
         return evolve(u0, controls)
 
-    monkeypatch.setattr(lab, "_slot", {})
     monkeypatch.setattr(lab, "evolve", counted)
     return calls
 
@@ -399,6 +416,46 @@ def test_all_kinds_integrate_each_datum_once(evolve_calls):
     assert not np.array_equal(evolve_calls[0].values, evolve_calls[1].values)
 
 
+def test_all_kinds_derive_the_lyapunov_parameters_once(tmp_path, monkeypatch):
+    # one select_parameters for the scenario and one per coercivity object;
+    # one calibrate_slack, shared by monotonicity, rate-fit and the config
+    calls = {"select_parameters": 0, "calibrate_slack": 0}
+    for name in calls:
+
+        def counted(*args, fn=getattr(lab, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(lab, name, counted)
+    s = parse_scenario(TWO_SOLITONS)
+    for kind in EXPERIMENT_KINDS:
+        assert run_experiment(s, kind, out_dir=str(tmp_path)).passed
+    assert calls == {"select_parameters": 1 + s.cfg.J, "calibrate_slack": 1}
+
+
+def test_equal_scenarios_integrate_their_own_datum(evolve_calls):
+    s, twin = parse_scenario(TWO_SOLITONS), parse_scenario(TWO_SOLITONS)
+    assert s == twin
+    run_experiment(s, "conservation")
+    run_experiment(twin, "conservation")
+    assert len(evolve_calls) == 2
+    run_experiment(s, "modulate")
+    assert len(evolve_calls) == 2
+
+
+def test_replaced_scenario_integrates_afresh(evolve_calls):
+    # replace builds a scenario with an empty holder, even for equal controls
+    s = parse_scenario(TWO_SOLITONS)
+    run_experiment(s, "conservation")
+    same = replace(s, controls=replace(s.controls))
+    assert same == s and repr(same) == repr(s)
+    run_experiment(same, "conservation")
+    assert len(evolve_calls) == 2
+    shorter = replace(s, controls=replace(s.controls, t_end=0.05))
+    assert len(run_experiment(shorter, "conservation").series["conserved"]["t"]) == 3
+    assert len(evolve_calls) == 3
+
+
 def test_shared_trajectory_gives_the_artifacts_of_a_fresh_one(tmp_path, evolve_calls):
     s = parse_scenario(TWO_SOLITONS)
     kinds = ("conservation", "monotonicity", "modulate")
@@ -406,8 +463,7 @@ def test_shared_trajectory_gives_the_artifacts_of_a_fresh_one(tmp_path, evolve_c
         run_experiment(s, kind, out_dir=str(tmp_path / "shared"))
     assert len(evolve_calls) == 1
     for kind in kinds:
-        lab._slot.clear()
-        run_experiment(s, kind, out_dir=str(tmp_path / "fresh"))
+        run_experiment(parse_scenario(TWO_SOLITONS), kind, out_dir=str(tmp_path / "fresh"))
     assert len(evolve_calls) == 4
     names = sorted(os.listdir(tmp_path / "shared"))
     assert names == sorted(os.listdir(tmp_path / "fresh"))
@@ -421,22 +477,30 @@ def test_shared_trajectory_gives_the_artifacts_of_a_fresh_one(tmp_path, evolve_c
     assert len(evolve_calls) == 4
     with pytest.raises(ValueError):
         traj.values[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
 
     # rate-fit's bumped datum replaces the profile sum's run
     run_experiment(s, "rate-fit")
-    assert len(evolve_calls) == 5 and len(lab._slot) == 1
+    assert len(evolve_calls) == 5 and len(s._held) == 1
     run_experiment(s, "conservation")
     assert len(evolve_calls) == 6
 
 
-def test_failed_integration_leaves_the_slot_empty(evolve_calls):
+def test_failed_integration_leaves_the_holder_empty(evolve_calls):
+    # the holder is emptied before evolve runs: a datum that fails does not
+    # leave the previous trajectory behind
     s = parse_scenario(TWO_SOLITONS)
     run_experiment(s, "conservation")
+    assert len(s._held) == 1
+    with pytest.raises(ValueError, match="CFL"):
+        s.trajectory(make_field(s.grid, 1e3 * np.exp(-(s.grid.x**2))))
+    assert s._held == {}
     unstable = parse_scenario(TWO_SOLITONS.replace("dt: 1.0e-3", "dt: 0.1"))
     with pytest.raises(ValueError, match="CFL"):
         run_experiment(unstable, "conservation")
-    assert lab._slot == {}
-    assert len(evolve_calls) == 2
+    assert unstable._held == {}
+    assert len(evolve_calls) == 3
 
 
 def _write(tmp_path, text):

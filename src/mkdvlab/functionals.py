@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, integrate, spectral_derivative
+from .grid import Field, Grid, derivative_pair, integrate, spectral_derivative
 from .profiles import OrderedConfiguration
 
 
@@ -41,9 +41,21 @@ def energy(u: Field) -> float:
 
 def second_energy(u: Field) -> float:
     """Conserved second energy int (1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6)."""
-    ux = spectral_derivative(u, 1).values
-    uxx = spectral_derivative(u, 2).values
+    ux, uxx = derivative_pair(u)
     return integrate(u.grid, _second_energy_density(u.values, ux, uxx))
+
+
+def _densities(u: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integrands u^2 and those of E and F, from one derivative pair."""
+    v = u.values
+    ux, uxx = derivative_pair(u)
+    return v**2, _energy_density(v, ux), _second_energy_density(v, ux, uxx)
+
+
+def conserved(u: Field) -> tuple[float, float, float]:
+    """(mass(u), energy(u), second_energy(u)) from one derivative pair."""
+    m, e, f = _densities(u)
+    return 0.5 * integrate(u.grid, m), integrate(u.grid, e), integrate(u.grid, f)
 
 
 def psi(sigma: float, x):
@@ -148,12 +160,19 @@ class LocalizedTriple:
 
 def localized_triple(u: Field, fam: CutoffFamily, j: int, t: float) -> LocalizedTriple:
     """Weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention)."""
+    return localized_triples(u, fam, (j,), t)[0]
+
+
+def localized_triples(u: Field, fam: CutoffFamily, js, t: float) -> list[LocalizedTriple]:
+    """localized_triple(u, fam, j, t) for each j in js, sharing one derivative pair."""
     g = u.grid
-    phi = fam.weight(j, t, g.x)
-    v = u.values
-    ux = spectral_derivative(u, 1).values
-    uxx = spectral_derivative(u, 2).values
-    Mj = integrate(g, v**2 * phi)
-    Ej = integrate(g, _energy_density(v, ux) * phi)
-    Fj = integrate(g, _second_energy_density(v, ux, uxx) * phi)
-    return LocalizedTriple(Mj=Mj, Ej=Ej, Fj=Fj)
+    m, e, f = _densities(u)
+    out = []
+    for j in js:
+        phi = fam.weight(j, t, g.x)
+        out.append(
+            LocalizedTriple(
+                Mj=integrate(g, m * phi), Ej=integrate(g, e * phi), Fj=integrate(g, f * phi)
+            )
+        )
+    return out

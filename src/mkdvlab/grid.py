@@ -8,6 +8,7 @@ rule on the periodic grid, which is spectrally accurate here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,10 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.half_length / self.n
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.half_length + self.h * np.arange(self.n)
+        """The nodes, computed once per grid; read-only."""
+        return _read_only(-self.half_length + self.h * np.arange(self.n))
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -47,6 +49,21 @@ class Grid:
     @property
     def k_max(self) -> float:
         return np.pi * self.n / (2.0 * self.half_length)
+
+    @cached_property
+    def d1_symbol(self) -> np.ndarray:
+        """The order-1 Fourier symbol, computed once per grid; read-only."""
+        return _read_only(_power_symbol(self, 1))
+
+    @cached_property
+    def d2_symbol(self) -> np.ndarray:
+        """The order-2 Fourier symbol, computed once per grid; read-only."""
+        return _read_only(_power_symbol(self, 2))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -76,15 +93,27 @@ def make_field(grid: Grid, values: np.ndarray) -> Field:
     return Field(grid=grid, values=np.asarray(values, dtype=float))
 
 
-def _fourier_symbol(grid: Grid, order: int) -> np.ndarray:
-    """(ik)^order on the rfft layout, order 1..4; zero at Nyquist for odd orders."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be in 1..4, got {order}")
+def _power_symbol(grid: Grid, order: int) -> np.ndarray:
+    """(ik)^order on the rfft layout, built afresh."""
     sym = (1j * grid.wavenumbers) ** order
     if order % 2 == 1:
         # the Nyquist mode has no well-defined odd derivative on a real grid
         sym[-1] = 0.0
     return sym
+
+
+def _fourier_symbol(grid: Grid, order: int) -> np.ndarray:
+    """(ik)^order on the rfft layout, order 1..4; zero at Nyquist for odd orders.
+
+    Orders 1 and 2 are the grid's cached read-only copies.
+    """
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"order must be in 1..4, got {order}")
+    if order == 1:
+        return grid.d1_symbol
+    if order == 2:
+        return grid.d2_symbol
+    return _power_symbol(grid, order)
 
 
 def spectral_derivative(f: Field, order: int) -> Field:
@@ -94,6 +123,14 @@ def spectral_derivative(f: Field, order: int) -> Field:
     return make_field(g, np.fft.irfft(fh, g.n))
 
 
+def derivative_pair(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(f_x, f_xx) from one forward transform, with the bits of spectral_derivative
+    at orders 1 and 2: the same symbols multiply the same coefficients."""
+    g = f.grid
+    fh = np.fft.rfft(f.values)
+    return np.fft.irfft(g.d1_symbol * fh, g.n), np.fft.irfft(g.d2_symbol * fh, g.n)
+
+
 def integrate(grid: Grid, values: np.ndarray) -> float:
     """Trapezoid quadrature h * sum(values) on the periodic grid."""
     return grid.h * float(np.sum(values))
@@ -101,12 +138,11 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
 
 def h2_norm_sq(f: Field) -> float:
     """Discrete squared H^2 norm: integral of f^2 + f_x^2 + f_xx^2."""
-    fx = spectral_derivative(f, 1)
-    fxx = spectral_derivative(f, 2)
+    fx, fxx = derivative_pair(f)
     return (
         integrate(f.grid, f.values**2)
-        + integrate(f.grid, fx.values**2)
-        + integrate(f.grid, fxx.values**2)
+        + integrate(f.grid, fx**2)
+        + integrate(f.grid, fxx**2)
     )
 
 

@@ -21,8 +21,8 @@ import yaml
 
 from .errors import NonPositiveDistance
 from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
-from .functionals import energy, mass, second_energy
-from .grid import Field, Grid, integrate, make_field, make_grid, spectral_derivative
+from .functionals import conserved
+from .grid import Field, Grid, make_field, make_grid
 from .lyapunov import (
     DROP_BUDGET,
     LyapunovParams,
@@ -341,10 +341,8 @@ def _run_conservation(s: Scenario) -> ExperimentReport:
     traj = _evolve_scenario(s)
     series = {"t": traj.times, "M": [], "E": [], "F": []}
     for row in traj.values:
-        u = make_field(traj.grid, row)
-        series["M"].append(mass(u))
-        series["E"].append(energy(u))
-        series["F"].append(second_energy(u))
+        for name, value in zip("MEF", conserved(make_field(traj.grid, row))):
+            series[name].append(value)
     drifts = {}
     for name in ("M", "E", "F"):
         vals = np.asarray(series[name])
@@ -368,8 +366,7 @@ def _run_monotonicity(s: Scenario) -> ExperimentReport:
     series = {}
     worst = 0.0
     tracked_j = list(range(1, s.cfg.J)) or [1]
-    for j in tracked_j:
-        reps = monotonicity_report(traj, j, p, varpi=varpi, C=C)
+    for j, reps in monotonicity_report(traj, tracked_j, p, varpi=varpi, C=C).items():
         for which in ("Mj", "weakened_F"):
             rep = reps[which]
             key = f"j{j}_{which}"
@@ -457,19 +454,6 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
     )
 
 
-def _windowed_distance(w: np.ndarray, g: Grid, fam, t: float) -> float:
-    """H^2-type distance weighted by 1 - Phi_{J-1} (the fastest co-moving window).
-
-    Radiation has nonpositive group velocity, so it exits this rightward-
-    moving region; the global residual cannot decay on a periodic domain.
-    """
-    one_minus = 1.0 - fam.weight(fam.J - 1, t, g.x) if fam.J > 1 else np.ones(g.n)
-    wf = make_field(g, w)
-    wx = spectral_derivative(wf, 1).values
-    wxx = spectral_derivative(wf, 2).values
-    return float(np.sqrt(integrate(g, (w**2 + wx**2 + wxx**2) * one_minus)))
-
-
 def _run_rate_fit(s: Scenario) -> ExperimentReport:
     p = s.params
     varpi_hat, _ = s.slack
@@ -478,20 +462,20 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
     u0 = make_field(s.grid, u0.values + bump.values)
     traj = s.trajectory(u0)
     track = track_modulation(traj, s.cfg)
-    windowed = [_windowed_distance(w, s.grid, p.fam, t) for t, w in zip(track.times, track.w)]
+    # radiation has nonpositive group velocity, so it leaves the rightward-moving
+    # window 1 - Phi_{J-1} of the windowed distance
+    d = scalar_product_series(track, s.cfg, p.fam)
+    windowed = d["windowed"]
     t_end = track.times[-1]
     window = (0.25 * t_end, t_end)
     fit = fit_exponential_rate(track.times, windowed, window)
 
     sp = {}
-    for j in range(1, s.cfg.J + 1):
-        d = scalar_product_series(track, s.cfg, p.fam, j)
-        envelope = np.exp(-2.0 * fit.varpi * np.asarray(d["times"])) + np.asarray(
-            d["quadratic"]
-        )
+    decay = np.exp(-2.0 * fit.varpi * np.asarray(d["times"]))
+    for j, (scalar, quadratic) in enumerate(zip(d["scalar"], d["quadratic"]), start=1):
         sp[f"j{j}"] = {
-            "C_measured": float(np.max(d["scalar"] / envelope)),
-            "max_scalar": float(np.max(d["scalar"])),
+            "C_measured": float(np.max(scalar / (decay + quadratic))),
+            "max_scalar": float(np.max(scalar)),
         }
     series = {
         "rate": {
@@ -502,6 +486,10 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
         }
     }
     passed = fit.varpi > 0 and fit.r_squared > RATE_R2_TOL
+    if s.cfg.J > 1:
+        region = f"on the 1-Phi_{s.cfg.J - 1} weighted region"
+    else:
+        region = "unweighted, on the whole domain (J = 1 has no cutoff to window by)"
     return ExperimentReport(
         kind="rate-fit",
         scenario=s.name,
@@ -514,9 +502,8 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
             "varpi_calibrated": varpi_hat,
             "scalar_product": sp,
             "global_distance_final": float(track.w_h2[-1]),
-            "note": "distance measured on the 1-Phi_1 weighted region; the "
-            "global residual cannot decay on a periodic domain because "
-            "radiation never leaves",
+            "note": f"distance measured {region}; the global residual cannot "
+            "decay on a periodic domain because radiation never leaves",
         },
         series=series,
     )

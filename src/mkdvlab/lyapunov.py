@@ -18,17 +18,17 @@ from .evolution import Trajectory
 from .functionals import (
     CutoffFamily,
     LocalizedTriple,
+    conserved,
     localized_triple,
+    localized_triples,
     make_cutoff_family,
-    mass,
-    energy,
-    second_energy,
 )
 from .grid import (
     Field,
     Grid,
     _fourier_symbol,
     derivative_matrix,
+    derivative_pair,
     integrate,
     make_field,
     spectral_derivative,
@@ -189,9 +189,7 @@ def _second_variation_weights(
     + 5 w^2 P P_xx + 15/4 w^2 P^4] Phi_j + (b^2-a^2)[w_x^2 - 3 w^2 P^2] Phi_j
     + 1/2 (a^2+b^2)^2 w^2 Phi_j.
     """
-    pf = make_field(g, pv)
-    px = spectral_derivative(pf, 1).values
-    pxx = spectral_derivative(pf, 2).values
+    px, pxx = derivative_pair(make_field(g, pv))
     pv2 = pv * pv
     d = b**2 - a**2
     c1 = (d - 2.5 * pv2) * phi
@@ -219,8 +217,7 @@ def quadratic_form_H(
     c2, c1, c0 = _second_variation_weights(
         profile.values, p.fam.weight(j, t, g.x), *p.shape(j), g
     )
-    wx = spectral_derivative(w, 1).values
-    wxx = spectral_derivative(w, 2).values
+    wx, wxx = derivative_pair(w)
     return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
 
 
@@ -339,26 +336,32 @@ class MonotonicityReport:
 
 def monotonicity_report(
     traj: Trajectory,
-    j: int,
+    js,
     p: LyapunovParams,
     varpi: float = 0.0,
     C: float = 0.0,
     budget: float = DROP_BUDGET,
-) -> dict[str, MonotonicityReport]:
+) -> dict[int, dict[str, MonotonicityReport]]:
     """Record decreases of the four audited functionals beyond the decaying slack.
 
-    The functionals are M_j, E_j + omega M_j, F_j + omega M_j and the weakened F,
-    all read from one localized triple per snapshot, with omega = p.default_omega().
-    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + budget; the report
-    never raises on violations.
+    For each j in js the functionals are M_j, E_j + omega M_j, F_j + omega M_j and
+    the weakened F, all read from one localized triple per snapshot, with omega =
+    p.default_omega(); the js share each snapshot's derivative pair.  The slack
+    allowed between t1 < t2 is C exp(-2 varpi t1) + budget; the report never raises
+    on violations.
     """
     omega = p.default_omega()
-    rows = []
+    rows = {j: [] for j in js}
     for t, row in zip(traj.times, traj.values):
-        trip = localized_triple(make_field(traj.grid, row), p.fam, j, t)
-        weak = _weakened(trip, p.shape(j), p.nu)
-        rows.append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
+        for j, trip in zip(js, localized_triples(make_field(traj.grid, row), p.fam, js, t)):
+            weak = _weakened(trip, p.shape(j), p.nu)
+            rows[j].append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
     slack = [C * np.exp(-2.0 * varpi * t) + budget for t in traj.times]
+    return {j: _audit(traj.times, rows[j], slack) for j in js}
+
+
+def _audit(times, rows, slack) -> dict[str, MonotonicityReport]:
+    """One report per functional from rows of (M_j, E_j + omega M_j, F_j + omega M_j, weak)."""
     reports = {}
     for name, column in zip(("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F"), zip(*rows)):
         values = [float(v) for v in column]
@@ -370,7 +373,7 @@ def monotonicity_report(
             best_so_far = max(best_so_far, v - sl)
             worst = max(worst, best_so_far - v)
         reports[name] = MonotonicityReport(
-            times=traj.times, values=values, worst_drop=float(worst), slack_bound=float(slack[0])
+            times=times, values=values, worst_drop=float(worst), slack_bound=float(slack[0])
         )
     return reports
 
@@ -391,8 +394,8 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
 
     scale = 0.0
     for o in cfg.objects:
-        u = make_field(g, eval_object(o, 0.0, g.x))
-        scale += 2.0 * mass(u) + abs(energy(u)) + abs(second_energy(u))
+        M, E, F = conserved(make_field(g, eval_object(o, 0.0, g.x)))
+        scale += 2.0 * M + abs(E) + abs(F)
 
     centers = sorted(center(o, 0.0) for o in cfg.objects)
     if len(centers) > 1 and np.isfinite(tau0):
@@ -415,8 +418,7 @@ def interpolation_inequality_check(u: Field, fam: CutoffFamily, j: int) -> Inter
     """Check X^2 <= A + eps X with the |Phi_jx|-weighted Sobolev quantities at t = 0."""
     g = u.grid
     wx = np.abs(fam.weight_x(j, 0.0, g.x))
-    u1 = spectral_derivative(u, 1).values
-    u2 = spectral_derivative(u, 2).values
+    u1, u2 = derivative_pair(u)
     u3 = spectral_derivative(u, 3).values
     i1 = integrate(g, u1**2 * wx)
     i2 = integrate(g, u2**2 * wx)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
 from .functionals import CutoffFamily
-from .grid import Field, Grid, h2_norm_sq, integrate, make_field, spectral_derivative
+from .grid import Field, Grid, derivative_pair, h2_norm_sq, integrate, make_field
 from .profiles import (
     OrderedConfiguration,
     _offset_partials,
@@ -112,12 +112,16 @@ def fit_translations(
                 iterations=it,
             )
         # J_ij = <d dir_i / d y_j, w> - <dir_i, dir_j> ; the first term is
-        # nonzero only in the diagonal block of the object that owns i and j.
-        J = np.array([[-h * np.sum(di * dj) for dj in dirs] for di in dirs])
+        # nonzero only in the diagonal block of the object that owns i and j,
+        # and the Gram term is symmetric, so each pair is summed once.
+        J = np.empty((m, m))
+        for a, da in enumerate(dirs):
+            for b in range(a, m):
+                J[a, b] = J[b, a] = -h * np.sum(da * dirs[b])
         i = 0
         for _, ds, hess in parts:
             k = i + len(ds)
-            J[i:k, i:k] += [[h * np.sum(sec * w) for sec in row] for row in hess]
+            J[i:k, i:k] += [[h * np.sum(sec * w) for sec in row] for row in hess()]
             i = k
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > 1e12:
@@ -173,19 +177,32 @@ def scalar_product_series(
     track: ModulationTrack,
     cfg: OrderedConfiguration,
     fam: CutoffFamily,
-    j: int,
 ) -> dict:
-    """Diagnostic for the profile/residual scalar product being quadratic.
+    """Residual diagnostics along a track, from one derivative pair of w per snapshot.
 
-    Returns the series |int Ptilde_j w|, the quadratic reference
-    int (w^2 + w_x^2) Phi_j, and their pointwise ratio.
+    For each j = 1..J (row j - 1 of "scalar" and "quadratic") the series
+    |int Ptilde_j w| and its quadratic reference int (w^2 + w_x^2) Phi_j, which
+    tests that the profile/residual scalar product is quadratic.  "windowed" is
+    the H^2-type distance of w weighted by 1 - Phi_{J-1}, the fastest co-moving
+    window, and unweighted when J = 1, where there is no cutoff to window by.
     """
     g = track.grid
-    lhs, quad = [], []
+    js = range(1, cfg.J + 1)
+    windowed, lhs, quad = [], [[] for _ in js], [[] for _ in js]
     for t, y, w in zip(track.times, track.offsets, track.w):
-        pj = eval_object(cfg.objects[j - 1], t, g.x, split_offsets(cfg, y)[j - 1])
-        phi = fam.weight(j, t, g.x)
-        wx = spectral_derivative(make_field(g, w), 1).values
-        lhs.append(abs(integrate(g, pj * w)))
-        quad.append(integrate(g, (w**2 + wx**2) * phi))
-    return {"times": track.times, "scalar": np.array(lhs), "quadratic": np.array(quad)}
+        wx, wxx = derivative_pair(make_field(g, w))
+        h1 = w**2 + wx**2
+        phis = [fam.weight(j, t, g.x) for j in js]
+        window = 1.0 - phis[-2] if fam.J > 1 else 1.0
+        windowed.append(float(np.sqrt(integrate(g, (h1 + wxx**2) * window))))
+        shifts = split_offsets(cfg, y)
+        for j, phi in zip(js, phis):
+            pj = eval_object(cfg.objects[j - 1], t, g.x, shifts[j - 1])
+            lhs[j - 1].append(abs(integrate(g, pj * w)))
+            quad[j - 1].append(integrate(g, h1 * phi))
+    return {
+        "times": track.times,
+        "windowed": windowed,
+        "scalar": np.array(lhs),
+        "quadratic": np.array(quad),
+    }

@@ -118,10 +118,11 @@ def breather_eval(b: Breather, t: float, x, shift1: float = 0.0, shift2: float =
 
 
 def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float):
-    """Value k N / D of the shifted breather, its phase partials and their Hessian.
+    """Value k N / D of the shifted breather, its phase partials and their Hessian on demand.
 
-    Returns (value, d1, d2, d11, d12, d22) from one evaluation of the quotient;
-    value has the bits of breather_eval.  D has no mixed phase partial.
+    Returns (value, d1, d2, second) from one evaluation of the quotient; value has
+    the bits of breather_eval, and second() returns the Hessian [[d11, d12], [d12,
+    d22]] from the same evaluation.  D has no mixed phase partial.
     """
     k, N, D, s, c, sh, ch = _breather_quotient(b, t, x, shift1, shift2)
     a, be = b.alpha, b.beta
@@ -132,16 +133,20 @@ def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float):
     g1 = N1 * D - N * D1
     g2 = N2 * D - N * D2
     Dsq = D * D
-    N11 = -(a**3) * c * ch + a**2 * be * s * sh
-    N12 = -(a**2) * be * s * sh - a * be**2 * c * ch
-    N22 = a * be**2 * c * ch - be**3 * s * sh
-    D11 = 2.0 * a**2 * be**2 * (c**2 - s**2)
-    D22 = 2.0 * a**2 * be**2 * (sh**2 + ch**2)
-    Dcu = Dsq * D
-    d11 = k * ((N11 * D - N * D11) / Dsq - 2.0 * D1 * g1 / Dcu)
-    d12 = k * ((N12 * D + N1 * D2 - N2 * D1) / Dsq - 2.0 * D2 * g1 / Dcu)
-    d22 = k * ((N22 * D - N * D22) / Dsq - 2.0 * D2 * g2 / Dcu)
-    return k * N / D, k * g1 / Dsq, k * g2 / Dsq, d11, d12, d22
+
+    def second():
+        N11 = -(a**3) * c * ch + a**2 * be * s * sh
+        N12 = -(a**2) * be * s * sh - a * be**2 * c * ch
+        N22 = a * be**2 * c * ch - be**3 * s * sh
+        D11 = 2.0 * a**2 * be**2 * (c**2 - s**2)
+        D22 = 2.0 * a**2 * be**2 * (sh**2 + ch**2)
+        Dcu = Dsq * D
+        d11 = k * ((N11 * D - N * D11) / Dsq - 2.0 * D1 * g1 / Dcu)
+        d12 = k * ((N12 * D + N1 * D2 - N2 * D1) / Dsq - 2.0 * D2 * g1 / Dcu)
+        d22 = k * ((N22 * D - N * D22) / Dsq - 2.0 * D2 * g2 / Dcu)
+        return [[d11, d12], [d12, d22]]
+
+    return k * N / D, k * g1 / Dsq, k * g2 / Dsq, second
 
 
 def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
@@ -156,15 +161,16 @@ def _offset_partials(o: WaveObject, shifts: Sequence[float], t: float, x):
 
     Returns (value, dirs, hess) from a single evaluation: value has the bits of
     eval_object, dirs holds one partial per offset (one for a soliton, two for a
-    breather) and hess[a][b] is the partial of dirs[a] in offset b.
+    breather), and hess() evaluates the second partials from the same evaluation
+    only when called: hess()[a][b] is the partial of dirs[a] in offset b.
     """
     s1, s2 = _offsets(shifts)
     if isinstance(o, Soliton):
         z = np.asarray(x) - o.x0 + s1 - o.c * t  # soliton_eval's argument
         k, c = o.kappa, o.c
-        return k * q_profile(c, z), [k * q_prime(c, z)], [[k * q_second(c, z)]]
-    value, d1, d2, d11, d12, d22 = _breather_partials(o, t, x, s1, s2)
-    return value, [d1, d2], [[d11, d12], [d12, d22]]
+        return k * q_profile(c, z), [k * q_prime(c, z)], lambda: [[k * q_second(c, z)]]
+    value, d1, d2, hess = _breather_partials(o, t, x, s1, s2)
+    return value, [d1, d2], hess
 
 
 def eval_object(o: WaveObject, t: float, x, shifts: Sequence[float] = ()):

@@ -189,9 +189,8 @@ def test_A5_almost_monotonicity(flagship_scenario):
     u0 = profile_sum(neg_cfg, 0.0, g)
     neg_traj = evolve(u0, EvolutionControls(dt=5e-4, t_end=4.0, save_every=400))
     varpi_n, _ = calibrate_slack(neg_cfg, neg_p, g)
-    neg_drop = monotonicity_report(neg_traj, 1, neg_p, varpi=varpi_n, C=0.0, budget=1e-5)[
-        "Fj+omega*Mj"
-    ].worst_drop
+    neg_reps = monotonicity_report(neg_traj, [1], neg_p, varpi=varpi_n, C=0.0, budget=1e-5)
+    neg_drop = neg_reps[1]["Fj+omega*Mj"].worst_drop
     elapsed = time.perf_counter() - start
     ok = worst == 0.0 and neg_drop > 1.0 and elapsed < 600.0
     _report(

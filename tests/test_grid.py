@@ -5,12 +5,14 @@ import pytest
 
 from mkdvlab.grid import (
     derivative_matrix,
+    derivative_pair,
     h2_norm_sq,
     integrate,
     make_field,
     make_grid,
     spectral_derivative,
 )
+from mkdvlab.profiles import Breather, Soliton, eval_object
 
 
 def test_grid_properties():
@@ -92,3 +94,28 @@ def test_derivative_matrix_matches_spectral_derivative(order):
     np.testing.assert_allclose(
         D @ f.values, spectral_derivative(f, order).values, atol=1e-8
     )
+
+
+@pytest.mark.parametrize(
+    "obj", [Breather(1.0, 1.0, x2=3.0), Soliton(4.0, kappa=-1, x0=-5.0)], ids=["breather", "soliton"]
+)
+def test_derivative_pair_has_the_bits_of_spectral_derivative(obj):
+    g = make_grid(100.0, 4096)
+    f = make_field(g, eval_object(obj, 0.3, g.x))
+    ux, uxx = derivative_pair(f)
+    assert np.array_equal(ux, spectral_derivative(f, 1).values)
+    assert np.array_equal(uxx, spectral_derivative(f, 2).values)
+
+
+def test_grid_caches_are_built_once_and_read_only():
+    g = make_grid(50.0, 256)
+    assert g.x is g.x and g.d1_symbol is g.d1_symbol and g.d2_symbol is g.d2_symbol
+    assert np.array_equal(g.x, -50.0 + g.h * np.arange(256))
+    ik = 1j * g.wavenumbers
+    assert np.array_equal(g.d2_symbol, ik**2)
+    assert np.array_equal(g.d1_symbol[:-1], ik[:-1]) and g.d1_symbol[-1] == 0.0
+    for cached in (g.x, g.d1_symbol, g.d2_symbol):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    # the caches are not fields: equality and hashing see only L and n
+    assert g == make_grid(50.0, 256) and hash(g) == hash(make_grid(50.0, 256))

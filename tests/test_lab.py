@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkdvlab import cli, lab, lyapunov
+from mkdvlab import cli, functionals, grid, lab, lyapunov, modulation
 from mkdvlab.cli import main
 from mkdvlab.errors import BlowUp, DuplicateVelocity, NonPositiveDistance
 from mkdvlab.lab import (
@@ -257,6 +257,15 @@ def test_flagship_per_snapshot_summaries():
     # modulation fit or the monotonicity scan must not move one bit
     s = _flagship_every_step()
     slack = 10.055742550689246
+    assert run_experiment(s, "conservation").summary == {
+        "drifts": {
+            "M": 1.677129546351352e-11,
+            "E": 5.086409959886847e-10,
+            "F": 7.175271932169377e-10,
+        },
+        "worst": 7.175271932169377e-10,
+        "tolerance": 1e-06,
+    }
     assert run_experiment(s, "modulate").summary == {
         "max_ortho_residual": 6.424854978379964e-14,
         "max_offset": 7.80852156114556e-10,
@@ -296,7 +305,7 @@ def test_flagship_per_snapshot_summaries():
         "worst_drop": 0.0,
     }
     summary = run_experiment(s, "rate-fit").summary
-    assert summary.pop("note").startswith("distance measured on the 1-Phi_1 weighted region")
+    assert summary.pop("note").startswith("distance measured on the 1-Phi_2 weighted region")
     assert summary == {
         "varpi": 0.010442315138530934,
         "C": 0.0021612573649231687,
@@ -313,21 +322,101 @@ def test_flagship_per_snapshot_summaries():
 
 
 def test_monotonicity_computes_one_triple_per_snapshot_and_j(monkeypatch):
-    # the four audited functionals share one localized triple
+    # the four audited functionals share one localized triple, and the tracked
+    # j share one call per snapshot
     calls = []
-    triple = lyapunov.localized_triple
+    triples = lyapunov.localized_triples
 
     def counted(*args):
-        calls.append(args[2:])
-        return triple(*args)
+        out = triples(*args)
+        calls.append((tuple(args[2]), args[3], len(out)))
+        return out
 
-    monkeypatch.setattr(lyapunov, "localized_triple", counted)
+    monkeypatch.setattr(lyapunov, "localized_triples", counted)
     s = _flagship_every_step()
     T = len(lab._evolve_scenario(s).times)
     assert lab._run_monotonicity(s).passed
     assert T == 41
-    assert len(calls) == (s.cfg.J - 1) * T
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == T
+    assert {(js, n) for js, _, n in calls} == {((1, 2), s.cfg.J - 1)}
+    assert len({t for _, t, _ in calls}) == T
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The module that asked for each derivative_pair and spectral_derivative."""
+    calls = []
+    originals = {name: getattr(grid, name) for name in ("derivative_pair", "spectral_derivative")}
+    for module in (grid, functionals, lyapunov, modulation):
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+
+                def counted(*args, fn=fn, tag=(module.__name__.rsplit(".", 1)[-1], name)):
+                    calls.append(tag)
+                    return fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,expected",
+    [
+        ("conservation", {("functionals", "derivative_pair"): 1}),
+        ("monotonicity", {("functionals", "derivative_pair"): 1}),
+        ("modulate", {("grid", "derivative_pair"): 1}),
+        # the fit's H^2 norm, then the windowed distance and all J scalar products
+        ("rate-fit", {("grid", "derivative_pair"): 1, ("modulation", "derivative_pair"): 1}),
+    ],
+)
+def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_calls):
+    # one derivative pair per snapshot and audit, whatever J is: every tracked
+    # j shares it, and no kind falls back to spectral_derivative
+    s = _flagship_every_step()
+    assert s.slack  # calibrated once per scenario, before the audits
+    T = len(lab._evolve_scenario(s).times)
+    pair_calls.clear()
+    assert run_experiment(s, kind).passed
+    assert s.cfg.J == 3 and T == 41
+    got = {tag: pair_calls.count(tag) for tag in set(pair_calls)}
+    assert got == {tag: per_snapshot * T for tag, per_snapshot in expected.items()}
+
+
+def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
+    # the converged iteration reads only the residual G, so each object's
+    # second partials are evaluated once per Newton step, not once per iteration
+    hessians, iterations = [], []
+    partials, fit = modulation._offset_partials, modulation.fit_translations
+
+    def counted_partials(*args):
+        value, dirs, hess = partials(*args)
+
+        def counted_hess():
+            hessians.append(args[0])
+            return hess()
+
+        return value, dirs, counted_hess
+
+    def counted_fit(*args, **kwargs):
+        st = fit(*args, **kwargs)
+        iterations.append(st.iterations)
+        return st
+
+    monkeypatch.setattr(modulation, "_offset_partials", counted_partials)
+    monkeypatch.setattr(modulation, "fit_translations", counted_fit)
+    s = _flagship_every_step()
+    assert run_experiment(s, "modulate").passed
+    assert len(iterations) == 41 and sum(iterations) > 0
+    assert len(hessians) == s.cfg.J * sum(iterations)
+    assert {hessians.count(o) for o in s.cfg.objects} == {sum(iterations)}
+
+
+def test_rate_fit_note_names_its_weight():
+    two = run_experiment(parse_scenario(TWO_SOLITONS), "rate-fit")
+    assert two.summary["note"].startswith("distance measured on the 1-Phi_1 weighted region")
+    lone = parse_scenario(MINIMAL.replace("t_end: 0.1", "t_end: 0.1, save_every: 25"))
+    note = run_experiment(lone, "rate-fit").summary["note"]
+    assert note.startswith("distance measured unweighted, on the whole domain")
 
 
 def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):

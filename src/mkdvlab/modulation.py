@@ -56,14 +56,11 @@ def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:
 class ModulationState:
     """Converged fit of the translation offsets at one time."""
 
-    offsets: list[tuple[float, ...]]
+    offsets: np.ndarray  # flat, slowest object first; split_offsets gives per-object tuples
     w: Field
     w_h2: float  # H^2 norm of w, the basin check's measure
     ortho_residuals: np.ndarray
     iterations: int
-
-    def flat_offsets(self) -> np.ndarray:
-        return np.concatenate([np.asarray(s) for s in self.offsets])
 
 
 def fit_translations(
@@ -105,7 +102,7 @@ def fit_translations(
                     f"{w_norm:.3e} exceeds the basin radius {radius:.3e}"
                 )
             return ModulationState(
-                offsets=offsets,
+                offsets=y,
                 w=wf,
                 w_h2=w_norm,
                 ortho_residuals=G,
@@ -138,14 +135,16 @@ def fit_translations(
 
 @dataclass
 class ModulationTrack:
-    """Fits along a trajectory: row i of each array belongs to times[i]."""
+    """Fits along a trajectory: row i of each array belongs to times[i].
 
-    times: np.ndarray
+    The residuals are not stored: the one at times[i] is the snapshot minus the
+    profiles shifted by offsets[i], summed in object order, which has the fit's bits.
+    """
+
+    times: np.ndarray  # the trajectory's own times array
     offsets: np.ndarray  # (T, m) flat offsets, slowest object first
     ortho_residuals: np.ndarray  # (T, m)
-    w: np.ndarray  # (T, n) residuals u - sum of shifted profiles
     w_h2: np.ndarray  # (T,) H^2 norms of the residuals
-    grid: Grid
 
 
 def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
@@ -155,30 +154,28 @@ def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
         times=traj.times,
         offsets=np.empty((T, m)),
         ortho_residuals=np.empty((T, m)),
-        w=np.empty_like(traj.values),
         w_h2=np.empty(T),
-        grid=traj.grid,
     )
     guess = None
     for i, (t, row) in enumerate(zip(traj.times, traj.values)):
         u = make_field(traj.grid, row)
         try:
             st = fit_translations(u, cfg, t, guess=guess)
-        except NoConvergence as exc:
-            raise NoConvergence(f"snapshot t={t:.6g}: {exc}") from exc
-        guess = track.offsets[i] = st.flat_offsets()
+        except (NoConvergence, SingularJacobian) as exc:
+            raise type(exc)(f"snapshot t={t:.6g}: {exc}") from exc
+        guess = track.offsets[i] = st.offsets
         track.ortho_residuals[i] = st.ortho_residuals
-        track.w[i] = st.w.values
         track.w_h2[i] = st.w_h2
     return track
 
 
 def scalar_product_series(
+    traj,
     track: ModulationTrack,
     cfg: OrderedConfiguration,
     fam: CutoffFamily,
 ) -> dict:
-    """Residual diagnostics along a track, from one derivative pair of w per snapshot.
+    """Residual diagnostics along the track of traj, from one derivative pair of w per snapshot.
 
     For each j = 1..J (row j - 1 of "scalar" and "quadratic") the series
     |int Ptilde_j w| and its quadratic reference int (w^2 + w_x^2) Phi_j, which
@@ -186,22 +183,23 @@ def scalar_product_series(
     the H^2-type distance of w weighted by 1 - Phi_{J-1}, the fastest co-moving
     window, and unweighted when J = 1, where there is no cutoff to window by.
     """
-    g = track.grid
+    g = traj.grid
     js = range(1, cfg.J + 1)
     windowed, lhs, quad = [], [[] for _ in js], [[] for _ in js]
-    for t, y, w in zip(track.times, track.offsets, track.w):
+    for t, y, row in zip(track.times, track.offsets, traj.values):
+        profiles = [
+            eval_object(o, t, g.x, sh) for o, sh in zip(cfg.objects, split_offsets(cfg, y))
+        ]
+        w = row - sum(profiles)  # in object order, as the fit sums them: the fit's bits
         wx, wxx = derivative_pair(make_field(g, w))
         h1 = w**2 + wx**2
         phis = [fam.weight(j, t, g.x) for j in js]
         window = 1.0 - phis[-2] if fam.J > 1 else 1.0
         windowed.append(float(np.sqrt(integrate(g, (h1 + wxx**2) * window))))
-        shifts = split_offsets(cfg, y)
-        for j, phi in zip(js, phis):
-            pj = eval_object(cfg.objects[j - 1], t, g.x, shifts[j - 1])
+        for j, pj, phi in zip(js, profiles, phis):
             lhs[j - 1].append(abs(integrate(g, pj * w)))
             quad[j - 1].append(integrate(g, h1 * phi))
     return {
-        "times": track.times,
         "windowed": windowed,
         "scalar": np.array(lhs),
         "quadratic": np.array(quad),

@@ -241,7 +241,7 @@ def test_A6_modulation_round_trip():
             i += k
         u = profile_sum(cfg, 0.0, g, shifts=shifts)
         st = fit_translations(u, cfg, 0.0)
-        worst_rec = max(worst_rec, float(np.max(np.abs(st.flat_offsets() - injected))))
+        worst_rec = max(worst_rec, float(np.max(np.abs(st.offsets - injected))))
         worst_res = max(worst_res, float(np.max(np.abs(st.ortho_residuals))))
     elapsed = time.perf_counter() - start
     ok = worst_rec < 1e-8 and worst_res < 1e-10 and elapsed < 60.0

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from mkdvlab import cli, functionals, grid, lab, lyapunov, modulation
 from mkdvlab.cli import main
-from mkdvlab.errors import BlowUp, DuplicateVelocity, NonPositiveDistance
+from mkdvlab.errors import (
+    BlowUp,
+    DuplicateVelocity,
+    NoConvergence,
+    NonPositiveDistance,
+    SingularJacobian,
+)
 from mkdvlab.lab import (
     EXPERIMENT_KINDS,
     ExperimentReport,
@@ -25,7 +31,7 @@ from mkdvlab.lab import (
     write_report,
 )
 from mkdvlab.grid import make_field, make_grid
-from mkdvlab.profiles import order_and_validate
+from mkdvlab.profiles import order_and_validate, profile_sum
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
 
@@ -411,6 +417,38 @@ def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
     assert {hessians.count(o) for o in s.cfg.objects} == {sum(iterations)}
 
 
+@pytest.mark.parametrize("name", ["flagship", "lone soliton"])
+def test_residual_rebuilt_from_the_offsets_has_the_bits_of_the_fit(name, monkeypatch):
+    # the track keeps offsets, not residuals: rebuilt from a snapshot and its
+    # offsets, by profile_sum or by rate-fit's series, a residual must have the
+    # fit's own bits.  Near the flagship's boundary all three profile tails are
+    # comparable (about 1e-50), so a sum in another order differs there
+    s = _flagship_every_step() if name == "flagship" else parse_scenario(MINIMAL)
+    traj = lab._evolve_scenario(s)
+    track = modulation.track_modulation(traj, s.cfg)
+    assert track.times is traj.times
+    assert s.cfg.J == (3 if name == "flagship" else 1) and len(traj.times) > 40
+    transformed = []
+    pair = modulation.derivative_pair
+
+    def recorded(f):
+        transformed.append(f.values)
+        return pair(f)
+
+    monkeypatch.setattr(modulation, "derivative_pair", recorded)
+    modulation.scalar_product_series(traj, track, s.cfg, s.params.fam)
+    assert len(transformed) == len(traj.times)
+    guess = None
+    for t, row, y, series_w in zip(traj.times, traj.values, track.offsets, transformed):
+        st = modulation.fit_translations(make_field(s.grid, row), s.cfg, t, guess=guess)
+        guess = st.offsets
+        assert np.array_equal(st.offsets, y)
+        shifts = modulation.split_offsets(s.cfg, y)
+        w = row - profile_sum(s.cfg, t, s.grid, shifts=shifts).values
+        assert np.array_equal(w, st.w.values)
+        assert np.array_equal(series_w, st.w.values)
+
+
 def test_rate_fit_note_names_its_weight():
     two = run_experiment(parse_scenario(TWO_SOLITONS), "rate-fit")
     assert two.summary["note"].startswith("distance measured on the 1-Phi_1 weighted region")
@@ -428,7 +466,7 @@ def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
         return calibrate(*args)
 
     monkeypatch.setattr(lab, "calibrate_slack", counted)
-    rep = ExperimentReport(kind="demo", scenario="s", passed=True, summary={})
+    rep = ExperimentReport(kind="demo", passed=True, summary={})
     s = parse_scenario(TWO_SOLITONS)
     for out in ("a", "b", "c"):
         write_report(s, rep, str(tmp_path / out))
@@ -448,7 +486,6 @@ def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
 def test_emit_plot_data_columns(tmp_path):
     rep = ExperimentReport(
         kind="demo",
-        scenario="s",
         passed=True,
         summary={},
         series={"series": {"t": [0.0, 1.0], "v": [2.0, 3.0]}, "empty": {}},
@@ -722,6 +759,74 @@ def test_cli_schema_violation_is_invalid_input(tmp_path, capsys, override, messa
     err = capsys.readouterr().err
     assert err == f"invalid input: {message}\n"
     assert main(["verify-exact", "--scenario", path, "--override", "evolution.dt=1e-3"]) == 0
+
+
+PAIR = """
+name: pair
+objects:
+  - {kind: soliton, c: 1.0}
+  - {kind: soliton, %s}
+grid: {half_length: 40.0, n: 256}
+evolution: {dt: 2.0e-3, t_end: %s, save_every: %s}
+"""
+
+
+@pytest.mark.parametrize(
+    "second,t_end,save_every,error,message",
+    [
+        # the c = 4 soliton runs into the c = 1 one, and by t = 1 the residual
+        # (H^2 norm 0.561) has left the basin of radius 0.5
+        pytest.param(
+            "c: 4.0, x0: -8.0",
+            1.5,
+            25,
+            NoConvergence,
+            "snapshot t=1: orthogonality root found but residual H2 norm 5.607e-01 "
+            "exceeds the basin radius 5.000e-01",
+            id="collision",
+        ),
+        # a soliton and an antisoliton of almost equal speed at one place: their
+        # translation directions are parallel to 1e-7, which the exact profile
+        # sum at t = 0 never asks about, but the first Newton step does; the
+        # condition number reads 1.6e15 against the limit 1e12
+        pytest.param(
+            "c: 1.0000001, kappa: -1",
+            0.1,
+            10,
+            SingularJacobian,
+            "snapshot t=0.02: modulation Jacobian condition number ",
+            id="parallel-directions",
+        ),
+    ],
+)
+def test_cli_modulation_failure_names_its_snapshot(
+    tmp_path, capsys, second, t_end, save_every, error, message
+):
+    text = PAIR % (second, t_end, save_every)
+    assert main(["modulate", "--scenario", _write(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"modulate: runtime failure: {message}") and err.count("\n") == 1
+    if error is SingularJacobian:
+        assert float(err.split()[-1]) > 1e14
+    with pytest.raises(error, match="^snapshot t="):
+        run_experiment(parse_scenario(text), "modulate")
+
+
+def test_rate_fit_fails_where_the_residual_cannot_decay(tmp_path, capsys):
+    # a lone soliton has no window to leave, so the bump's radiation stays in
+    # the fitted distance: 16 samples in the window and no decay.  Measured
+    # varpi -7.0e-7 and r^2 0.442 (n = 2048 gives the same to four digits)
+    overrides = ["grid.n=1024", "evolution.dt=2e-3", "evolution.t_end=4", "evolution.save_every=100"]
+    argv = ["rate-fit", "--scenario", SCENARIOS + "single-soliton.yaml", "--out", str(tmp_path)]
+    assert main(argv + [a for o in overrides for a in ("--override", o)]) == 1
+    assert capsys.readouterr().out == "rate-fit: FAIL\n"
+    summary = json.loads((tmp_path / "rate-fit-summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["fit_window"] == [1.0, 4.0]
+    t = np.loadtxt(tmp_path / "rate-fit-rate.dat")[:, 0]
+    assert np.sum(t >= 1.0) == 16
+    assert -1e-5 < summary["varpi"] < 0.0
+    assert summary["r_squared"] < 0.6
 
 
 def test_cli_all_runs_every_kind_past_a_failure(capsys):

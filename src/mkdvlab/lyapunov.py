@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
 from .evolution import Trajectory
@@ -255,7 +254,7 @@ def _restrict_to_complement(V: np.ndarray, mats, vec: np.ndarray):
     (n - m) block of Q^T X Q is X on the complement.  Each H X H is the rank-two
     update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v.  mats and vec are overwritten.
     """
-    (qr, _), _ = scipy.linalg.qr(V, mode="raw")
+    qr = np.linalg.qr(V, mode="raw")[0].T  # numpy returns LAPACK geqrf's array transposed
     n, m = V.shape
     for k in range(m):
         v = np.zeros(n)  # LAPACK stores H_k's vector as (0, ..., 0, 1, qr[k+1:, k])
@@ -290,6 +289,42 @@ def _restricted_forms(
     return Ar, Br, pr
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L by 2 x 2 block recursion, so the work is products.
+
+    [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]] with Xkk = Lkk^-1.  A
+    block of at most 64 rows is inverted whole, and the round-off its pivoting may leave
+    above the diagonal is dropped.
+    """
+    n = L.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(L))
+    k = n // 2
+    X = np.zeros_like(L)
+    X[:k, :k] = _lower_inverse(L[:k, :k])
+    X[k:, k:] = _lower_inverse(L[k:, k:])
+    X[k:, :k] = -X[k:, k:] @ (L[k:, :k] @ X[:k, :k])
+    return X
+
+
+def _congruence(Li: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Li A Li^T for lower-triangular Li and symmetric A, skipping Li's zero upper block.
+
+    With k = n // 2 and L11 = Li[:k, :k], the blocks on and below the diagonal are
+    L11 A[:k, :k] L11^T, M[:, :k] L11^T and M Li[k:]^T with M = Li[k:] A; the block
+    above is the transpose of the one below.  That is 9/16 of two full products.
+    """
+    k = A.shape[0] // 2
+    L11 = Li[:k, :k]
+    M = Li[k:] @ A
+    C = np.empty_like(A)
+    C[:k, :k] = (L11 @ A[:k, :k]) @ L11.T
+    C[k:, :k] = M[:, :k] @ L11.T
+    C[k:, k:] = M @ Li[k:].T
+    C[:k, k:] = C[k:, :k].T
+    return C
+
+
 def coercivity_check(
     obj: WaveObject,
     p: LyapunovParams,
@@ -305,15 +340,19 @@ def coercivity_check(
     z = Q^T pr, whose eigenvalues interlace those of D, and det(D + s z z^T) =
     det(D) (1 + s z^T D^-1 z) (Golub, SIAM Rev. 15, 1973).  So mu is certified iff
     mu <= lam[0], or lam[0] < mu < lam[1] and 1 + s sum z_i^2 / (lam_i - mu) <= 0.
+    The pencil is reduced to standard form through Br = L L^T (Martin and Wilkinson,
+    Numer. Math. 11, 1968): with Li = L^-1, L^-1 Ar L^-T Y = Y diag(lam) and
+    Q = L^-T Y, so z = Y^T Li pr.
     """
     if g.n > 4096:
         raise ValueError("dense eigensolve limited to n <= 4096")
     Ar, Br, pr = _restricted_forms(obj, p, j, g, impose_orthogonality)
     try:
-        lam, Q = scipy.linalg.eigh(Ar, Br, overwrite_a=True, overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        Li = _lower_inverse(np.linalg.cholesky(Br))
+        lam, Y = np.linalg.eigh(_congruence(Li, Ar))
+    except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
-    z2 = (Q.T @ pr) ** 2
+    z2 = (Y.T @ (Li @ pr)) ** 2
     if mu_grid is None:
         mu_grid = np.logspace(-4, 0.5, 46)
     certified = [

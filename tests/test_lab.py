@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from mkdvlab.cli import main
 from mkdvlab.errors import (
     BlowUp,
     DuplicateVelocity,
+    EigensolveFailure,
     NoConvergence,
     NonPositiveDistance,
     SingularJacobian,
@@ -827,6 +830,84 @@ def test_rate_fit_fails_where_the_residual_cannot_decay(tmp_path, capsys):
     assert np.sum(t >= 1.0) == 16
     assert -1e-5 < summary["varpi"] < 0.0
     assert summary["r_squared"] < 0.6
+
+
+SLOW_SOLITON = """
+name: slow-soliton
+objects:
+  - {kind: soliton, c: 0.01}
+grid: {half_length: 250.0, n: 256}
+evolution: {dt: 1.0e-3, t_end: 0.01}
+"""
+
+
+def test_coercivity_fails_below_the_mu_grid(tmp_path, capsys):
+    # a soliton's coercivity constant scales like c^2 (0.063 at c = 1, 3.2e-4 at
+    # c = 0.03), so at c = 0.01 the largest certified mu on a grid reaching down
+    # to 1e-7 is 3.98e-5, a factor 2.5 below the default grid's floor 1e-4
+    s = parse_scenario(SLOW_SOLITON)
+    rep = run_experiment(s, "coercivity")
+    assert rep.passed is False
+    assert rep.summary["results"]["object_0"] == {"mu": 0.0, "lambda_min_raw": 0.0, "n": 256}
+    (o,) = s.cfg.objects
+    p1 = lyapunov.select_parameters(order_and_validate([o]), s.sigma, override=True)
+    finer = lyapunov.coercivity_check(o, p1, 1, make_grid(80.0, 256), mu_grid=np.logspace(-7, -3, 81))
+    assert 1e-5 < finer.mu < 1e-4
+    assert main(["coercivity", "--scenario", _write(tmp_path, SLOW_SOLITON)]) == 1
+    assert capsys.readouterr().out == "coercivity: FAIL\n"
+
+
+def test_coercivity_reports_a_failed_eigensolve(tmp_path, capsys, monkeypatch):
+    # a Br whose last leading minor is negative: the Cholesky factorization gets
+    # through every column but the last
+    restricted_forms = lyapunov._restricted_forms
+
+    def indefinite(*args):
+        Ar, Br, pr = restricted_forms(*args)
+        Br[-1, -1] = -Br[-1, -1]
+        return Ar, Br, pr
+
+    monkeypatch.setattr(lyapunov, "_restricted_forms", indefinite)
+    s = parse_scenario(MINIMAL)
+    (o,) = s.cfg.objects
+    p1 = lyapunov.select_parameters(s.cfg, s.sigma, override=True)
+    with pytest.raises(EigensolveFailure):
+        lyapunov.coercivity_check(o, p1, 1, make_grid(20.0, 256))
+    assert main(["coercivity", "--scenario", _write(tmp_path, MINIMAL)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("coercivity: runtime failure") and err.count("\n") == 1
+
+
+def _python(code: str) -> str:
+    """stdout of `python -c code` with this checkout's mkdvlab first on the path."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout
+
+
+def test_scipy_stays_off_the_import_path():
+    # scipy is a test dependency only: importing the CLI loads none of it, and
+    # the coercivity kind, its only dense eigensolve, runs with scipy blocked
+    loaded = _python(
+        "import sys, mkdvlab.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    assert loaded == "[]\n"
+    blocked = _python(
+        "import json, sys; sys.modules['scipy'] = None\n"
+        "from mkdvlab.lab import parse_scenario, run_experiment\n"
+        f"with open({SCENARIOS + 'flagship.yaml'!r}) as f:\n"
+        "    s = parse_scenario(f.read())\n"
+        "print(json.dumps(run_experiment(s, 'coercivity').summary))"
+    )
+    with open(SCENARIOS + "flagship.yaml") as f:
+        in_process = run_experiment(parse_scenario(f.read()), "coercivity").summary
+    assert json.loads(blocked) == in_process
 
 
 def test_cli_all_runs_every_kind_past_a_failure(capsys):

@@ -13,7 +13,9 @@ from mkdvlab.functionals import energy, localized_triple, mass, second_energy
 from mkdvlab.grid import derivative_matrix, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
+    _congruence,
     _form_matrix,
+    _lower_inverse,
     _restrict_to_complement,
     _restricted_forms,
     _second_variation_weights,
@@ -281,6 +283,64 @@ def test_coercivity_mu_matches_per_mu_eigensolves(obj):
         if lam >= mu:
             ref = max(ref, mu)
     assert coercivity_check(obj, p, 1, g).mu == ref > 0
+
+
+def _scipy_mu(Ar, Br, pr, h, mu_grid):
+    """The inertia rule of coercivity_check on scipy's generalized eigendecomposition."""
+    lam, Q = scipy.linalg.eigh(Ar, Br)
+    z2 = (Q.T @ pr) ** 2
+    certified = [
+        mu
+        for mu in mu_grid
+        if mu <= lam[0] or (mu < lam[1] and 1.0 + h**2 / mu * np.sum(z2 / (lam - mu)) <= 0)
+    ]
+    return max(certified, default=0.0)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
+def test_coercivity_matches_scipy_generalized_eigh(obj, n):
+    # scipy's LAPACK sygvd as an independent oracle for the Cholesky reduction;
+    # lambda_min_raw differed by at most 4.8e-12 (c = 1 at n = 512), so the
+    # bound 1e-9 has a margin of 200
+    g = make_grid(max(20.0, 8.0 / shape_pair(obj)[1]), n)
+    p = select_parameters(order_and_validate([obj]), 0.01, override=True)
+    Ar, Br, pr = _restricted_forms(obj, p, 1, g, True)
+    res = coercivity_check(obj, p, 1, g)
+    assert abs(res.lambda_min_raw - scipy.linalg.eigh(Ar, Br, eigvals_only=True)[0]) < 1e-9
+    assert res.mu == _scipy_mu(Ar, Br, pr, g.h, np.logspace(-4, 0.5, 46)) > 0
+
+
+@pytest.mark.parametrize("impose", [True, False], ids=["n255", "n256"])
+def test_lower_inverse_and_congruence_match_dense_products(impose):
+    # the c = 1 soliton's Cholesky factor at n = 256: 255 rows on the complement
+    # of its translation direction, 256 without.  The block inverse differed from
+    # the LU inverse by 8.7e-15 and 2.5e-15 of its largest entry, a margin above
+    # 100 under the bound 1e-12.  The lower triangle of the blocked congruence,
+    # all that eigh reads, matched two full products to the bit here, and to
+    # 1.7e-17 for the breather
+    obj = Soliton(1.0)
+    g, p = _coercivity_setup(obj)
+    Ar, Br, _ = _restricted_forms(obj, p, 1, g, impose)
+    L = np.linalg.cholesky(Br)
+    Li = _lower_inverse(L)
+    ref = np.linalg.inv(L)
+    assert Li.shape == (g.n - impose,) * 2 and not np.any(np.triu(Li, 1))
+    assert np.max(np.abs(Li - ref)) <= 1e-12 * np.max(np.abs(ref))
+    full = Li @ Ar @ Li.T
+    assert np.max(np.abs(np.tril(_congruence(Li, Ar) - full))) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
+def test_unconstrained_form_certifies_nothing(obj):
+    # without the orthogonality constraints at least two eigenvalues of the bare
+    # pencil lie below the grid's floor 1e-4 (+-5e-13 for c = 1, -9.7e-8 and
+    # 1.2e-7 for the under-resolved c = 4, -0.18, -1.2e-6 and 6e-10 for the
+    # breather), and the rank-one penalty lifts at most one of them
+    g, p = _coercivity_setup(obj)
+    res = coercivity_check(obj, p, 1, g, impose_orthogonality=False)
+    assert res.mu == 0.0
+    assert res.lambda_min_raw < 1e-6
 
 
 def test_coercivity_rejects_oversized_grid():

@@ -146,14 +146,15 @@ def h2_norm_sq(f: Field) -> float:
     )
 
 
-def derivative_matrix(grid: Grid, order: int) -> np.ndarray:
-    """Dense spectral differentiation matrix (used by the coercivity check).
+def circulant(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """Dense matrix of the shift-invariant operator with the given rfft-layout symbol.
 
-    Differentiation commutes with shifts, so the matrix is the circulant
-    D[i, j] = col[(i - j) mod n] of its first column, the derivative of a unit
+    The operator maps f to irfft(symbol rfft(f)); at symbol (ik)^order it is the
+    spectral differentiation matrix.  It commutes with shifts, so it is the
+    circulant C[i, j] = col[(i - j) mod n] of its first column, the image of a unit
     impulse: row i is the window of ext = (col[n-1], ..., col[0], col[n-1], ..., col[1])
     that starts at n - 1 - i.
     """
-    col = np.fft.irfft(_fourier_symbol(grid, order), grid.n)
+    col = np.fft.irfft(symbol, grid.n)
     ext = np.concatenate((col[::-1], col[:0:-1]))
     return np.lib.stride_tricks.sliding_window_view(ext, grid.n)[::-1].copy()

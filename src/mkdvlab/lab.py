@@ -285,11 +285,18 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
 
 
 def localized_bump(g: Grid, seed: int, center: float = 0.0) -> Field:
-    """Seeded smooth localized perturbation: a height-1e-3 Gaussian, jittered center/width."""
+    """Seeded smooth localized perturbation: a height-1e-3 Gaussian, jittered center/width.
+
+    The distance to the center is periodic, x - x0 wrapped into [-L, L), so a bump
+    near the edge of the domain continues across it instead of jumping there.
+    """
     rng = np.random.default_rng(seed)
     x0 = center + rng.uniform(-2.0, 2.0)
     width = rng.uniform(1.5, 3.0)
-    return make_field(g, 1e-3 * np.exp(-((g.x - x0) ** 2) / (2.0 * width**2)))
+    L = g.half_length
+    d = g.x - x0
+    d -= 2.0 * L * np.floor((d + L) / (2.0 * L))
+    return make_field(g, 1e-3 * np.exp(-(d**2) / (2.0 * width**2)))
 
 
 def _bump_center(cfg: OrderedConfiguration) -> float:

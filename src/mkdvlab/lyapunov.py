@@ -25,8 +25,7 @@ from .functionals import (
 from .grid import (
     Field,
     Grid,
-    _fourier_symbol,
-    derivative_matrix,
+    circulant,
     derivative_pair,
     integrate,
     make_field,
@@ -220,21 +219,31 @@ def quadratic_form_H(
     return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
 
 
-def _form_matrix(weights, g: Grid) -> np.ndarray:
-    """Symmetric matrix of int c2 w_xx^2 + c1 w_x^2 + c0 w^2 (no quadrature h factor).
+def _inverse_sqrt_symbol(g: Grid) -> np.ndarray:
+    """sigma^-1/2, sigma = h (1 + |S1|^2 + |S2|^2) the symbol of the matrix B of
+    h int (w_xx^2 + w_x^2 + w^2), so its circulant W is B^-1/2 and W B W = I."""
+    return 1.0 / np.sqrt(g.h * (1.0 + np.abs(g.d1_symbol) ** 2 + np.abs(g.d2_symbol) ** 2))
 
-    With the derivative circulants D2 = D2^T and D1 = -D1^T (even and odd symbols
-    S2, S1), the matrix is D2 C2 D2 - D1 C1 D1.  A product X D applies D^T to each row
-    of X, so A = irfft(S2 rfft(D2 C2) + S1 rfft(D1 C1)) row by row: three n x n real
-    FFTs instead of two dense products.
+
+def _apply_inverse_sqrt(g: Grid, v: np.ndarray) -> np.ndarray:
+    """W v for each row v of the array, by FFT."""
+    return np.fft.irfft(_inverse_sqrt_symbol(g) * np.fft.rfft(v), g.n)
+
+
+def _form_matrix(weights, g: Grid) -> np.ndarray:
+    """W A W for A the matrix of h int (c2 w_xx^2 + c1 w_x^2 + c0 w^2) and W = B^-1/2.
+
+    A = h sum_k D_k^T C_k D_k over the circulants D_0 = I, D_1, D_2 with symbols
+    S_0 = 1, S_1, S_2, and W is the circulant of sigma^-1/2 (_inverse_sqrt_symbol), so
+    W A W = h sum_k G_k C_k G_k^T with G_k = circulant(S_k sigma^-1/2), as G_0 and G_2
+    are symmetric and G_1 is skew.  A product X G^T applies G to each row of X, so the
+    sum is one row-by-row irfft of sum_k S_k sigma^-1/2 rfft(G_k C_k), and B is never built.
     """
-    c2, c1, c0 = weights
-    A = np.fft.irfft(
-        _fourier_symbol(g, 2) * np.fft.rfft(derivative_matrix(g, 2) * c2)
-        + _fourier_symbol(g, 1) * np.fft.rfft(derivative_matrix(g, 1) * c1),
-        g.n,
-    )
-    A[np.diag_indices_from(A)] += c0
+    r = _inverse_sqrt_symbol(g)
+    spec = 0.0
+    for sym, c in zip((g.d2_symbol * r, g.d1_symbol * r, r), weights):
+        spec = spec + sym * np.fft.rfft(circulant(g, sym) * c)
+    A = g.h * np.fft.irfft(spec, g.n)
     return 0.5 * (A + A.T)
 
 
@@ -246,13 +255,13 @@ class CoercivityResult:
     lambda_min_raw: float  # smallest Rayleigh quotient of the bare form
 
 
-def _restrict_to_complement(V: np.ndarray, mats, vec: np.ndarray):
-    """The symmetric mats and vec in an orthonormal basis of the complement of V's columns.
+def _restrict_to_complement(V: np.ndarray, X: np.ndarray, vec: np.ndarray):
+    """The symmetric X and vec in an orthonormal basis of the complement of V's columns.
 
     The m Householder reflectors H = I - 2 v v^T of V's QR factorization give
     Q = H_1 ... H_m, whose first m columns span V's columns, so the trailing
     (n - m) block of Q^T X Q is X on the complement.  Each H X H is the rank-two
-    update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v.  mats and vec are overwritten.
+    update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v.  X and vec are overwritten.
     """
     qr = np.linalg.qr(V, mode="raw")[0].T  # numpy returns LAPACK geqrf's array transposed
     n, m = V.shape
@@ -261,68 +270,30 @@ def _restrict_to_complement(V: np.ndarray, mats, vec: np.ndarray):
         v[k] = 1.0
         v[k + 1 :] = qr[k + 1 :, k]
         v /= np.linalg.norm(v)
-        for X in mats:
-            Xv = X @ v
-            w = 2.0 * Xv - 2.0 * (v @ Xv) * v
-            X -= np.outer(v, w)
-            X -= np.outer(w, v)
+        Xv = X @ v
+        w = 2.0 * Xv - 2.0 * (v @ Xv) * v
+        X -= np.outer(v, w)
+        X -= np.outer(w, v)
         vec -= 2.0 * (v @ vec) * v
-    return [X[m:, m:] for X in mats], vec[m:]
+    return X[m:, m:], vec[m:]
 
 
 def _restricted_forms(
     obj: WaveObject, p: LyapunovParams, j: int, g: Grid, impose_orthogonality: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ar, Br, pr): the matrices of quadratic_form_H and of int (w_xx^2 + w_x^2 + w^2) Phi
-    at t = 0 and the penalty vector P sqrt(Phi), with impose_orthogonality restricted to
-    the discrete-L^2 complement of the m <= 2 modulation directions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Ar, pr): W A W and W P for the matrix A of quadratic_form_H at t = 0, the penalty
+    vector P and W = B^-1/2 (_form_matrix), with impose_orthogonality restricted to the
+    discrete-L^2 complement of W V, V the m <= 2 modulation directions.  x = W y is
+    orthogonal to V exactly when y is orthogonal to W V.  Needs Phi_j = 1.
     """
     phi = p.fam.weight(j, 0.0, g.x)
     pv = eval_object(obj, 0.0, g.x)
-    A = g.h * _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g)
-    B = g.h * _form_matrix((phi, phi, phi), g)
-    pen = pv * np.sqrt(phi)
+    A = _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g)
+    pen = _apply_inverse_sqrt(g, pv)
     if not impose_orthogonality:
-        return A, B, pen
-    dirs = modulation_directions(obj, (), 0.0, g).T
-    (Ar, Br), pr = _restrict_to_complement(dirs, (A, B), pen)
-    return Ar, Br, pr
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular L by 2 x 2 block recursion, so the work is products.
-
-    [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]] with Xkk = Lkk^-1.  A
-    block of at most 64 rows is inverted whole, and the round-off its pivoting may leave
-    above the diagonal is dropped.
-    """
-    n = L.shape[0]
-    if n <= 64:
-        return np.tril(np.linalg.inv(L))
-    k = n // 2
-    X = np.zeros_like(L)
-    X[:k, :k] = _lower_inverse(L[:k, :k])
-    X[k:, k:] = _lower_inverse(L[k:, k:])
-    X[k:, :k] = -X[k:, k:] @ (L[k:, :k] @ X[:k, :k])
-    return X
-
-
-def _congruence(Li: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Li A Li^T for lower-triangular Li and symmetric A, skipping Li's zero upper block.
-
-    With k = n // 2 and L11 = Li[:k, :k], the blocks on and below the diagonal are
-    L11 A[:k, :k] L11^T, M[:, :k] L11^T and M Li[k:]^T with M = Li[k:] A; the block
-    above is the transpose of the one below.  That is 9/16 of two full products.
-    """
-    k = A.shape[0] // 2
-    L11 = Li[:k, :k]
-    M = Li[k:] @ A
-    C = np.empty_like(A)
-    C[:k, :k] = (L11 @ A[:k, :k]) @ L11.T
-    C[k:, :k] = M[:, :k] @ L11.T
-    C[k:, k:] = M @ Li[k:].T
-    C[:k, k:] = C[k:, :k].T
-    return C
+        return A, pen
+    dirs = _apply_inverse_sqrt(g, modulation_directions(obj, (), 0.0, g))
+    return _restrict_to_complement(dirs.T, A, pen)
 
 
 def coercivity_check(
@@ -333,26 +304,30 @@ def coercivity_check(
     impose_orthogonality: bool = True,
     mu_grid: np.ndarray | None = None,
 ) -> CoercivityResult:
-    """Largest mu of the grid with Ar + (h^2/mu) pr pr^T - mu Br >= 0 (_restricted_forms).
+    """Largest mu of the grid with A + (h^2/mu) P P^T - mu B >= 0 on the complement of
+    the modulation directions, for A the matrix of quadratic_form_H, P the penalty
+    vector and B the matrix of h int (w_xx^2 + w_x^2 + w^2), at t = 0.
 
-    One eigendecomposition Ar Q = Br Q diag(lam), Q^T Br Q = I, decides every mu: by
-    congruence the matrix has the inertia of D + s z z^T, D = diag(lam - mu), s = h^2/mu,
-    z = Q^T pr, whose eigenvalues interlace those of D, and det(D + s z z^T) =
-    det(D) (1 + s z^T D^-1 z) (Golub, SIAM Rev. 15, 1973).  So mu is certified iff
-    mu <= lam[0], or lam[0] < mu < lam[1] and 1 + s sum z_i^2 / (lam_i - mu) <= 0.
-    The pencil is reduced to standard form through Br = L L^T (Martin and Wilkinson,
-    Numer. Math. 11, 1968): with Li = L^-1, L^-1 Ar L^-T Y = Y diag(lam) and
-    Q = L^-T Y, so z = Y^T Li pr.
+    With Phi_j = 1 (j = J), B is the circulant of sigma = h (1 + |S1|^2 + |S2|^2), and
+    x = W y, W = B^-1/2 the circulant of sigma^-1/2, turns the pencil into the standard
+    problem for Ar = W A W on the complement of W V (_restricted_forms), with penalty
+    vector pr = W P; by Courant-Fischer its eigenvalues are the pencil's.  One
+    eigendecomposition Ar Y = Y diag(lam) decides every mu: the matrix has the inertia
+    of D + s z z^T, D = diag(lam - mu), s = h^2/mu, z = Y^T pr, whose eigenvalues
+    interlace those of D, and det(D + s z z^T) = det(D) (1 + s z^T D^-1 z) (Golub,
+    SIAM Rev. 15, 1973).  So mu is certified iff mu <= lam[0], or lam[0] < mu < lam[1]
+    and 1 + s sum z_i^2 / (lam_i - mu) <= 0.
     """
+    if j != p.fam.J:
+        raise ValueError(f"coercivity check needs Phi_j = 1, so j = J = {p.fam.J}; got j = {j}")
     if g.n > 4096:
         raise ValueError("dense eigensolve limited to n <= 4096")
-    Ar, Br, pr = _restricted_forms(obj, p, j, g, impose_orthogonality)
+    Ar, pr = _restricted_forms(obj, p, j, g, impose_orthogonality)
     try:
-        Li = _lower_inverse(np.linalg.cholesky(Br))
-        lam, Y = np.linalg.eigh(_congruence(Li, Ar))
+        lam, Y = np.linalg.eigh(Ar)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
-    z2 = (Y.T @ (Li @ pr)) ** 2
+    z2 = (Y.T @ pr) ** 2
     if mu_grid is None:
         mu_grid = np.logspace(-4, 0.5, 46)
     certified = [

@@ -34,7 +34,7 @@ from mkdvlab.lab import (
     write_report,
 )
 from mkdvlab.grid import make_field, make_grid
-from mkdvlab.profiles import order_and_validate, profile_sum
+from mkdvlab.profiles import Soliton, order_and_validate, profile_sum
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
 
@@ -186,6 +186,22 @@ def test_localized_bump_is_seed_deterministic():
     b2 = localized_bump(g, 42, center=10.0)
     np.testing.assert_array_equal(b1.values, b2.values)
     assert np.max(b1.values) <= 1e-3 + 1e-15
+
+
+@pytest.mark.parametrize("L, x0", [(40.0, 10.0), (30.0, 0.0)])
+def test_lone_object_bump_is_periodic_across_the_wrap(L, x0):
+    # a lone soliton's bump sits at its centre + 25, 5 short of the right edge;
+    # measured without the periodic wrap, the Gaussian jumped by 7e-5 at the
+    # edge and its top 20 Fourier modes reached 5.6e-4 of the largest, against
+    # below 2e-16 with it, so the bound 1e-12 has a margin above 5000
+    g = make_grid(L, 1024)
+    centre = lab._bump_center(order_and_validate([Soliton(1.0, x0=x0)]))
+    assert centre == L - 5.0
+    for seed in (0, 7):
+        bump = localized_bump(g, seed, center=centre).values
+        spec = np.abs(np.fft.rfft(bump))
+        assert spec[-20:].max() < 1e-12 * spec.max()
+        assert 0.999e-3 < bump.max() <= 1e-3
 
 
 def test_run_experiment_unknown_kind():
@@ -858,16 +874,12 @@ def test_coercivity_fails_below_the_mu_grid(tmp_path, capsys):
 
 
 def test_coercivity_reports_a_failed_eigensolve(tmp_path, capsys, monkeypatch):
-    # a Br whose last leading minor is negative: the Cholesky factorization gets
-    # through every column but the last
-    restricted_forms = lyapunov._restricted_forms
+    # the eigensolver raising LinAlgError, as LAPACK's syevd does when it does not
+    # converge; a NaN matrix would not do, as eigh returns NaN eigenvalues for it
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def indefinite(*args):
-        Ar, Br, pr = restricted_forms(*args)
-        Br[-1, -1] = -Br[-1, -1]
-        return Ar, Br, pr
-
-    monkeypatch.setattr(lyapunov, "_restricted_forms", indefinite)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
     s = parse_scenario(MINIMAL)
     (o,) = s.cfg.objects
     p1 = lyapunov.select_parameters(s.cfg, s.sigma, override=True)

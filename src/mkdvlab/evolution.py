@@ -126,8 +126,8 @@ def _check_finite(values: np.ndarray, t: float):
         raise BlowUp(t)
 
 
-def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajectory:
-    """Run from t0 to t0 + t_end, saving every save_every steps.
+def evolve(u0: Field, controls: EvolutionControls) -> Trajectory:
+    """Run from t = 0 to t_end, saving every save_every steps.
 
     Raises BlowUp at the first step whose coefficients are not finite, and at
     a save point whose values exceed BLOWUP_LIMIT.
@@ -143,11 +143,11 @@ def evolve(u0: Field, controls: EvolutionControls, t0: float = 0.0) -> Trajector
     uh = np.fft.rfft(u0.values)
     times = np.empty(n_saves)
     values = np.empty((n_saves, u0.grid.n))
-    times[0], values[0] = t0, u0.values
+    times[0], values[0] = 0.0, u0.values
     row = 1
     for i in range(1, n_steps + 1):
         uh = stepper.step(uh)
-        t = t0 + i * controls.dt
+        t = i * controls.dt
         # Parseval probe at O(n): a NaN or an infinity in any coefficient
         # makes sum |uh|^2 non-finite, so a blow-up stops at its own step
         if not np.isfinite(np.vdot(uh, uh).real):

@@ -284,7 +284,7 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
     )
 
 
-def localized_bump(g: Grid, seed: int, center: float = 0.0) -> Field:
+def localized_bump(g: Grid, seed: int, center: float) -> Field:
     """Seeded smooth localized perturbation: a height-1e-3 Gaussian, jittered center/width.
 
     The distance to the center is periodic, x - x0 wrapped into [-L, L), so a bump
@@ -437,10 +437,11 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
         else:
             centered = replace(o, x1=o.x1 - o.x2, x2=0.0)
         res = coercivity_check(centered, p1, 1, g)
+        # mu* moves in its 15th digit with the BLAS thread count, and a soliton's
+        # lambda_min_raw is zero to round-off: 8 decimals keep the summary byte-stable.
+        # mu rounds down, so the written value stays certified; + 0.0 turns -0.0 into 0.0
         results[f"object_{idx}"] = {
-            "mu": res.mu,
-            # zero to round-off for a soliton; 8 decimals keep the summary
-            # byte-stable across summation orders, and + 0.0 turns -0.0 into 0.0
+            "mu": float(np.floor(res.mu * 1e8)) / 1e8,
             "lambda_min_raw": round(res.lambda_min_raw, 8) + 0.0,
             "n": g.n,
         }

@@ -252,7 +252,7 @@ class CoercivityResult:
     """Outcome of the discrete coercivity eigencheck."""
 
     mu: float  # largest certified penalty/coercivity constant (0 if none)
-    lambda_min_raw: float  # smallest Rayleigh quotient of the bare form
+    lambda_min_raw: float  # smallest eigenvalue of the orthogonalized bare form
 
 
 def _restrict_to_complement(V: np.ndarray, X: np.ndarray, vec: np.ndarray):
@@ -278,64 +278,62 @@ def _restrict_to_complement(V: np.ndarray, X: np.ndarray, vec: np.ndarray):
     return X[m:, m:], vec[m:]
 
 
-def _restricted_forms(
-    obj: WaveObject, p: LyapunovParams, j: int, g: Grid, impose_orthogonality: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _restricted_forms(obj: WaveObject, p: LyapunovParams, j: int, g: Grid):
     """(Ar, pr): W A W and W P for the matrix A of quadratic_form_H at t = 0, the penalty
-    vector P and W = B^-1/2 (_form_matrix), with impose_orthogonality restricted to the
-    discrete-L^2 complement of W V, V the m <= 2 modulation directions.  x = W y is
-    orthogonal to V exactly when y is orthogonal to W V.  Needs Phi_j = 1.
+    vector P and W = B^-1/2 (_form_matrix), restricted to the discrete-L^2 complement of
+    W V, V the m <= 2 modulation directions.  x = W y is orthogonal to V exactly when y
+    is orthogonal to W V.  Needs Phi_j = 1.
     """
     phi = p.fam.weight(j, 0.0, g.x)
     pv = eval_object(obj, 0.0, g.x)
     A = _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g)
-    pen = _apply_inverse_sqrt(g, pv)
-    if not impose_orthogonality:
-        return A, pen
     dirs = _apply_inverse_sqrt(g, modulation_directions(obj, (), 0.0, g))
-    return _restrict_to_complement(dirs.T, A, pen)
+    return _restrict_to_complement(dirs.T, A, _apply_inverse_sqrt(g, pv))
 
 
-def coercivity_check(
-    obj: WaveObject,
-    p: LyapunovParams,
-    j: int,
-    g: Grid,
-    impose_orthogonality: bool = True,
-    mu_grid: np.ndarray | None = None,
-) -> CoercivityResult:
-    """Largest mu of the grid with A + (h^2/mu) P P^T - mu B >= 0 on the complement of
-    the modulation directions, for A the matrix of quadratic_form_H, P the penalty
-    vector and B the matrix of h int (w_xx^2 + w_x^2 + w^2), at t = 0.
+def _certified_mu(lam: np.ndarray, z2: np.ndarray, h: float) -> float:
+    """mu*, the largest mu with D + s z z^T >= 0, s = h^2/mu, D = diag(lam - mu), lam ascending.
+
+    Its eigenvalues interlace those of D, so mu <= lam[0] passes and mu > lam[1] fails.
+    In between, det(D + s z z^T) = det(D) (1 + s z^T D^-1 z) (Golub, SIAM Rev. 15, 1973)
+    makes the test mu f(mu) = mu + h^2 sum z_i^2 / (lam_i - mu) <= 0; mu f increases
+    there, so mu* is its root, found by bisection (Bunch, Nielsen & Sorensen, Numer. Math.
+    31, 1978).  mu f, since h^2/mu overflows for tiny mu.  Below eigh's backward error
+    n eps max|lam|, mu* is noise and reads 0.
+    """
+    floor = len(lam) * np.finfo(float).eps * np.max(np.abs(lam))
+    lo, hi = max(float(lam[0]), 0.0), float(lam[1])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid + h**2 * np.sum(z2 / (lam - mid)) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo >= floor else 0.0
+
+
+def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> CoercivityResult:
+    """mu*, the largest mu with A + (h^2/mu) P P^T - mu B >= 0 on the complement of the
+    modulation directions, for A the matrix of quadratic_form_H, P the penalty vector and
+    B the matrix of h int (w_xx^2 + w_x^2 + w^2), at t = 0.  The form falls in the Loewner
+    order as mu grows, so every mu in (0, mu*] is certified.
 
     With Phi_j = 1 (j = J), B is the circulant of sigma = h (1 + |S1|^2 + |S2|^2), and
     x = W y, W = B^-1/2 the circulant of sigma^-1/2, turns the pencil into the standard
     problem for Ar = W A W on the complement of W V (_restricted_forms), with penalty
     vector pr = W P; by Courant-Fischer its eigenvalues are the pencil's.  One
-    eigendecomposition Ar Y = Y diag(lam) decides every mu: the matrix has the inertia
-    of D + s z z^T, D = diag(lam - mu), s = h^2/mu, z = Y^T pr, whose eigenvalues
-    interlace those of D, and det(D + s z z^T) = det(D) (1 + s z^T D^-1 z) (Golub,
-    SIAM Rev. 15, 1973).  So mu is certified iff mu <= lam[0], or lam[0] < mu < lam[1]
-    and 1 + s sum z_i^2 / (lam_i - mu) <= 0.
+    eigendecomposition Ar Y = Y diag(lam) then leaves diag(lam - mu) + (h^2/mu) z z^T,
+    z = Y^T pr, for _certified_mu.
     """
     if j != p.fam.J:
         raise ValueError(f"coercivity check needs Phi_j = 1, so j = J = {p.fam.J}; got j = {j}")
     if g.n > 4096:
         raise ValueError("dense eigensolve limited to n <= 4096")
-    Ar, pr = _restricted_forms(obj, p, j, g, impose_orthogonality)
+    Ar, pr = _restricted_forms(obj, p, j, g)
     try:
         lam, Y = np.linalg.eigh(Ar)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
-    z2 = (Y.T @ pr) ** 2
-    if mu_grid is None:
-        mu_grid = np.logspace(-4, 0.5, 46)
-    certified = [
-        mu
-        for mu in mu_grid
-        if mu <= lam[0] or (mu < lam[1] and 1.0 + g.h**2 / mu * np.sum(z2 / (lam - mu)) <= 0)
-    ]
-    return CoercivityResult(mu=max(certified, default=0.0), lambda_min_raw=float(lam[0]))
+    return CoercivityResult(_certified_mu(lam, (Y.T @ pr) ** 2, g.h), float(lam[0]))
 
 
 @dataclass

@@ -92,13 +92,6 @@ def test_evolve_snapshot_times(grid):
         assert traj.grid is grid
 
 
-def test_evolve_from_nonzero_t0(grid):
-    u0 = _breather_field(grid, 2.0)
-    traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.05), t0=2.0)
-    assert traj.times[0] == 2.0
-    assert traj.times[-1] == pytest.approx(2.05)
-
-
 def test_stability_bound_formula(grid):
     u = _breather_field(grid, 0.0)
     amp = np.max(np.abs(u.values))

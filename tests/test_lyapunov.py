@@ -13,6 +13,8 @@ from mkdvlab.functionals import energy, localized_triple, mass, second_energy
 from mkdvlab.grid import circulant, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
+    _apply_inverse_sqrt,
+    _certified_mu,
     _form_matrix,
     _inverse_sqrt_symbol,
     _restrict_to_complement,
@@ -263,7 +265,7 @@ def test_reflector_restriction_matches_null_space_basis(obj):
     # (relative, c = 1), margins of 126 and 4 under the bounds
     g, p = _coercivity_setup(obj)
     m = len(modulation_directions(obj, (), 0.0, g))
-    Ar, pr = _restricted_forms(obj, p, 1, g, True)
+    Ar, pr = _restricted_forms(obj, p, 1, g)
     assert Ar.shape == (g.n - m,) * 2
     ref_Ar, ref_Br, ref_pr = _null_space_pencil(obj, p, g)
     np.testing.assert_allclose(
@@ -313,30 +315,20 @@ def test_coercivity_refuses_a_cutoff_index_below_J():
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_coercivity_mu_matches_per_mu_eigensolves(obj):
-    # the inertia rule against one penalized generalized eigensolve of the
-    # original pencil per mu, on the re-centred grid of the coercivity kind
-    g, p = _coercivity_setup(obj)
-    Ar, Br, pr = _null_space_pencil(obj, p, g)
-    ref = 0.0
-    for mu in np.logspace(-4, 0.5, 46):
-        lam = scipy.linalg.eigh(
-            Ar + (g.h**2 / mu) * np.outer(pr, pr), Br, eigvals_only=True, subset_by_index=[0, 0]
-        )[0]
-        if lam >= mu:
-            ref = max(ref, mu)
-    assert coercivity_check(obj, p, 1, g).mu == ref > 0
-
-
-def _scipy_mu(Ar, Br, pr, h, mu_grid):
-    """The inertia rule of coercivity_check on scipy's generalized eigendecomposition."""
-    lam, Q = scipy.linalg.eigh(Ar, Br)
-    z2 = (Q.T @ pr) ** 2
-    certified = [
-        mu
-        for mu in mu_grid
-        if mu <= lam[0] or (mu < lam[1] and 1.0 + h**2 / mu * np.sum(z2 / (lam - mu)) <= 0)
-    ]
-    return max(certified, default=0.0), lam[0]
+    # mu* brackets the sign change of lambda_min(mu) - mu, lambda_min(mu) the
+    # smallest eigenvalue of scipy's penalized pencil on the null-space basis, on
+    # the re-centred grid of the coercivity kind.  At mu*(1 -+ 1e-6) it measured
+    # +-2.7e-8 to +-9.5e-8, of the expected size mu* 1e-6 (1 - dlambda_min/dmu)
+    for n in (256, 512):
+        g, p = _coercivity_setup(obj, n)
+        Ar, Br, pr = _null_space_pencil(obj, p, g)
+        mu = coercivity_check(obj, p, 1, g).mu
+        gaps = []
+        for m in (mu * (1 - 1e-6), mu * (1 + 1e-6)):
+            pencil = Ar + (g.h**2 / m) * np.outer(pr, pr)
+            lam = scipy.linalg.eigh(pencil, Br, eigvals_only=True, subset_by_index=[0, 0])[0]
+            gaps.append(lam - m)
+        assert gaps[0] > 0 > gaps[1]
 
 
 @pytest.mark.parametrize(
@@ -346,27 +338,38 @@ def _scipy_mu(Ar, Br, pr, h, mu_grid):
 )
 def test_coercivity_matches_scipy_generalized_eigh(obj, n):
     # scipy's LAPACK sygvd on the original pencil, restricted by a null-space
-    # basis, as an independent oracle for the symbol reduction.  lambda_min_raw
-    # differed by at most 3.5e-11 at n <= 512 and by 5.5e-10 for the breather at
-    # n = 1024, a margin of 1.8 under the bound 1e-9.  That gap is the oracle's:
-    # with its dense products accumulated in long double it fell to 3.8e-11
+    # basis, as an independent oracle for the symbol reduction, with mu* read by
+    # the same bisection.  lambda_min_raw differed by at most 3.5e-11 at n <= 512
+    # and by 5.5e-10 for the breather at n = 1024, a margin of 1.8 under the bound
+    # 1e-9; that gap is the oracle's: with its dense products accumulated in long
+    # double it fell to 3.8e-11.  mu* differed by at most 1.5e-10 relative at
+    # n <= 512, a margin of 6.6 under 1e-9, and by 2.2e-9 at n = 1024, where the
+    # oracle's 5.5e-10 error in the eigenvalues is itself 2.1e-8 of mu*
     g, p = _coercivity_setup(obj, n)
-    ref_mu, ref_lam = _scipy_mu(*_null_space_pencil(obj, p, g), g.h, np.logspace(-4, 0.5, 46))
+    Ar, Br, pr = _null_space_pencil(obj, p, g)
+    lam, Q = scipy.linalg.eigh(Ar, Br)
     res = coercivity_check(obj, p, 1, g)
-    assert abs(res.lambda_min_raw - ref_lam) < 1e-9
-    assert res.mu == ref_mu > 0
+    assert abs(res.lambda_min_raw - lam[0]) < 1e-9
+    ref = _certified_mu(lam, (Q.T @ pr) ** 2, g.h)
+    assert res.mu == pytest.approx(ref, rel=1e-9 if n <= 512 else 1e-8)
+    assert res.mu > 0
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_unconstrained_form_certifies_nothing(obj):
     # without the orthogonality constraints at least two eigenvalues of the bare
-    # pencil lie below the grid's floor 1e-4 (+-5e-13 for c = 1, -9.7e-8 and
-    # 1.2e-7 for the under-resolved c = 4, -0.18, -1.2e-6 and 6e-10 for the
-    # breather), and the rank-one penalty lifts at most one of them
-    g, p = _coercivity_setup(obj)
-    res = coercivity_check(obj, p, 1, g, impose_orthogonality=False)
-    assert res.mu == 0.0
-    assert res.lambda_min_raw < 1e-6
+    # form W A W lie within round-off of 0 or below (at n = 256: -4.3e-16 and
+    # -5.1e-17 for c = 1, -9.7e-8 and 1.2e-7 for the under-resolved c = 4, -0.18,
+    # -1.2e-6 and 6e-10 for the breather), and the rank-one penalty W P lifts at
+    # most one of them.  At n = 512 the c = 1 pair is 2.6e-17 and 1.0e-16, so
+    # without the noise floor n eps max|lam| (1.4e-13 there) mu* would be 2.6e-17
+    for n in (256, 512):
+        g, p = _coercivity_setup(obj, n)
+        pv = eval_object(obj, 0.0, g.x)
+        weights = _second_variation_weights(pv, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g)
+        lam, Y = np.linalg.eigh(_form_matrix(weights, g))
+        assert lam[0] <= 1e-6
+        assert _certified_mu(lam, (Y.T @ _apply_inverse_sqrt(g, pv)) ** 2, g.h) == 0.0
 
 
 def test_coercivity_rejects_oversized_grid():

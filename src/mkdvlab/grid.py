@@ -147,7 +147,8 @@ def h2_norm_sq(f: Field) -> float:
 
 
 def circulant(grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """Dense matrix of the shift-invariant operator with the given rfft-layout symbol.
+    """Dense matrix of the shift-invariant operator with the given rfft-layout symbol,
+    as a read-only view on 2n - 1 stored numbers.
 
     The operator maps f to irfft(symbol rfft(f)); at symbol (ik)^order it is the
     spectral differentiation matrix.  It commutes with shifts, so it is the
@@ -157,4 +158,4 @@ def circulant(grid: Grid, symbol: np.ndarray) -> np.ndarray:
     """
     col = np.fft.irfft(symbol, grid.n)
     ext = np.concatenate((col[::-1], col[:0:-1]))
-    return np.lib.stride_tricks.sliding_window_view(ext, grid.n)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(ext, grid.n)[::-1]

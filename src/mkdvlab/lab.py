@@ -255,6 +255,7 @@ class RateFit:
     varpi: float
     C: float
     r_squared: float
+    samples: int  # in the window; with two the line passes through both and r^2 is 1
 
 
 def fit_exponential_rate(times, distances, window) -> RateFit:
@@ -281,6 +282,7 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
         varpi=float(-slope),
         C=float(np.exp(intercept)),
         r_squared=float(r2),
+        samples=int(mask.sum()),
     )
 
 
@@ -496,6 +498,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
             "varpi": fit.varpi,
             "C": fit.C,
             "r_squared": fit.r_squared,
+            "fit_samples": fit.samples,
             "fit_window": window,
             "varpi_calibrated": varpi_hat,
             "scalar_product": sp,

@@ -230,21 +230,38 @@ def _apply_inverse_sqrt(g: Grid, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(_inverse_sqrt_symbol(g) * np.fft.rfft(v), g.n)
 
 
-def _form_matrix(weights, g: Grid) -> np.ndarray:
-    """W A W for A the matrix of h int (c2 w_xx^2 + c1 w_x^2 + c0 w^2) and W = B^-1/2.
+# rows per block of the O(n^2) passes over the coercivity matrix: each holds a few
+# (_ROWS, n) arrays besides the matrix, never a second n x n one
+_ROWS = 128
+
+
+def _form_matrix(weights, g: Grid, out: np.ndarray) -> np.ndarray:
+    """W A W, written into out, for A the matrix of h int (c2 w_xx^2 + c1 w_x^2 + c0 w^2)
+    and W = B^-1/2.
 
     A = h sum_k D_k^T C_k D_k over the circulants D_0 = I, D_1, D_2 with symbols
     S_0 = 1, S_1, S_2, and W is the circulant of sigma^-1/2 (_inverse_sqrt_symbol), so
     W A W = h sum_k G_k C_k G_k^T with G_k = circulant(S_k sigma^-1/2), as G_0 and G_2
     are symmetric and G_1 is skew.  A product X G^T applies G to each row of X, so the
     sum is one row-by-row irfft of sum_k S_k sigma^-1/2 rfft(G_k C_k), and B is never built.
+    The rows go by blocks, read from circulant's strided views, so no G_k is stored, and
+    0.5 (A + A^T) is taken by blocks too.
     """
+    n = g.n
     r = _inverse_sqrt_symbol(g)
-    spec = 0.0
-    for sym, c in zip((g.d2_symbol * r, g.d1_symbol * r, r), weights):
-        spec = spec + sym * np.fft.rfft(circulant(g, sym) * c)
-    A = g.h * np.fft.irfft(spec, g.n)
-    return 0.5 * (A + A.T)
+    syms = (g.d2_symbol * r, g.d1_symbol * r, r)
+    gs = [circulant(g, sym) for sym in syms]
+    for i in range(0, n, _ROWS):
+        spec = 0.0
+        for sym, G, c in zip(syms, gs, weights):
+            spec = spec + sym * np.fft.rfft(G[i : i + _ROWS] * c)
+        out[i : i + _ROWS] = g.h * np.fft.irfft(spec, n)
+    # block i averages rows i.. with columns i..; earlier blocks are already symmetric
+    for i in range(0, n, _ROWS):
+        avg = 0.5 * (out[i : i + _ROWS, i:] + out[i:, i : i + _ROWS].T)
+        out[i : i + _ROWS, i:] = avg
+        out[i:, i : i + _ROWS] = avg.T
+    return out
 
 
 @dataclass
@@ -255,60 +272,71 @@ class CoercivityResult:
     lambda_min_raw: float  # smallest eigenvalue of the orthogonalized bare form
 
 
-def _restrict_to_complement(V: np.ndarray, X: np.ndarray, vec: np.ndarray):
-    """The symmetric X and vec in an orthonormal basis of the complement of V's columns.
+def _restrict_to_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The symmetric X in an orthonormal basis of the complement of V's columns, in place.
 
     The m Householder reflectors H = I - 2 v v^T of V's QR factorization give
     Q = H_1 ... H_m, whose first m columns span V's columns, so the trailing
-    (n - m) block of Q^T X Q is X on the complement.  Each H X H is the rank-two
-    update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v.  X and vec are overwritten.
+    block X[m:, m:] of Q^T X Q, which is returned, is X on the complement.  Each H X H
+    is the rank-two update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v, applied by
+    row blocks.  X may extend past V's rows, as a border does: v is zero there, so
+    the border b becomes H b.
     """
     qr = np.linalg.qr(V, mode="raw")[0].T  # numpy returns LAPACK geqrf's array transposed
     n, m = V.shape
     for k in range(m):
-        v = np.zeros(n)  # LAPACK stores H_k's vector as (0, ..., 0, 1, qr[k+1:, k])
+        v = np.zeros(len(X))  # LAPACK stores H_k's vector as (0, ..., 0, 1, qr[k+1:, k])
         v[k] = 1.0
-        v[k + 1 :] = qr[k + 1 :, k]
+        v[k + 1 : n] = qr[k + 1 :, k]
         v /= np.linalg.norm(v)
         Xv = X @ v
         w = 2.0 * Xv - 2.0 * (v @ Xv) * v
-        X -= np.outer(v, w)
-        X -= np.outer(w, v)
-        vec -= 2.0 * (v @ vec) * v
-    return X[m:, m:], vec[m:]
+        for i in range(0, len(X), _ROWS):
+            X[i : i + _ROWS] -= v[i : i + _ROWS, None] * w
+            X[i : i + _ROWS] -= w[i : i + _ROWS, None] * v
+    return X[m:, m:]
 
 
-def _restricted_forms(obj: WaveObject, p: LyapunovParams, j: int, g: Grid):
-    """(Ar, pr): W A W and W P for the matrix A of quadratic_form_H at t = 0, the penalty
-    vector P and W = B^-1/2 (_form_matrix), restricted to the discrete-L^2 complement of
-    W V, V the m <= 2 modulation directions.  x = W y is orthogonal to V exactly when y
-    is orthogonal to W V.  Needs Phi_j = 1.
-    """
+def _bordered_form(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> np.ndarray:
+    """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of
+    quadratic_form_H at t = 0, the penalty vector P and W = B^-1/2 (_form_matrix)."""
+    n = g.n
     phi = p.fam.weight(j, 0.0, g.x)
     pv = eval_object(obj, 0.0, g.x)
-    A = _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g)
-    dirs = _apply_inverse_sqrt(g, modulation_directions(obj, (), 0.0, g))
-    return _restrict_to_complement(dirs.T, A, _apply_inverse_sqrt(g, pv))
+    M = np.empty((n + 1, n + 1))
+    _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g, M[:n, :n])
+    M[n, :n] = M[:n, n] = g.h * _apply_inverse_sqrt(g, pv)
+    M[n, n] = 0.0
+    return M
 
 
-def _certified_mu(lam: np.ndarray, z2: np.ndarray, h: float) -> float:
-    """mu*, the largest mu with D + s z z^T >= 0, s = h^2/mu, D = diag(lam - mu), lam ascending.
-
-    Its eigenvalues interlace those of D, so mu <= lam[0] passes and mu > lam[1] fails.
-    In between, det(D + s z z^T) = det(D) (1 + s z^T D^-1 z) (Golub, SIAM Rev. 15, 1973)
-    makes the test mu f(mu) = mu + h^2 sum z_i^2 / (lam_i - mu) <= 0; mu f increases
-    there, so mu* is its root, found by bisection (Bunch, Nielsen & Sorensen, Numer. Math.
-    31, 1978).  mu f, since h^2/mu overflows for tiny mu.  Below eigh's backward error
-    n eps max|lam|, mu* is noise and reads 0.
+def _restricted_forms(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> np.ndarray:
+    """[[Ar, h pr], [h pr^T, 0]]: _bordered_form restricted to the discrete-L^2 complement
+    of W V, V the m <= 2 modulation directions, so Ar = W A W and pr = W P there.
+    x = W y is orthogonal to V exactly when y is orthogonal to W V.  Needs Phi_j = 1.
     """
+    M = _bordered_form(obj, p, j, g)
+    dirs = _apply_inverse_sqrt(g, modulation_directions(obj, (), 0.0, g))
+    return _restrict_to_complement(dirs.T, M)
+
+
+def _certify(M: np.ndarray) -> CoercivityResult:
+    """mu* and lambda_min_raw from the bordered matrix M = [[Ar, h pr], [h pr^T, 0]].
+
+    For mu > 0, the Schur complement of the corner -mu in M - mu I is
+    S(mu) = Ar - mu I + (h^2/mu) pr pr^T, and Haynsworth's inertia formula (Linear
+    Algebra Appl. 1, 1968) gives neg(M - mu I) = 1 + neg(S(mu)).  M's smallest
+    eigenvalue is at most its zero corner, so S(mu) >= 0 exactly when mu <= theta_1,
+    M's second-smallest eigenvalue: mu* = theta_1.  Below eigvalsh's backward error
+    N eps max|lam|, lam the N eigenvalues of Ar, mu* is noise and reads 0.
+    """
+    try:
+        lam = np.linalg.eigvalsh(M[:-1, :-1])
+        theta = float(np.linalg.eigvalsh(M)[1])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(str(exc)) from exc
     floor = len(lam) * np.finfo(float).eps * np.max(np.abs(lam))
-    lo, hi = max(float(lam[0]), 0.0), float(lam[1])
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if mid + h**2 * np.sum(z2 / (lam - mid)) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo >= floor else 0.0
+    return CoercivityResult(theta if theta >= floor else 0.0, float(lam[0]))
 
 
 def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> CoercivityResult:
@@ -319,21 +347,16 @@ def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> Coe
 
     With Phi_j = 1 (j = J), B is the circulant of sigma = h (1 + |S1|^2 + |S2|^2), and
     x = W y, W = B^-1/2 the circulant of sigma^-1/2, turns the pencil into the standard
-    problem for Ar = W A W on the complement of W V (_restricted_forms), with penalty
-    vector pr = W P; by Courant-Fischer its eigenvalues are the pencil's.  One
-    eigendecomposition Ar Y = Y diag(lam) then leaves diag(lam - mu) + (h^2/mu) z z^T,
-    z = Y^T pr, for _certified_mu.
+    problem for Ar = W A W on the complement of W V, with penalty vector pr = W P; by
+    Courant-Fischer its eigenvalues are the pencil's.  Then mu* is an eigenvalue of the
+    bordered matrix [[Ar, h pr], [h pr^T, 0]] (_certify), which is assembled and
+    restricted in one (n + 1)^2 array (_restricted_forms); no eigenvector is formed.
     """
     if j != p.fam.J:
         raise ValueError(f"coercivity check needs Phi_j = 1, so j = J = {p.fam.J}; got j = {j}")
     if g.n > 4096:
         raise ValueError("dense eigensolve limited to n <= 4096")
-    Ar, pr = _restricted_forms(obj, p, j, g)
-    try:
-        lam, Y = np.linalg.eigh(Ar)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    return CoercivityResult(_certified_mu(lam, (Y.T @ pr) ** 2, g.h), float(lam[0]))
+    return _certify(_restricted_forms(obj, p, j, g))
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mkdvlab import evolution
 from mkdvlab.errors import BlowUp
 from mkdvlab.evolution import (
     EvolutionControls,
@@ -174,6 +175,32 @@ def test_stepper_matches_reference_krogstad_step():
         fast = stepper.step(fast)
     u_ref, u_fast = np.fft.irfft(ref, g.n), np.fft.irfft(fast, g.n)
     assert np.max(np.abs(u_fast - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+
+
+def _phi_functions_at_once(z):
+    """_phi_functions with every point in one (len(z), 64) block."""
+    r = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    zr = z[:, None] + r[None, :]
+    ez = np.exp(zr)
+    p1 = np.mean((ez - 1.0) / zr, axis=1)
+    p2 = np.mean((ez - 1.0 - zr) / zr**2, axis=1)
+    p3 = np.mean((ez - 1.0 - zr - zr**2 / 2.0) / zr**3, axis=1)
+    return p1, p2, p3
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_blocked_phi_functions_keep_the_coefficient_bits(n, monkeypatch):
+    # each point's contour mean is reduced on its own, so building the
+    # phi-functions by blocks of points moves no bit of the nine coefficients
+    g = make_grid(100.0, n)
+    names = ("a21", "a31", "a32", "a41", "a43", "b1", "b2", "b3", "b4")
+    for dt in (5e-4, 1e-3, 2e-3):
+        blocked = _Stepper(g, dt)
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_phi_functions", _phi_functions_at_once)
+            ref = _Stepper(g, dt)
+        for name in names:
+            assert np.array_equal(getattr(blocked, name), getattr(ref, name)), name
 
 
 def test_stepper_step_is_pure(grid):

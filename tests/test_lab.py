@@ -156,6 +156,10 @@ def test_fit_exponential_rate_exact():
     assert fit.varpi == pytest.approx(0.7, abs=1e-10)
     assert fit.C == pytest.approx(3.0, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit.samples == 50
+    # two samples fix the line, so r^2 is 1 whatever they are: the count tells
+    two = fit_exponential_rate(t, np.exp(t), (9.7, 10.0))
+    assert two.samples == 2 and two.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_exponential_rate_floor_limited():
@@ -336,6 +340,7 @@ def test_flagship_per_snapshot_summaries():
         "varpi": 0.010442315138530934,
         "C": 0.0021612573649231687,
         "r_squared": 0.9999999003441417,
+        "fit_samples": 31,
         "fit_window": [0.005, 0.02],
         "varpi_calibrated": 0.0125,
         "scalar_product": {
@@ -844,7 +849,7 @@ def test_rate_fit_fails_where_the_residual_cannot_decay(tmp_path, capsys):
     assert summary["passed"] is False
     assert summary["fit_window"] == [1.0, 4.0]
     t = np.loadtxt(tmp_path / "rate-fit-rate.dat")[:, 0]
-    assert np.sum(t >= 1.0) == 16
+    assert np.sum(t >= 1.0) == summary["fit_samples"] == 16
     assert -1e-5 < summary["varpi"] < 0.0
     assert summary["r_squared"] < 0.6
 
@@ -872,11 +877,11 @@ def test_coercivity_certifies_a_slow_soliton(tmp_path, capsys):
 
 def test_coercivity_reports_a_failed_eigensolve(tmp_path, capsys, monkeypatch):
     # the eigensolver raising LinAlgError, as LAPACK's syevd does when it does not
-    # converge; a NaN matrix would not do, as eigh returns NaN eigenvalues for it
+    # converge; a NaN matrix would not do, as eigvalsh returns NaN eigenvalues for it
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     s = parse_scenario(MINIMAL)
     (o,) = s.cfg.objects
     p1 = lyapunov.select_parameters(s.cfg, s.sigma, override=True)

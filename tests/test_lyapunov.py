@@ -1,5 +1,6 @@
 """Parameter selection, Lyapunov/weakened functionals, coercivity, reports."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from mkdvlab.functionals import energy, localized_triple, mass, second_energy
 from mkdvlab.grid import circulant, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
-    _apply_inverse_sqrt,
-    _certified_mu,
+    _bordered_form,
+    _certify,
     _form_matrix,
     _inverse_sqrt_symbol,
     _restrict_to_complement,
@@ -188,7 +189,7 @@ def test_form_matrix_matches_quadratic_form_H(obj):
     weights = _second_variation_weights(
         prof.values, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g
     )
-    A = _form_matrix(weights, g)
+    A = _form_matrix(weights, g, np.empty((g.n, g.n)))
     rng = np.random.default_rng(11)
     w = np.exp(-(g.x**2) / 25) * rng.standard_normal(g.n)
     y = np.fft.irfft(np.fft.rfft(w) / _inverse_sqrt_symbol(g), g.n)
@@ -252,7 +253,26 @@ def test_form_matrix_matches_dense_products(obj):
     ref = W @ A @ W
     phi = p.fam.weight(1, 0.0, g.x)
     weights = _second_variation_weights(eval_object(obj, 0.0, g.x), phi, *shape_pair(obj), g)
-    assert np.max(np.abs(_form_matrix(weights, g) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    A = _form_matrix(weights, g, np.empty((g.n, g.n)))
+    assert np.max(np.abs(A - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_form_matrix_blocks_keep_the_bits(n):
+    # the assembly by row blocks from circulant views against all rows at once
+    # from dense circulants: each row's transforms and sums are the same, and
+    # 0.5 (a + b) = 0.5 (b + a) exactly, so not one bit may move
+    obj = Breather(1.0, 1.0)
+    g, p = _coercivity_setup(obj, n)
+    weights = _second_variation_weights(
+        eval_object(obj, 0.0, g.x), p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g
+    )
+    r = _inverse_sqrt_symbol(g)
+    spec = 0.0
+    for sym, c in zip((g.d2_symbol * r, g.d1_symbol * r, r), weights):
+        spec = spec + sym * np.fft.rfft(np.array(circulant(g, sym)) * c)
+    A = g.h * np.fft.irfft(spec, g.n)
+    assert np.array_equal(_form_matrix(weights, g, np.empty((n, n))), 0.5 * (A + A.T))
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
@@ -265,8 +285,9 @@ def test_reflector_restriction_matches_null_space_basis(obj):
     # (relative, c = 1), margins of 126 and 4 under the bounds
     g, p = _coercivity_setup(obj)
     m = len(modulation_directions(obj, (), 0.0, g))
-    Ar, pr = _restricted_forms(obj, p, 1, g)
-    assert Ar.shape == (g.n - m,) * 2
+    M = _restricted_forms(obj, p, 1, g)
+    assert M.shape == (g.n - m + 1,) * 2 and M[-1, -1] == 0.0
+    Ar, pr = M[:-1, :-1], M[-1, :-1] / g.h
     ref_Ar, ref_Br, ref_pr = _null_space_pencil(obj, p, g)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(Ar)[:5],
@@ -279,8 +300,8 @@ def test_reflector_restriction_matches_null_space_basis(obj):
 
 
 def test_restriction_to_complement_on_random_data():
-    # a vector with a component along the directions, which the profiles' own
-    # penalty vectors (orthogonal to their derivatives) never have
+    # a border vector with a component along the directions, which the profiles'
+    # own penalty vectors (orthogonal to their derivatives) never have
     rng = np.random.default_rng(4)
     n = 64
     V = rng.standard_normal((n, 2))
@@ -289,7 +310,10 @@ def test_restriction_to_complement_on_random_data():
     vec = rng.standard_normal(n)
     basis = scipy.linalg.null_space(V.T)
     ref_X, ref_vec = basis.T @ X @ basis, basis.T @ vec
-    Xr, vr = _restrict_to_complement(V, X.copy(), vec.copy())
+    bordered = np.block([[X, vec[:, None]], [vec[None, :], np.zeros((1, 1))]])
+    out = _restrict_to_complement(V, bordered)
+    assert out.shape == (n - 1, n - 1) and out[-1, -1] == 0.0
+    Xr, vr = out[:-1, :-1], out[-1, :-1]
     np.testing.assert_allclose(np.linalg.eigvalsh(Xr), np.linalg.eigvalsh(ref_X), atol=1e-12)
     np.testing.assert_allclose(
         [vr @ vr, vr @ Xr @ vr], [ref_vec @ ref_vec, ref_vec @ ref_X @ ref_vec], rtol=1e-12
@@ -331,6 +355,32 @@ def test_coercivity_mu_matches_per_mu_eigensolves(obj):
         assert gaps[0] > 0 > gaps[1]
 
 
+def _secular_mu(lam, z2, h):
+    """mu* by bisection on the secular equation, an oracle for the bordered eigenvalue.
+
+    mu* is the largest mu with D + s z z^T >= 0, s = h^2/mu, D = diag(lam - mu), lam
+    ascending.  Its eigenvalues interlace those of D, so mu <= lam[0] passes and
+    mu > lam[1] fails.  In between, det(D + s z z^T) = det(D) (1 + s z^T D^-1 z)
+    (Golub, SIAM Rev. 15, 1973) makes the test mu + h^2 sum z_i^2 / (lam_i - mu) <= 0,
+    whose left side increases there, so mu* is its root (Bunch, Nielsen & Sorensen,
+    Numer. Math. 31, 1978).  Below n eps max|lam| it reads 0, as the check's does.
+    """
+    floor = len(lam) * np.finfo(float).eps * np.max(np.abs(lam))
+    lo, hi = max(float(lam[0]), 0.0), float(lam[1])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid + h**2 * np.sum(z2 / (lam - mid)) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo >= floor else 0.0
+
+
+def _secular_oracle(M, h):
+    """_secular_mu on the eigendecomposition of the bordered matrix's leading block."""
+    lam, Y = np.linalg.eigh(M[:-1, :-1])
+    return _secular_mu(lam, (Y.T @ (M[-1, :-1] / h)) ** 2, h), lam[0]
+
+
 @pytest.mark.parametrize(
     "obj, n",
     [(o, n) for n in (256, 512) for o in OBJECTS] + [(Breather(1.0, 1.0), 1024)],
@@ -339,7 +389,7 @@ def test_coercivity_mu_matches_per_mu_eigensolves(obj):
 def test_coercivity_matches_scipy_generalized_eigh(obj, n):
     # scipy's LAPACK sygvd on the original pencil, restricted by a null-space
     # basis, as an independent oracle for the symbol reduction, with mu* read by
-    # the same bisection.  lambda_min_raw differed by at most 3.5e-11 at n <= 512
+    # the secular bisection.  lambda_min_raw differed by at most 3.5e-11 at n <= 512
     # and by 5.5e-10 for the breather at n = 1024, a margin of 1.8 under the bound
     # 1e-9; that gap is the oracle's: with its dense products accumulated in long
     # double it fell to 3.8e-11.  mu* differed by at most 1.5e-10 relative at
@@ -350,26 +400,90 @@ def test_coercivity_matches_scipy_generalized_eigh(obj, n):
     lam, Q = scipy.linalg.eigh(Ar, Br)
     res = coercivity_check(obj, p, 1, g)
     assert abs(res.lambda_min_raw - lam[0]) < 1e-9
-    ref = _certified_mu(lam, (Q.T @ pr) ** 2, g.h)
+    ref = _secular_mu(lam, (Q.T @ pr) ** 2, g.h)
     assert res.mu == pytest.approx(ref, rel=1e-9 if n <= 512 else 1e-8)
     assert res.mu > 0
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
-def test_unconstrained_form_certifies_nothing(obj):
-    # without the orthogonality constraints at least two eigenvalues of the bare
-    # form W A W lie within round-off of 0 or below (at n = 256: -4.3e-16 and
-    # -5.1e-17 for c = 1, -9.7e-8 and 1.2e-7 for the under-resolved c = 4, -0.18,
-    # -1.2e-6 and 6e-10 for the breather), and the rank-one penalty W P lifts at
-    # most one of them.  At n = 512 the c = 1 pair is 2.6e-17 and 1.0e-16, so
-    # without the noise floor n eps max|lam| (1.4e-13 there) mu* would be 2.6e-17
+def test_bordered_eigenvalue_matches_secular_bisection(obj):
+    # theta_1 of the bordered matrix against the secular root of the same matrix's
+    # eigendecomposition: mu* differed by at most 5.9e-14 relative (the breather at
+    # n = 256), a margin of 17 under 1e-12, and lambda_min_raw by at most 3.6e-15,
+    # a margin of 28 under 1e-13
     for n in (256, 512):
         g, p = _coercivity_setup(obj, n)
-        pv = eval_object(obj, 0.0, g.x)
-        weights = _second_variation_weights(pv, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g)
-        lam, Y = np.linalg.eigh(_form_matrix(weights, g))
-        assert lam[0] <= 1e-6
-        assert _certified_mu(lam, (Y.T @ _apply_inverse_sqrt(g, pv)) ** 2, g.h) == 0.0
+        M = _restricted_forms(obj, p, 1, g)
+        ref_mu, ref_lam = _secular_oracle(M, g.h)
+        res = _certify(M)
+        assert res.mu == pytest.approx(ref_mu, rel=1e-12) and res.mu > 0
+        assert abs(res.lambda_min_raw - ref_lam) < 1e-13
+
+
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
+def test_unconstrained_form_certifies_nothing(obj):
+    # without the orthogonality constraints at least two eigenvalues of the bare
+    # form W A W lie within round-off of 0 or below (at n = 256: -3.5e-16 and
+    # -9.8e-17 for c = 1, -9.7e-8 and 1.2e-7 for the under-resolved c = 4, -0.18,
+    # -1.2e-6 and 6e-10 for the breather), and the rank-one penalty W P lifts at
+    # most one of them.  theta_1 of the bare bordered matrix is round-off or below
+    # (at n = 512: 4.4e-16 for c = 1, 1.9e-15 for c = 4, 2.4e-16 for the breather),
+    # so without the noise floor n eps max|lam| (1.4e-13 to 2.3e-12 there) mu* would
+    # be positive.  The secular bisection agrees
+    for n in (256, 512):
+        g, p = _coercivity_setup(obj, n)
+        M = _bordered_form(obj, p, 1, g)
+        res = _certify(M)
+        assert res.lambda_min_raw <= 1e-6
+        assert res.mu == 0.0
+        assert _secular_oracle(M, g.h)[0] == 0.0
+
+
+@pytest.mark.parametrize("J", [1, 2, 3])
+def test_bordered_inertia_rule_on_random_data(J):
+    # M = [[Ar, h P], [h P^T, 0_J]] with a rank-J penalty: Haynsworth's inertia
+    # formula makes (0, theta_J] the certified set, theta_J M's (J+1)-th smallest
+    # eigenvalue, so lambda_min(Ar + (h^2/mu) P P^T) - mu changes sign there.  Ar has
+    # J negative eigenvalues and P nearly spans their eigenvectors.  For J = 1, 2, 3,
+    # 11, 8 and 7 of the 20 cases have theta_J > 0, where the gaps at
+    # theta_J (1 -+ 1e-6) measured at least 1.0e-6 theta_J in size (1.2e-9 or more);
+    # in the others no mu > 0 passes (gaps -0.028 or below at mu = 1e-6, 1e-3 and 1)
+    rng = np.random.default_rng(16 + J)
+    n = 40
+    positive = 0
+    for _ in range(20):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = np.sort(rng.uniform(0.1, 2.0, n))
+        lam[:J] = -rng.uniform(0.1, 1.0, J)
+        Ar = (Q * lam) @ Q.T
+        P = Q[:, :J] @ rng.standard_normal((J, J)) + 0.1 * rng.standard_normal((n, J))
+        h = rng.uniform(0.05, 0.5)
+        theta = np.linalg.eigvalsh(np.block([[Ar, h * P], [h * P.T, np.zeros((J, J))]]))[J]
+
+        def gap(mu):
+            return np.linalg.eigvalsh(Ar + (h**2 / mu) * P @ P.T)[0] - mu
+
+        if theta > 0:
+            positive += 1
+            assert gap(theta * (1 - 1e-6)) >= 0 > gap(theta * (1 + 1e-6))
+        else:
+            assert all(gap(mu) < 0 for mu in (1e-6, 1e-3, 1.0))
+    assert 0 < positive < 20
+
+
+def test_coercivity_check_holds_one_matrix():
+    # the bordered matrix at n = 1024 is 8.4 MB; the traced peak of the check
+    # measured 11.8 MB, against 25.4 MB when it held the eigenvectors and dense
+    # circulant copies, and the bound 16 MB sits between the two.  eigvalsh's
+    # LAPACK copy is allocated outside numpy's arrays and does not show here
+    g, p = _coercivity_setup(Breather(1.0, 1.0), 1024)
+    tracemalloc.start()
+    try:
+        coercivity_check(Breather(1.0, 1.0), p, 1, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_coercivity_rejects_oversized_grid():

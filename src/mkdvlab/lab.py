@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -135,10 +135,23 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-_OBJECT_FIELDS = {  # (required, optional) per kind
-    "soliton": (("kind", "c"), ("kappa", "x0")),
-    "breather": (("kind", "alpha", "beta"), ("x1", "x2")),
-}
+# by a field's annotation, a string under `from __future__ import annotations`
+_READERS = {"float": _number, "int": _integer}
+
+
+def _build(cls, node, where: str):
+    """cls from the mapping node, whose keys are cls's dataclass fields.
+
+    A field without a default is required, an absent optional one takes its
+    default, and any other key is invalid input.
+    """
+    fs = fields(cls)
+    _fields(node, [f.name for f in fs if f.default is MISSING], [f.name for f in fs], where)
+    present = [f for f in fs if f.name in node]
+    return cls(**{f.name: _READERS[f.type](node[f.name], f"{where}.{f.name}") for f in present})
+
+
+_OBJECT_KINDS = {"soliton": Soliton, "breather": Breather}
 
 
 def _parse_object(entry, index: int):
@@ -146,21 +159,10 @@ def _parse_object(entry, index: int):
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be a mapping")
     kind = entry.get("kind")
-    if kind not in _OBJECT_FIELDS:
+    # the str test first: a list or a mapping is unhashable, so no dict key
+    if not isinstance(kind, str) or kind not in _OBJECT_KINDS:
         raise ValueError(f"{where}.kind must be 'soliton' or 'breather', got {kind!r}")
-    _fields(entry, *_OBJECT_FIELDS[kind], where)
-    if kind == "soliton":
-        return Soliton(
-            c=_number(entry["c"], f"{where}.c"),
-            kappa=_integer(entry.get("kappa", 1), f"{where}.kappa"),
-            x0=_number(entry.get("x0", 0.0), f"{where}.x0"),
-        )
-    return Breather(
-        alpha=_number(entry["alpha"], f"{where}.alpha"),
-        beta=_number(entry["beta"], f"{where}.beta"),
-        x1=_number(entry.get("x1", 0.0), f"{where}.x1"),
-        x2=_number(entry.get("x2", 0.0), f"{where}.x2"),
-    )
+    return _build(_OBJECT_KINDS[kind], {k: v for k, v in entry.items() if k != "kind"}, where)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -171,16 +173,8 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(objs, list) or not objs:
         raise ValueError("objects must be a non-empty list")
     cfg = order_and_validate([_parse_object(o, i) for i, o in enumerate(objs)])
-    gspec = _fields(doc["grid"], ("half_length", "n"), (), "grid")
-    g = make_grid(
-        _number(gspec["half_length"], "grid.half_length"), _integer(gspec["n"], "grid.n")
-    )
-    espec = _fields(doc["evolution"], ("dt", "t_end"), ("save_every",), "evolution")
-    controls = EvolutionControls(
-        dt=_number(espec["dt"], "evolution.dt"),
-        t_end=_number(espec["t_end"], "evolution.t_end"),
-        save_every=_integer(espec.get("save_every", 1), "evolution.save_every"),
-    )
+    g = _build(Grid, doc["grid"], "grid")
+    controls = _build(EvolutionControls, doc["evolution"], "evolution")
     sigma = _number(doc.get("sigma", 0.01), "sigma")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -202,27 +196,17 @@ def parse_scenario(text: str) -> Scenario:
     return s
 
 
-def _object_record(o) -> dict:
-    if isinstance(o, Soliton):
-        return {"kind": "soliton", "c": o.c, "kappa": o.kappa, "x0": o.x0}
-    return {"kind": "breather", "alpha": o.alpha, "beta": o.beta, "x1": o.x1, "x2": o.x2}
-
-
 def resolved_config(s: Scenario) -> dict:
     """Every derived constant the experiment will consume, for reproducibility."""
     record = {
         "name": s.name,
-        "objects": [_object_record(o) for o in s.cfg.objects],
+        "objects": [{"kind": type(o).__name__.lower(), **asdict(o)} for o in s.cfg.objects],
         "velocities": list(s.cfg.velocities),
         "shape_pairs": [list(p) for p in s.cfg.shape_pairs()],
         "positive_v1": s.cfg.positive_v1,
         "positive_v2": s.cfg.positive_v2,
-        "grid": {"half_length": s.grid.half_length, "n": s.grid.n},
-        "evolution": {
-            "dt": s.controls.dt,
-            "t_end": s.controls.t_end,
-            "save_every": s.controls.save_every,
-        },
+        "grid": asdict(s.grid),
+        "evolution": asdict(s.controls),
         "sigma": s.sigma,
         "seed": s.seed,
     }

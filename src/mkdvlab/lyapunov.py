@@ -179,7 +179,7 @@ def weakened_F(u: Field, j: int, p: LyapunovParams, t: float, nu: float | None =
 
 
 def _second_variation_weights(
-    pv: np.ndarray, phi: np.ndarray, a: float, b: float, g: Grid
+    pv: np.ndarray, phi: np.ndarray | float, a: float, b: float, g: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights (c2, c1, c0) of the second variation int c2 w_xx^2 + c1 w_x^2 + c0 w^2.
 
@@ -297,25 +297,25 @@ def _restrict_to_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X[m:, m:]
 
 
-def _bordered_form(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> np.ndarray:
+def _bordered_form(obj: WaveObject, g: Grid) -> np.ndarray:
     """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of
-    quadratic_form_H at t = 0, the penalty vector P and W = B^-1/2 (_form_matrix)."""
+    quadratic_form_H at t = 0 with Phi_j = 1, the penalty vector P and W = B^-1/2
+    (_form_matrix)."""
     n = g.n
-    phi = p.fam.weight(j, 0.0, g.x)
     pv = eval_object(obj, 0.0, g.x)
     M = np.empty((n + 1, n + 1))
-    _form_matrix(_second_variation_weights(pv, phi, *shape_pair(obj), g), g, M[:n, :n])
+    _form_matrix(_second_variation_weights(pv, 1.0, *shape_pair(obj), g), g, M[:n, :n])
     M[n, :n] = M[:n, n] = g.h * _apply_inverse_sqrt(g, pv)
     M[n, n] = 0.0
     return M
 
 
-def _restricted_forms(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> np.ndarray:
+def _restricted_forms(obj: WaveObject, g: Grid) -> np.ndarray:
     """[[Ar, h pr], [h pr^T, 0]]: _bordered_form restricted to the discrete-L^2 complement
     of W V, V the m <= 2 modulation directions, so Ar = W A W and pr = W P there.
-    x = W y is orthogonal to V exactly when y is orthogonal to W V.  Needs Phi_j = 1.
+    x = W y is orthogonal to V exactly when y is orthogonal to W V.
     """
-    M = _bordered_form(obj, p, j, g)
+    M = _bordered_form(obj, g)
     dirs = _apply_inverse_sqrt(g, modulation_directions(obj, (), 0.0, g))
     return _restrict_to_complement(dirs.T, M)
 
@@ -356,7 +356,7 @@ def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> Coe
         raise ValueError(f"coercivity check needs Phi_j = 1, so j = J = {p.fam.J}; got j = {j}")
     if g.n > 4096:
         raise ValueError("dense eigensolve limited to n <= 4096")
-    return _certify(_restricted_forms(obj, p, j, g))
+    return _certify(_restricted_forms(obj, g))
 
 
 @dataclass

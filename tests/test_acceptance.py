@@ -263,7 +263,7 @@ def test_A7_coercivity():
     start = time.perf_counter()
     res = coercivity_check(cfg.objects[0], p, 1, g)
     # the bare form W A W and penalty W P without the orthogonality constraints
-    free = _certify(_bordered_form(cfg.objects[0], p, 1, g))
+    free = _certify(_bordered_form(cfg.objects[0], g))
     elapsed = time.perf_counter() - start
     # the translation direction is a discrete zero mode of the bare form
     ok = res.mu > 0 and free.lambda_min_raw <= 1e-6 and free.mu == 0.0 and elapsed < 60.0

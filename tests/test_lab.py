@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,8 +33,9 @@ from mkdvlab.lab import (
     run_experiment,
     write_report,
 )
-from mkdvlab.grid import make_field, make_grid
-from mkdvlab.profiles import Soliton, order_and_validate, profile_sum
+from mkdvlab.evolution import EvolutionControls
+from mkdvlab.grid import Grid, make_field, make_grid
+from mkdvlab.profiles import Breather, Soliton, order_and_validate, profile_sum
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
 
@@ -147,6 +148,43 @@ def test_shipped_scenarios_parse(name):
         with open(SCENARIOS + name) as f:
             text = f.read()
     parse_scenario(text)
+
+
+# every optional key left out, of the objects of both kinds and of the scenario
+BARE = """
+name: bare
+objects:
+  - {kind: breather, alpha: 1.0, beta: 1.0}
+  - {kind: soliton, c: 1.0}
+grid: {half_length: 60.0, n: 1024}
+evolution: {dt: 1.0e-3, t_end: 0.1}
+"""
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".yaml")) + ["bare"]
+)
+def test_resolved_config_parses_back_to_its_scenario(name):
+    # the schema sections of resolved-config.json, defaults written out, are a
+    # scenario of their own that parses to the same objects, grid and controls
+    if name == "bare":
+        text = BARE
+    else:
+        with open(SCENARIOS + name) as f:
+            text = f.read()
+    s = parse_scenario(text)
+    record = json.loads(s.config_text)
+    keys = ("name", "objects", "grid", "evolution", "sigma", "seed")
+    back = parse_scenario(yaml.safe_dump({k: record[k] for k in keys}))
+    assert (back.cfg, back.grid, back.controls) == (s.cfg, s.grid, s.controls)
+    assert (back.sigma, back.seed) == (s.sigma, s.seed)
+
+
+@pytest.mark.parametrize("cls", [Soliton, Breather, Grid, EvolutionControls])
+def test_every_schema_field_has_a_reader(cls):
+    # a scenario section is read off its dataclass's fields by annotation, so a
+    # field whose annotation has no reader would fail on the first scenario
+    assert all(f.type in lab._READERS for f in fields(cls))
 
 
 def test_fit_exponential_rate_exact():
@@ -665,6 +703,21 @@ def test_cli_pass_exit_code(tmp_path):
     assert main(["verify-exact", "--scenario", path]) == 0
 
 
+def test_cli_verify_exact_fails_on_an_unresolved_breather(tmp_path, capsys):
+    # breather(1, 1) on [-50, 50) with n = 1024 leaves a residual of 2.1e-6 at
+    # t = 0, 21 times RESIDUAL_TOL = 1e-7; at n = 2048 it is 3.7e-11, a margin
+    # of 2.7e3 under it
+    argv = ["verify-exact", "--scenario", SCENARIOS + "single-breather.yaml"]
+    argv += ["--override", "grid.half_length=50", "--out", str(tmp_path)]
+    assert main(argv + ["--override", "grid.n=1024"]) == 1
+    assert capsys.readouterr().out == "verify-exact: FAIL\n"
+    summary = json.loads((tmp_path / "verify-exact-summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["worst"] > 10 * lab.RESIDUAL_TOL
+    assert main(argv + ["--override", "grid.n=2048"]) == 0
+    assert capsys.readouterr().out == "verify-exact: PASS\n"
+
+
 def test_cli_invalid_scenario_exit_code(tmp_path):
     path = _write(tmp_path, MINIMAL.replace("c: 1.0", "c: -1.0"))
     assert main(["verify-exact", "--scenario", path]) == 2
@@ -770,6 +823,7 @@ def test_cli_fractional_integer_field_is_invalid_input(tmp_path, capsys, field, 
         ("objects.0.kappa=true", "objects[0].kappa must be a number, got True"),
         ("evolution.save_every=true", "evolution.save_every must be a number, got True"),
         ("grid={n: 1024}", "grid missing required fields ['half_length']"),
+        ("objects.0.kind=[1]", "objects[0].kind must be 'soliton' or 'breather', got [1]"),
         ("seed=-1", "seed must be non-negative, got -1"),
         ("name=null", "name must be a non-empty string, got None"),
         ("name=[1]", "name must be a non-empty string, got [1]"),
@@ -959,11 +1013,15 @@ _VALUE = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-_BASE = yaml.safe_load(MINIMAL)
+_BASE = yaml.safe_load(BARE)
+# every key of every section, read off the dataclasses that section builds; an
+# object's keys go to both objects, the breather and the soliton
 _PATHS = [
-    "name", "objects", "objects.0", "objects.0.c", "objects.0.kind", "objects.1.c",
-    "objects.x", "grid", "grid.n", "grid.half_length", "grid.n.x", "evolution.dt",
-    "evolution.t_end", "sigma", "seed", "name.x", "",
+    "name", "objects", "objects.0", "objects.0.kind", "objects.1.kind", "objects.2.c",
+    "objects.x", "grid", "grid.n.x", "evolution", "sigma", "seed", "name.x", "",
+    *(f"objects.{i}.{f.name}" for i in (0, 1) for cls in (Soliton, Breather) for f in fields(cls)),
+    *(f"grid.{f.name}" for f in fields(Grid)),
+    *(f"evolution.{f.name}" for f in fields(EvolutionControls)),
 ]
 
 

@@ -285,7 +285,7 @@ def test_reflector_restriction_matches_null_space_basis(obj):
     # (relative, c = 1), margins of 126 and 4 under the bounds
     g, p = _coercivity_setup(obj)
     m = len(modulation_directions(obj, (), 0.0, g))
-    M = _restricted_forms(obj, p, 1, g)
+    M = _restricted_forms(obj, g)
     assert M.shape == (g.n - m + 1,) * 2 and M[-1, -1] == 0.0
     Ar, pr = M[:-1, :-1], M[-1, :-1] / g.h
     ref_Ar, ref_Br, ref_pr = _null_space_pencil(obj, p, g)
@@ -412,8 +412,8 @@ def test_bordered_eigenvalue_matches_secular_bisection(obj):
     # n = 256), a margin of 17 under 1e-12, and lambda_min_raw by at most 3.6e-15,
     # a margin of 28 under 1e-13
     for n in (256, 512):
-        g, p = _coercivity_setup(obj, n)
-        M = _restricted_forms(obj, p, 1, g)
+        g, _ = _coercivity_setup(obj, n)
+        M = _restricted_forms(obj, g)
         ref_mu, ref_lam = _secular_oracle(M, g.h)
         res = _certify(M)
         assert res.mu == pytest.approx(ref_mu, rel=1e-12) and res.mu > 0
@@ -431,8 +431,8 @@ def test_unconstrained_form_certifies_nothing(obj):
     # so without the noise floor n eps max|lam| (1.4e-13 to 2.3e-12 there) mu* would
     # be positive.  The secular bisection agrees
     for n in (256, 512):
-        g, p = _coercivity_setup(obj, n)
-        M = _bordered_form(obj, p, 1, g)
+        g, _ = _coercivity_setup(obj, n)
+        M = _bordered_form(obj, g)
         res = _certify(M)
         assert res.lambda_min_raw <= 1e-6
         assert res.mu == 0.0

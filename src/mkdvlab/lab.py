@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 
@@ -110,28 +111,35 @@ def _fields(node, required, optional, where: str) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """A finite real scenario field; a boolean is invalid input, not 0 or 1."""
+    """A finite real scenario field, possibly written as a string such as '1e-3'.
+
+    A boolean is invalid input, not 0 or 1; so is a list, a mapping or a
+    string that is no number, and the message names the field.
+    """
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value}")
     try:
         value = float(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
 def _integer(value, name: str) -> int:
-    """A whole-number scenario field: an int or an integral float such as 4096.0.
+    """A whole-number scenario field: an int, or a number `_number` reads that is whole.
 
-    A fraction is invalid input, never truncated; so is an infinity, a NaN
-    or a boolean.
+    4096.0 and '1e3' are whole; a fraction is invalid input, never truncated,
+    and so is anything `_number` refuses.
     """
-    if isinstance(value, (bool, float)):
-        value = _number(value, name)
-        if not value.is_integer():
-            raise ValueError(f"{name} must be a whole number, got {value}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    value = _number(value, name)
+    if not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
     return int(value)
 
 
@@ -273,12 +281,17 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
 def localized_bump(g: Grid, seed: int, center: float) -> Field:
     """Seeded smooth localized perturbation: a height-1e-3 Gaussian, jittered center/width.
 
+    The seed draws the Gaussian's centre uniformly in [center - 2, center + 2)
+    and its standard deviation in [1.5, 3).
+
     The distance to the center is periodic, x - x0 wrapped into [-L, L), so a bump
     near the edge of the domain continues across it instead of jumping there.
     """
-    rng = np.random.default_rng(seed)
-    x0 = center + rng.uniform(-2.0, 2.0)
-    width = rng.uniform(1.5, 3.0)
+    # two draws need no numpy.random: its first use loads hashlib, secrets and
+    # OpenSSL, about 6 MB of resident memory; random() keeps its sequence per seed
+    rng = random.Random(seed)
+    x0 = center + 4.0 * rng.random() - 2.0
+    width = 1.5 + 1.5 * rng.random()
     L = g.half_length
     d = g.x - x0
     d -= 2.0 * L * np.floor((d + L) / (2.0 * L))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlowUp
-from .grid import Field, Grid, _fourier_symbol, make_field, spectral_derivative
+from .grid import Field, Grid, make_field, spectral_derivative
 from .profiles import WaveObject, eval_object
 
 BLOWUP_LIMIT = 1e6
@@ -86,8 +86,9 @@ class _Stepper:
     """Exponential RK4 (Krogstad) stepper on rfft coefficients.
 
     The nonlinear term is N(u) = -ik (u^3)^; the step size h and the flux
-    symbol -ik are folded into the nine Krogstad coefficients, so each stage
-    multiplies the dealiased cube (u^3)^ directly.  So is the factor
+    symbol -ik are folded into the nine Krogstad coefficients (b3 = b2 is not
+    stored), so each stage multiplies the dealiased cube (u^3)^ directly.  So
+    is the factor
     (m/n)^3 (n/m) = 4 that rescales the cube from the padded length m = 2n;
     a power of two, it changes no bit of the result.
     """
@@ -101,7 +102,7 @@ class _Stepper:
         self.E2 = np.exp(h * L / 2.0)
         p1h, p2h, _ = _phi_functions(h * L / 2.0)
         p1, p2, p3 = _phi_functions(h * L)
-        hf = -h * _fourier_symbol(g, 1) * 4.0
+        hf = -h * g.d1_symbol * 4.0
         self.a21 = hf * (0.5 * p1h)
         self.a31 = hf * (0.5 * p1h - p2h)
         self.a32 = hf * p2h
@@ -109,7 +110,6 @@ class _Stepper:
         self.a43 = hf * (2.0 * p2)
         self.b1 = hf * (p1 - 3.0 * p2 + 4.0 * p3)
         self.b2 = hf * (2.0 * p2 - 4.0 * p3)
-        self.b3 = hf * (2.0 * p2 - 4.0 * p3)
         self.b4 = hf * (-p2 + 4.0 * p3)
         # zero-padded spectrum on 2n points; only the first n/2 + 1 entries
         # are ever written, so the padding stays zero across calls
@@ -129,7 +129,7 @@ class _Stepper:
         c3 = cube(E2uh + (self.a31 * c1 + self.a32 * c2))
         Euh = self.E * uh
         c4 = cube(Euh + (self.a41 * c1 + self.a43 * c3))
-        return Euh + (self.b1 * c1 + self.b2 * c2 + self.b3 * c3 + self.b4 * c4)
+        return Euh + (self.b1 * c1 + self.b2 * c2 + self.b2 * c3 + self.b4 * c4)
 
 
 def _check_finite(values: np.ndarray, t: float):

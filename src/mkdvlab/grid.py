@@ -138,12 +138,12 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
 
 def h2_norm_sq(f: Field) -> float:
     """Discrete squared H^2 norm: integral of f^2 + f_x^2 + f_xx^2."""
-    fx, fxx = derivative_pair(f)
-    return (
-        integrate(f.grid, f.values**2)
-        + integrate(f.grid, fx**2)
-        + integrate(f.grid, fxx**2)
-    )
+    return _h2_sum(f.grid, f.values, *derivative_pair(f))
+
+
+def _h2_sum(grid: Grid, f: np.ndarray, fx: np.ndarray, fxx: np.ndarray) -> float:
+    """h2_norm_sq's three integrals, for a caller that already holds the pair."""
+    return integrate(grid, f**2) + integrate(grid, fx**2) + integrate(grid, fxx**2)
 
 
 def circulant(grid: Grid, symbol: np.ndarray) -> np.ndarray:

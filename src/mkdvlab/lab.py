@@ -459,17 +459,16 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
     bump = localized_bump(s.grid, s.seed, center=_bump_center(s.cfg))
     u0 = make_field(s.grid, u0.values + bump.values)
     traj = s.trajectory(u0)
-    track = track_modulation(traj, s.cfg)
     # radiation has nonpositive group velocity, so it leaves the rightward-moving
     # window 1 - Phi_{J-1} of the windowed distance
-    d = scalar_product_series(traj, track, s.cfg, p.fam)
+    d = scalar_product_series(traj, s.cfg, p.fam)
     windowed = d["windowed"]
-    t_end = float(track.times[-1])
+    t_end = float(traj.times[-1])
     window = [0.25 * t_end, t_end]
-    fit = fit_exponential_rate(track.times, windowed, window)
+    fit = fit_exponential_rate(traj.times, windowed, window)
 
     sp = {}
-    decay = np.exp(-2.0 * fit.varpi * track.times)
+    decay = np.exp(-2.0 * fit.varpi * traj.times)
     for j, (scalar, quadratic) in enumerate(zip(d["scalar"], d["quadratic"]), start=1):
         sp[f"j{j}"] = {
             "C_measured": float(np.max(scalar / (decay + quadratic))),
@@ -477,10 +476,10 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
         }
     series = {
         "rate": {
-            "t": track.times,
+            "t": traj.times,
             "windowed_distance": windowed,
-            "global_w_h2": track.w_h2,
-            "fit_line": [fit.C * np.exp(-fit.varpi * t) for t in track.times],
+            "global_w_h2": d["w_h2"],
+            "fit_line": [fit.C * np.exp(-fit.varpi * t) for t in traj.times],
         }
     }
     passed = fit.varpi > 0 and fit.r_squared > RATE_R2_TOL
@@ -499,7 +498,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
             "fit_window": window,
             "varpi_calibrated": varpi_hat,
             "scalar_product": sp,
-            "global_distance_final": float(track.w_h2[-1]),
+            "global_distance_final": float(d["w_h2"][-1]),
             "note": f"distance measured {region}; the global residual cannot "
             "decay on a periodic domain because radiation never leaves",
         },

@@ -14,14 +14,8 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
 from .functionals import CutoffFamily
-from .grid import Field, Grid, derivative_pair, h2_norm_sq, integrate, make_field
-from .profiles import (
-    OrderedConfiguration,
-    _offset_partials,
-    eval_object,
-    n_offsets,
-    shape_pair,
-)
+from .grid import Field, Grid, _h2_sum, derivative_pair, integrate, make_field
+from .profiles import OrderedConfiguration, _offset_partials, n_offsets, shape_pair
 
 MAX_NEWTON_ITERS = 50
 
@@ -58,9 +52,11 @@ class ModulationState:
 
     offsets: np.ndarray  # flat, slowest object first; split_offsets gives per-object tuples
     w: Field
+    w_pair: tuple[np.ndarray, np.ndarray]  # (w_x, w_xx)
     w_h2: float  # H^2 norm of w, the basin check's measure
     ortho_residuals: np.ndarray
     iterations: int
+    profiles: list[np.ndarray]  # the shifted profiles, object order; w is u minus their sum
 
 
 def fit_translations(
@@ -95,7 +91,8 @@ def fit_translations(
         G = np.array([h * np.sum(d * w) for d in dirs])
         if np.max(np.abs(G)) < 1e-12:
             wf = make_field(g, w)
-            w_norm = float(np.sqrt(h2_norm_sq(wf)))
+            pair = derivative_pair(wf)
+            w_norm = float(np.sqrt(_h2_sum(g, w, *pair)))
             if w_norm > radius:
                 raise NoConvergence(
                     f"orthogonality root found but residual H2 norm "
@@ -104,9 +101,11 @@ def fit_translations(
             return ModulationState(
                 offsets=y,
                 w=wf,
+                w_pair=pair,
                 w_h2=w_norm,
                 ortho_residuals=G,
                 iterations=it,
+                profiles=[value for value, _, _ in parts],
             )
         # J_ij = <d dir_i / d y_j, w> - <dir_i, dir_j> ; the first term is
         # nonzero only in the diagonal block of the object that owns i and j,
@@ -135,16 +134,24 @@ def fit_translations(
 
 @dataclass
 class ModulationTrack:
-    """Fits along a trajectory: row i of each array belongs to times[i].
-
-    The residuals are not stored: the one at times[i] is the snapshot minus the
-    profiles shifted by offsets[i], summed in object order, which has the fit's bits.
-    """
+    """Fits along a trajectory: row i of each array belongs to times[i]."""
 
     times: np.ndarray  # the trajectory's own times array
     offsets: np.ndarray  # (T, m) flat offsets, slowest object first
     ortho_residuals: np.ndarray  # (T, m)
     w_h2: np.ndarray  # (T,) H^2 norms of the residuals
+
+
+def _fits(traj, cfg: OrderedConfiguration):
+    """(t, fit) at every snapshot, each fit warm-started from the previous one."""
+    guess = None
+    for t, row in zip(traj.times, traj.values):
+        try:
+            st = fit_translations(make_field(traj.grid, row), cfg, t, guess=guess)
+        except (NoConvergence, SingularJacobian) as exc:
+            raise type(exc)(f"snapshot t={t:.6g}: {exc}") from exc
+        guess = st.offsets
+        yield t, st
 
 
 def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
@@ -156,51 +163,39 @@ def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
         ortho_residuals=np.empty((T, m)),
         w_h2=np.empty(T),
     )
-    guess = None
-    for i, (t, row) in enumerate(zip(traj.times, traj.values)):
-        u = make_field(traj.grid, row)
-        try:
-            st = fit_translations(u, cfg, t, guess=guess)
-        except (NoConvergence, SingularJacobian) as exc:
-            raise type(exc)(f"snapshot t={t:.6g}: {exc}") from exc
-        guess = track.offsets[i] = st.offsets
+    for i, (_, st) in enumerate(_fits(traj, cfg)):
+        track.offsets[i] = st.offsets
         track.ortho_residuals[i] = st.ortho_residuals
         track.w_h2[i] = st.w_h2
     return track
 
 
-def scalar_product_series(
-    traj,
-    track: ModulationTrack,
-    cfg: OrderedConfiguration,
-    fam: CutoffFamily,
-) -> dict:
-    """Residual diagnostics along the track of traj, from one derivative pair of w per snapshot.
+def scalar_product_series(traj, cfg: OrderedConfiguration, fam: CutoffFamily) -> dict:
+    """Residual diagnostics along traj, from the fit at each snapshot, in one pass.
 
-    For each j = 1..J (row j - 1 of "scalar" and "quadratic") the series
-    |int Ptilde_j w| and its quadratic reference int (w^2 + w_x^2) Phi_j, which
-    tests that the profile/residual scalar product is quadratic.  "windowed" is
-    the H^2-type distance of w weighted by 1 - Phi_{J-1}, the fastest co-moving
-    window, and unweighted when J = 1, where there is no cutoff to window by.
+    "w_h2" is the fit's H^2 norm of w.  For each j = 1..J (row j - 1 of
+    "scalar" and "quadratic") the series |int Ptilde_j w| and its quadratic
+    reference int (w^2 + w_x^2) Phi_j, which tests that the profile/residual
+    scalar product is quadratic.  "windowed" is the H^2-type distance of w
+    weighted by 1 - Phi_{J-1}, the fastest co-moving window, and unweighted
+    when J = 1, where there is no cutoff to window by.
     """
     g = traj.grid
     js = range(1, cfg.J + 1)
-    windowed, lhs, quad = [], [[] for _ in js], [[] for _ in js]
-    for t, y, row in zip(track.times, track.offsets, traj.values):
-        profiles = [
-            eval_object(o, t, g.x, sh) for o, sh in zip(cfg.objects, split_offsets(cfg, y))
-        ]
-        w = row - sum(profiles)  # in object order, as the fit sums them: the fit's bits
-        wx, wxx = derivative_pair(make_field(g, w))
+    windowed, w_h2, lhs, quad = [], [], [[] for _ in js], [[] for _ in js]
+    for t, st in _fits(traj, cfg):
+        w, (wx, wxx) = st.w.values, st.w_pair
         h1 = w**2 + wx**2
         phis = [fam.weight(j, t, g.x) for j in js]
         window = 1.0 - phis[-2] if fam.J > 1 else 1.0
         windowed.append(float(np.sqrt(integrate(g, (h1 + wxx**2) * window))))
-        for j, pj, phi in zip(js, profiles, phis):
+        w_h2.append(st.w_h2)
+        for j, pj, phi in zip(js, st.profiles, phis):
             lhs[j - 1].append(abs(integrate(g, pj * w)))
             quad[j - 1].append(integrate(g, h1 * phi))
     return {
         "windowed": windowed,
+        "w_h2": np.array(w_h2),
         "scalar": np.array(lhs),
         "quadratic": np.array(quad),
     }

@@ -191,9 +191,9 @@ def _phi_functions_at_once(z):
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_blocked_phi_functions_keep_the_coefficient_bits(n, monkeypatch):
     # each point's contour mean is reduced on its own, so building the
-    # phi-functions by blocks of points moves no bit of the nine coefficients
+    # phi-functions by blocks of points moves no bit of the eight stored coefficients
     g = make_grid(100.0, n)
-    names = ("a21", "a31", "a32", "a41", "a43", "b1", "b2", "b3", "b4")
+    names = ("a21", "a31", "a32", "a41", "a43", "b1", "b2", "b4")
     for dt in (5e-4, 1e-3, 2e-3):
         blocked = _Stepper(g, dt)
         with monkeypatch.context() as m:

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkdvlab import cli, functionals, grid, lab, lyapunov, modulation
+from mkdvlab import cli, evolution, functionals, grid, lab, lyapunov, modulation, profiles
 from mkdvlab.cli import main
 from mkdvlab.errors import (
     BlowUp,
@@ -449,22 +449,44 @@ def pair_calls(monkeypatch):
     [
         ("conservation", {("functionals", "derivative_pair"): 1}),
         ("monotonicity", {("functionals", "derivative_pair"): 1}),
-        ("modulate", {("grid", "derivative_pair"): 1}),
-        # the fit's H^2 norm, then the windowed distance and all J scalar products
-        ("rate-fit", {("grid", "derivative_pair"): 1, ("modulation", "derivative_pair"): 1}),
+        # the fit's pair serves its H^2 norm and, in rate-fit, the windowed
+        # distance and all J scalar products
+        ("modulate", {("modulation", "derivative_pair"): 1}),
+        ("rate-fit", {("modulation", "derivative_pair"): 1}),
     ],
 )
-def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_calls):
+def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_calls, monkeypatch):
     # one derivative pair per snapshot and audit, whatever J is: every tracked
-    # j shares it, and no kind falls back to spectral_derivative
+    # j shares it, and no kind falls back to spectral_derivative.  A kind that
+    # fits takes its pair inside the fit, and no kind evaluates a profile per
+    # snapshot: eval_object runs only for the initial datum's J profiles
     s = _flagship_every_step()
     assert s.slack  # calibrated once per scenario, before the audits
     T = len(lab._evolve_scenario(s).times)
+    fit, eval_object = modulation.fit_translations, profiles.eval_object
+    pairs_in_fits, profile_times = [], []
+
+    def counted_fit(*args, **kwargs):
+        before = len(pair_calls)
+        st = fit(*args, **kwargs)
+        pairs_in_fits.append(len(pair_calls) - before)
+        return st
+
+    def counted_eval(o, t, *args):
+        profile_times.append(t)
+        return eval_object(o, t, *args)
+
+    monkeypatch.setattr(modulation, "fit_translations", counted_fit)
+    for module in (profiles, evolution, lab, lyapunov, modulation):
+        if getattr(module, "eval_object", None) is eval_object:
+            monkeypatch.setattr(module, "eval_object", counted_eval)
     pair_calls.clear()
     assert run_experiment(s, kind).passed
     assert s.cfg.J == 3 and T == 41
     got = {tag: pair_calls.count(tag) for tag in set(pair_calls)}
     assert got == {tag: per_snapshot * T for tag, per_snapshot in expected.items()}
+    assert pairs_in_fits == ([1] * T if kind in ("modulate", "rate-fit") else [])
+    assert profile_times == [0.0] * s.cfg.J
 
 
 def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
@@ -497,35 +519,27 @@ def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["flagship", "lone soliton"])
-def test_residual_rebuilt_from_the_offsets_has_the_bits_of_the_fit(name, monkeypatch):
-    # the track keeps offsets, not residuals: rebuilt from a snapshot and its
-    # offsets, by profile_sum or by rate-fit's series, a residual must have the
-    # fit's own bits.  Near the flagship's boundary all three profile tails are
-    # comparable (about 1e-50), so a sum in another order differs there
+def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
+    # rate-fit reads w, its derivative pair and the profiles from each fit
+    # and rebuilds none of them.  Near the flagship's boundary all three
+    # profile tails are comparable (about 1e-50), so the profiles must be
+    # summed in object order for w to keep the fit's bits
     s = _flagship_every_step() if name == "flagship" else parse_scenario(MINIMAL)
     traj = lab._evolve_scenario(s)
     track = modulation.track_modulation(traj, s.cfg)
-    assert track.times is traj.times
+    series = modulation.scalar_product_series(traj, s.cfg, s.params.fam)
+    assert np.array_equal(series["w_h2"], track.w_h2)
     assert s.cfg.J == (3 if name == "flagship" else 1) and len(traj.times) > 40
-    transformed = []
-    pair = modulation.derivative_pair
-
-    def recorded(f):
-        transformed.append(f.values)
-        return pair(f)
-
-    monkeypatch.setattr(modulation, "derivative_pair", recorded)
-    modulation.scalar_product_series(traj, track, s.cfg, s.params.fam)
-    assert len(transformed) == len(traj.times)
-    guess = None
-    for t, row, y, series_w in zip(traj.times, traj.values, track.offsets, transformed):
-        st = modulation.fit_translations(make_field(s.grid, row), s.cfg, t, guess=guess)
-        guess = st.offsets
+    fits = modulation._fits(traj, s.cfg)
+    for (t, st), row, y in zip(fits, traj.values, track.offsets, strict=True):
         assert np.array_equal(st.offsets, y)
+        assert np.array_equal(st.w.values, row - sum(st.profiles))
         shifts = modulation.split_offsets(s.cfg, y)
-        w = row - profile_sum(s.cfg, t, s.grid, shifts=shifts).values
-        assert np.array_equal(w, st.w.values)
-        assert np.array_equal(series_w, st.w.values)
+        assert len(st.profiles) == len(shifts) == s.cfg.J
+        for o, sh, p in zip(s.cfg.objects, shifts, st.profiles):
+            assert np.array_equal(p, profiles.eval_object(o, t, s.grid.x, sh))
+        for got, want in zip(st.w_pair, grid.derivative_pair(st.w), strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_rate_fit_note_names_its_weight():

@@ -25,7 +25,7 @@ from .profiles import (
     profile_sum,
 )
 from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
-from .functionals import CutoffFamily, energy, make_cutoff_family, mass, second_energy
+from .functionals import CutoffFamily, make_cutoff_family
 from .modulation import fit_translations, track_modulation
 from .lyapunov import LyapunovParams, coercivity_check, select_parameters
 from .lab import Scenario, parse_scenario, run_experiment

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, derivative_pair, integrate, spectral_derivative
+from .grid import Field, Grid, derivative_pair, integrate
 from .profiles import OrderedConfiguration
-
-
-def mass(u: Field) -> float:
-    """Conserved L^2 mass (1/2) int u^2."""
-    return 0.5 * integrate(u.grid, u.values**2)
 
 
 # Products, not v**4 and v**6: numpy sends every array power other than a
@@ -33,18 +28,6 @@ def _second_energy_density(v, ux, uxx):
     return 0.5 * uxx**2 - 2.5 * v2 * ux**2 + 0.25 * (v2 * v2 * v2)
 
 
-def energy(u: Field) -> float:
-    """Conserved energy int (1/2 u_x^2 - 1/4 u^4)."""
-    ux = spectral_derivative(u, 1).values
-    return integrate(u.grid, _energy_density(u.values, ux))
-
-
-def second_energy(u: Field) -> float:
-    """Conserved second energy int (1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6)."""
-    ux, uxx = derivative_pair(u)
-    return integrate(u.grid, _second_energy_density(u.values, ux, uxx))
-
-
 def _densities(u: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integrands u^2 and those of E and F, from one derivative pair."""
     v = u.values
@@ -53,7 +36,8 @@ def _densities(u: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def conserved(u: Field) -> tuple[float, float, float]:
-    """(mass(u), energy(u), second_energy(u)) from one derivative pair."""
+    """The conserved mass (1/2) int u^2, energy int (1/2 u_x^2 - 1/4 u^4) and second
+    energy int (1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6), from one derivative pair."""
     m, e, f = _densities(u)
     return 0.5 * integrate(u.grid, m), integrate(u.grid, e), integrate(u.grid, f)
 
@@ -158,13 +142,9 @@ class LocalizedTriple:
             raise ValueError("localized mass must be nonnegative")
 
 
-def localized_triple(u: Field, fam: CutoffFamily, j: int, t: float) -> LocalizedTriple:
-    """Weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention)."""
-    return localized_triples(u, fam, (j,), t)[0]
-
-
 def localized_triples(u: Field, fam: CutoffFamily, js, t: float) -> list[LocalizedTriple]:
-    """localized_triple(u, fam, j, t) for each j in js, sharing one derivative pair."""
+    """The weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention) for
+    each j in js, sharing one derivative pair."""
     g = u.grid
     m, e, f = _densities(u)
     out = []

@@ -136,13 +136,9 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
     return grid.h * float(np.sum(values))
 
 
-def h2_norm_sq(f: Field) -> float:
-    """Discrete squared H^2 norm: integral of f^2 + f_x^2 + f_xx^2."""
-    return _h2_sum(f.grid, f.values, *derivative_pair(f))
-
-
 def _h2_sum(grid: Grid, f: np.ndarray, fx: np.ndarray, fxx: np.ndarray) -> float:
-    """h2_norm_sq's three integrals, for a caller that already holds the pair."""
+    """Discrete squared H^2 norm, the integral of f^2 + f_x^2 + f_xx^2, from the samples
+    of f and their derivative pair."""
     return integrate(grid, f**2) + integrate(grid, fx**2) + integrate(grid, fxx**2)
 
 

@@ -18,7 +18,6 @@ from .functionals import (
     CutoffFamily,
     LocalizedTriple,
     conserved,
-    localized_triple,
     localized_triples,
     make_cutoff_family,
 )
@@ -170,18 +169,11 @@ def _weakened(trip: LocalizedTriple, shape: tuple[float, float], nu: float) -> f
     return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
 
 
-def weakened_F(u: Field, j: int, p: LyapunovParams, t: float, nu: float | None = None) -> float:
-    """Weakened functional: the H_j combination with mass coefficient nu (p.nu < 1 by default).
-
-    At nu = 1 it is H_j = F_j + 2(b^2-a^2) E_j + (a^2+b^2)^2 M_j itself.
-    """
-    return _weakened(localized_triple(u, p.fam, j, t), p.shape(j), p.nu if nu is None else nu)
-
-
 def _second_variation_weights(
     pv: np.ndarray, phi: np.ndarray | float, a: float, b: float, g: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (c2, c1, c0) of the second variation int c2 w_xx^2 + c1 w_x^2 + c0 w^2.
+    """Weights (c2, c1, c0) of the second variation int c2 w_xx^2 + c1 w_x^2 + c0 w^2 of
+    the Lyapunov functional H_j at the profile P (samples pv) with weight Phi_j (phi).
 
     From the integrand [1/2 w_xx^2 - 5/2 w_x^2 P^2 + 5/2 w^2 P_x^2
     + 5 w^2 P P_xx + 15/4 w^2 P^4] Phi_j + (b^2-a^2)[w_x^2 - 3 w^2 P^2] Phi_j
@@ -196,27 +188,6 @@ def _second_variation_weights(
         + 0.5 * (a**2 + b**2) ** 2
     ) * phi
     return 0.5 * phi, c1, c0
-
-
-def quadratic_form_H(
-    w: Field,
-    profile: Field,
-    j: int,
-    p: LyapunovParams,
-    t: float,
-) -> float:
-    """Second-variation quadratic form of the Lyapunov functional at a profile.
-
-    The integrand is written out in _second_variation_weights.
-    """
-    if w.grid is not profile.grid and w.grid != profile.grid:
-        raise ValueError("w and profile must share a grid")
-    g = w.grid
-    c2, c1, c0 = _second_variation_weights(
-        profile.values, p.fam.weight(j, t, g.x), *p.shape(j), g
-    )
-    wx, wxx = derivative_pair(w)
-    return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
 
 
 def _inverse_sqrt_symbol(g: Grid) -> np.ndarray:
@@ -298,9 +269,9 @@ def _restrict_to_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _bordered_form(obj: WaveObject, g: Grid) -> np.ndarray:
-    """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of
-    quadratic_form_H at t = 0 with Phi_j = 1, the penalty vector P and W = B^-1/2
-    (_form_matrix)."""
+    """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of the
+    second variation (_second_variation_weights) at t = 0 with Phi_j = 1, the penalty
+    vector P and W = B^-1/2 (_form_matrix)."""
     n = g.n
     pv = eval_object(obj, 0.0, g.x)
     M = np.empty((n + 1, n + 1))
@@ -341,7 +312,7 @@ def _certify(M: np.ndarray) -> CoercivityResult:
 
 def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> CoercivityResult:
     """mu*, the largest mu with A + (h^2/mu) P P^T - mu B >= 0 on the complement of the
-    modulation directions, for A the matrix of quadratic_form_H, P the penalty vector and
+    modulation directions, for A the matrix of the second variation, P the penalty vector and
     B the matrix of h int (w_xx^2 + w_x^2 + w^2), at t = 0.  The form falls in the Loewner
     order as mu grows, so every mu in (0, mu*] is certified.
 

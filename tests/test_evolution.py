@@ -14,8 +14,9 @@ from mkdvlab.evolution import (
     stability_bound,
 )
 from mkdvlab.functionals import _energy_density, _second_energy_density
-from mkdvlab.grid import h2_norm_sq, make_field, make_grid
+from mkdvlab.grid import make_field, make_grid
 from mkdvlab.profiles import Breather, Soliton, breather_eval, soliton_eval
+from oracles import h2_norm_sq
 
 
 @pytest.fixture(scope="module")

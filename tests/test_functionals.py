@@ -5,19 +5,17 @@ import pytest
 
 from mkdvlab.functionals import (
     CutoffFamily,
+    conserved,
     cutoff_derivative_inequality,
     cutoff_eval,
     derivative_inequality_holds,
-    energy,
-    localized_triple,
+    localized_triples,
     make_cutoff_family,
-    mass,
     psi,
     psi_prime,
     psi_second,
-    second_energy,
 )
-from mkdvlab.grid import h2_norm_sq, integrate, make_field, make_grid
+from mkdvlab.grid import integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.profiles import (
     Breather,
     Soliton,
@@ -27,6 +25,7 @@ from mkdvlab.profiles import (
     shape_pair,
     soliton_eval,
 )
+from oracles import h2_norm_sq
 
 
 @pytest.fixture(scope="module")
@@ -39,37 +38,45 @@ def _q1(grid, x0=0.0):
 
 
 def test_mass_of_zero(grid):
-    assert mass(make_field(grid, np.zeros(grid.n))) == 0.0
+    assert conserved(make_field(grid, np.zeros(grid.n)))[0] == 0.0
 
 
 def test_mass_of_soliton(grid):
     # int Q_c^2 = 4 sqrt(c), so the half-convention mass of Q_1 is 2
-    assert mass(_q1(grid)) == pytest.approx(2.0, abs=1e-12)
+    assert conserved(_q1(grid))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_energy_of_soliton(grid):
     # E[Q_c] = -(2/3) c^{3/2}
-    assert energy(_q1(grid)) == pytest.approx(-2.0 / 3.0, abs=1e-9)
+    assert conserved(_q1(grid))[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
     q2 = make_field(grid, q_profile(2.0, grid.x))
-    assert energy(q2) == pytest.approx(-(2.0 / 3.0) * 2.0**1.5, abs=1e-9)
+    assert conserved(q2)[1] == pytest.approx(-(2.0 / 3.0) * 2.0**1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
+def test_second_energy_of_soliton(grid, c):
+    # Q_c = sqrt(2c) sech(sqrt(c) x): with int sech^2 = 2, int sech^4 = 4/3 and
+    # int sech^6 = 16/15, F[Q_c] = (2/5) c^{5/2}
+    assert conserved(make_field(grid, q_profile(c, grid.x)))[2] == pytest.approx(
+        0.4 * c**2.5, rel=2e-15
+    )
 
 
 def test_energy_small_amplitude(grid):
     eps = 1e-3
     u = make_field(grid, eps * q_profile(1.0, grid.x))
-    from mkdvlab.grid import spectral_derivative
-
     qx = spectral_derivative(_q1(grid), 1).values
     expected = 0.5 * eps**2 * integrate(grid, qx**2)
-    assert energy(u) == pytest.approx(expected, rel=1e-5)
-    assert energy(u) > 0
+    e = conserved(u)[1]
+    assert e == pytest.approx(expected, rel=1e-5)
+    assert e > 0
 
 
 def test_second_energy_grid_converged():
     vals = []
     for n in (2048, 4096):
         g = make_grid(50.0, n)
-        vals.append(second_energy(make_field(g, q_profile(1.0, g.x))))
+        vals.append(conserved(make_field(g, q_profile(1.0, g.x)))[2])
     assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 
 
@@ -78,10 +85,8 @@ def test_second_energy_small_amplitude_scaling(grid):
     base = np.exp(-(grid.x**2) / 8)
     u = make_field(grid, eps * base)
     uxx = make_field(grid, base)
-    from mkdvlab.grid import spectral_derivative
-
     lead = 0.5 * integrate(grid, spectral_derivative(uxx, 2).values ** 2)
-    assert second_energy(u) == pytest.approx(eps**2 * lead, rel=1e-6)
+    assert conserved(u)[2] == pytest.approx(eps**2 * lead, rel=1e-6)
 
 
 def test_psi_pointwise_values():
@@ -163,11 +168,12 @@ def test_weight_last_is_one(grid):
 def test_localized_triple_global_weight(grid):
     fam = make_cutoff_family(_flagship(), (0.5, 2.5), 0.01)
     u = _q1(grid)
-    trip = localized_triple(u, fam, 3, 0.0)
+    trip = localized_triples(u, fam, (3,), 0.0)[0]
+    M, E, F = conserved(u)
     # M_j drops the 1/2 of the conserved mass, hence the factor 2
-    assert trip.Mj == pytest.approx(2.0 * mass(u), rel=1e-12)
-    assert trip.Ej == pytest.approx(energy(u), rel=1e-12)
-    assert trip.Fj == pytest.approx(second_energy(u), rel=1e-12)
+    assert trip.Mj == pytest.approx(2.0 * M, rel=1e-12)
+    assert trip.Ej == pytest.approx(E, rel=1e-12)
+    assert trip.Fj == pytest.approx(F, rel=1e-12)
 
 
 def test_localized_triple_weight_localization(grid):
@@ -177,8 +183,8 @@ def test_localized_triple_weight_localization(grid):
     far_right = make_field(grid, q_profile(1.0, grid.x - 40.0))
     far_left = make_field(grid, q_profile(1.0, grid.x + 40.0))
     l2 = integrate(grid, far_right.values**2)
-    assert localized_triple(far_right, fam, 1, 0.0).Mj < 1e-3 * l2
-    assert localized_triple(far_left, fam, 1, 0.0).Mj == pytest.approx(4.0, abs=1e-3)
+    assert localized_triples(far_right, fam, (1,), 0.0)[0].Mj < 1e-3 * l2
+    assert localized_triples(far_left, fam, (1,), 0.0)[0].Mj == pytest.approx(4.0, abs=1e-3)
 
 
 def test_localization_consistency(grid):
@@ -186,7 +192,7 @@ def test_localization_consistency(grid):
     u = make_field(grid, breather_eval(Breather(1.0, 1.0), 0.0, grid.x))
     phi = fam.weight(1, 0.0, grid.x)
     total = integrate(grid, u.values**2)
-    split = localized_triple(u, fam, 1, 0.0).Mj + integrate(
+    split = localized_triples(u, fam, (1,), 0.0)[0].Mj + integrate(
         grid, u.values**2 * (1 - phi)
     )
     assert split == pytest.approx(total, rel=1e-14)
@@ -206,11 +212,8 @@ def test_criticality_of_profiles(obj, grid):
         p = make_field(grid, breather_eval(obj, 0.0, grid.x))
 
     def functional(u):
-        return (
-            second_energy(u)
-            + 2.0 * (b**2 - a**2) * energy(u)
-            + (a**2 + b**2) ** 2 * mass(u)
-        )
+        M, E, F = conserved(u)
+        return F + 2.0 * (b**2 - a**2) * E + (a**2 + b**2) ** 2 * M
 
     rng = np.random.default_rng(11)
     s = 1e-4

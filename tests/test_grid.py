@@ -7,13 +7,13 @@ from mkdvlab.grid import (
     _fourier_symbol,
     circulant,
     derivative_pair,
-    h2_norm_sq,
     integrate,
     make_field,
     make_grid,
     spectral_derivative,
 )
 from mkdvlab.profiles import Breather, Soliton, eval_object
+from oracles import h2_norm_sq
 
 
 def test_grid_properties():

@@ -10,7 +10,7 @@ import scipy.linalg
 from mkdvlab import lyapunov
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
-from mkdvlab.functionals import energy, localized_triple, mass, second_energy
+from mkdvlab.functionals import conserved, localized_triples
 from mkdvlab.grid import circulant, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
     LyapunovParams,
@@ -26,9 +26,7 @@ from mkdvlab.lyapunov import (
     coercivity_check,
     interpolation_inequality_check,
     monotonicity_report,
-    quadratic_form_H,
     select_parameters,
-    weakened_F,
 )
 from mkdvlab.modulation import modulation_directions
 from mkdvlab.profiles import (
@@ -40,6 +38,7 @@ from mkdvlab.profiles import (
     shape_pair,
     soliton_eval,
 )
+from oracles import quadratic_form_H
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +118,19 @@ def test_sigma_shrunk_when_first_shape_very_negative():
     assert coefficient_positivity(p, 1).all_hold
 
 
+def _weakened(u, j, p, t, nu):
+    """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j, written out from the localized
+    triple; the Lyapunov functional H_j at nu = 1, the weakened F at nu = p.nu."""
+    trip = localized_triples(u, p.fam, (j,), t)[0]
+    a, b = p.shape(j)
+    return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
+
+
 def test_lyapunov_H_zero_field(grid):
     p = select_parameters(_flagship(), 0.01)
     zero = make_field(grid, np.zeros(grid.n))
-    assert weakened_F(zero, 1, p, 0.0, nu=1.0) == 0.0
-    assert weakened_F(zero, 1, p, 0.0) == 0.0
+    assert _weakened(zero, 1, p, 0.0, 1.0) == 0.0
+    assert _weakened(zero, 1, p, 0.0, p.nu) == 0.0
 
 
 def test_lyapunov_H_single_soliton_composition(grid):
@@ -131,8 +138,9 @@ def test_lyapunov_H_single_soliton_composition(grid):
     p = select_parameters(cfg, 0.01)
     u = make_field(grid, q_profile(1.0, grid.x))
     # j = J = 1: Phi == 1, (a,b) = (0,1), localized mass = 2 * mass
-    expected = second_energy(u) + 2.0 * energy(u) + 2.0 * mass(u)
-    assert weakened_F(u, 1, p, 0.0, nu=1.0) == pytest.approx(expected, rel=1e-12)
+    M, E, F = conserved(u)
+    expected = F + 2.0 * E + 2.0 * M
+    assert _weakened(u, 1, p, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lyapunov_dominates_weakened(grid):
@@ -142,7 +150,7 @@ def test_lyapunov_dominates_weakened(grid):
         u = make_field(
             grid, np.exp(-(grid.x**2) / 16) * rng.standard_normal(grid.n)
         )
-        diff = weakened_F(u, 1, p, 0.3, nu=1.0) - weakened_F(u, 1, p, 0.3)
+        diff = _weakened(u, 1, p, 0.3, 1.0) - _weakened(u, 1, p, 0.3, p.nu)
         assert diff >= -1e-12
 
 
@@ -520,12 +528,12 @@ def test_monotonicity_report_values_are_the_named_functionals(grid):
     reps = monotonicity_report(traj, [1], p)[1]
     for i, (t, row) in enumerate(zip(traj.times, values)):
         u = make_field(grid, row)
-        trip = localized_triple(u, p.fam, 1, t)
+        trip = localized_triples(u, p.fam, (1,), t)[0]
         assert trip.Mj != 0.0 and trip.Ej != 0.0 and trip.Fj != 0.0
         assert reps["Mj"].values[i] == trip.Mj
         assert reps["Ej+omega*Mj"].values[i] == trip.Ej + omega * trip.Mj
         assert reps["Fj+omega*Mj"].values[i] == trip.Fj + omega * trip.Mj
-        assert reps["weakened_F"].values[i] == weakened_F(u, 1, p, t)
+        assert reps["weakened_F"].values[i] == _weakened(u, 1, p, t, p.nu)
 
 
 def test_monotonicity_conserved_single_soliton():

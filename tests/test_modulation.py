@@ -6,7 +6,7 @@ import pytest
 from mkdvlab import profiles
 from mkdvlab.errors import NoConvergence
 from mkdvlab.evolution import EvolutionControls, evolve
-from mkdvlab.grid import h2_norm_sq, integrate, make_field, make_grid, spectral_derivative
+from mkdvlab.grid import integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.modulation import (
     fit_translations,
     modulation_directions,
@@ -22,6 +22,7 @@ from mkdvlab.profiles import (
     profile_sum,
     q_prime,
 )
+from oracles import h2_norm_sq
 
 
 @pytest.fixture(scope="module")

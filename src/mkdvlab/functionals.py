@@ -62,11 +62,6 @@ def psi_second(sigma: float, x):
     return (sigma / (4.0 * np.pi)) * np.tanh(z) / np.cosh(z)
 
 
-def cutoff_eval(sigma: float, m: float, t: float, x):
-    """Moving weight Psi(x - m t)."""
-    return psi(sigma, np.asarray(x, dtype=float) - m * t)
-
-
 def derivative_inequality_holds(first, second, sigma: float) -> bool:
     """Check |w''| <= (sqrt(sigma)/2)|w'| samplewise for given derivative samples."""
     return bool(np.all(np.abs(second) <= 0.5 * np.sqrt(sigma) * np.abs(first)))
@@ -93,7 +88,7 @@ class CutoffFamily:
         x = np.asarray(x, dtype=float)
         if j == self.J:
             return np.ones_like(x)
-        return cutoff_eval(self.sigma, self.speeds[j - 1], t, x)
+        return psi(self.sigma, x - self.speeds[j - 1] * t)
 
     def weight_x(self, j: int, t: float, x) -> np.ndarray:
         """Spatial derivative of Phi_j (zero for j = J)."""

@@ -102,24 +102,12 @@ def _power_symbol(grid: Grid, order: int) -> np.ndarray:
     return sym
 
 
-def _fourier_symbol(grid: Grid, order: int) -> np.ndarray:
-    """(ik)^order on the rfft layout, order 1..4; zero at Nyquist for odd orders.
-
-    Orders 1 and 2 are the grid's cached read-only copies.
-    """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be in 1..4, got {order}")
-    if order == 1:
-        return grid.d1_symbol
-    if order == 2:
-        return grid.d2_symbol
-    return _power_symbol(grid, order)
-
-
 def spectral_derivative(f: Field, order: int) -> Field:
     """Fourier differentiation of the given order (1..4)."""
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"order must be in 1..4, got {order}")
     g = f.grid
-    fh = _fourier_symbol(g, order) * np.fft.rfft(f.values)
+    fh = _power_symbol(g, order) * np.fft.rfft(f.values)
     return make_field(g, np.fft.irfft(fh, g.n))
 
 

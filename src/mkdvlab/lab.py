@@ -77,7 +77,7 @@ class Scenario:
     @cached_property
     def config_text(self) -> str:
         """resolved-config.json's text, which every kind writes."""
-        text = json.dumps(resolved_config(self), indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(resolved_config(self), indent=2, sort_keys=True)
         return text + "\n"
 
     def trajectory(self, u0: Field) -> Trajectory:
@@ -528,14 +528,6 @@ def run_experiment(s: Scenario, kind: str, out_dir: str | None = None) -> Experi
     return report
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer, np.bool_)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
     """Persist summary, resolved config, and plot columns under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -546,7 +538,7 @@ def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
         **report.summary,
     }
     with open(os.path.join(out_dir, f"{report.kind}-summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     with open(os.path.join(out_dir, "resolved-config.json"), "w") as f:
         f.write(s.config_text)

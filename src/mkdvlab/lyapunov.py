@@ -114,9 +114,12 @@ def select_parameters(
     and sigma is shrunk when the first shape pair forces a smaller value.
     """
     if not cfg.positive_v2 and not override:
+        which = "second-smallest velocity" if cfg.J > 1 else "velocity of the lone object"
+        velocities = ", ".join(f"{v:g}" for v in cfg.velocities)
         raise HypothesisViolated(
-            "second-smallest velocity is not positive; pass override=True for "
-            "exploratory runs outside the uniqueness regime"
+            f"{which} is not positive (sorted velocities: {velocities}); library callers "
+            "of select_parameters may pass override=True for exploratory runs outside "
+            "the uniqueness regime"
         )
     pairs = tuple(cfg.shape_pairs())
     a1, b1 = pairs[0]

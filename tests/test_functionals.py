@@ -7,7 +7,6 @@ from mkdvlab.functionals import (
     CutoffFamily,
     conserved,
     cutoff_derivative_inequality,
-    cutoff_eval,
     derivative_inequality_holds,
     localized_triples,
     make_cutoff_family,
@@ -119,9 +118,10 @@ def test_psi_derivatives_match_finite_differences():
     np.testing.assert_allclose(psi_second(0.04, x), fd2, atol=1e-9)
 
 
-def test_cutoff_eval_is_translated_psi():
+def test_cutoff_weight_is_translated_psi():
     x = np.linspace(-20, 20, 100)
-    np.testing.assert_allclose(cutoff_eval(0.01, 0.5, 4.0, x), psi(0.01, x - 2.0))
+    fam = CutoffFamily(sigma=0.01, speeds=(0.5,), J=2, tau0=0.5)
+    np.testing.assert_allclose(fam.weight(1, 4.0, x), psi(0.01, x - 2.0))
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1, 1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mkdvlab.grid import (
-    _fourier_symbol,
+    _power_symbol,
     circulant,
     derivative_pair,
     integrate,
@@ -91,7 +91,7 @@ def test_derivative_matrix_matches_spectral_derivative(order):
     vals = np.exp(-(g.x**2) / 4) * rng.standard_normal(g.n)
     # smooth it so the matrix and the FFT agree to round-off on the same data
     f = make_field(g, np.convolve(vals, np.ones(8) / 8, mode="same"))
-    D = circulant(g, _fourier_symbol(g, order))
+    D = circulant(g, _power_symbol(g, order))
     np.testing.assert_allclose(
         D @ f.values, spectral_derivative(f, order).values, atol=1e-8
     )

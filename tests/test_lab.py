@@ -565,15 +565,38 @@ def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
         write_report(s, rep, str(tmp_path / out))
     assert len(calls) == 1
     text = (tmp_path / "c" / "resolved-config.json").read_text()
-    assert text == json.dumps(
-        resolved_config(s), indent=2, sort_keys=True, default=lab._json_default
-    ) + "\n"
+    assert text == json.dumps(resolved_config(s), indent=2, sort_keys=True) + "\n"
     # equal scenarios that are written differently are not confused
     negative_zero = parse_scenario(TWO_SOLITONS.replace("c: 1.0}", "c: 1.0, x0: -0.0}"))
     assert negative_zero == s
     write_report(negative_zero, rep, str(tmp_path / "d"))
     assert '"x0": -0.0' in (tmp_path / "d" / "resolved-config.json").read_text()
     assert '"x0": -0.0' not in text
+
+
+def _non_json_leaves(node, path):
+    """The key paths under node that plain json.dump cannot write: a leaf other
+    than str, bool, int, float or None, or a mapping key other than a str."""
+    if isinstance(node, dict):
+        bad = [f"{path} key {k!r}" for k in node if not isinstance(k, str)]
+        return bad + [p for k, v in node.items() for p in _non_json_leaves(v, f"{path}.{k}")]
+    if isinstance(node, (list, tuple)):
+        return [p for i, v in enumerate(node) for p in _non_json_leaves(v, f"{path}[{i}]")]
+    if node is None or isinstance(node, (str, bool, int, float)):
+        return []
+    return [f"{path}: {type(node).__module__}.{type(node).__qualname__}"]
+
+
+@pytest.mark.parametrize("name", ["flagship", "single-soliton"])
+def test_every_summary_and_config_leaf_is_a_json_type(name):
+    # write_report dumps with no default=, so a numpy bool, integer or array in a
+    # summary would make json.dump raise TypeError, reported as invalid input
+    with open(SCENARIOS + f"{name}.yaml") as f:
+        s = parse_scenario(f.read())
+    s = replace(s, controls=replace(s.controls, t_end=0.2, save_every=200))
+    assert _non_json_leaves(resolved_config(s), "resolved_config") == []
+    for kind in EXPERIMENT_KINDS:
+        assert _non_json_leaves(run_experiment(s, kind).summary, kind) == []
 
 
 def test_emit_plot_data_columns(tmp_path):
@@ -769,6 +792,17 @@ def test_cli_conservation_fails_at_a_step_near_the_stability_bound(tmp_path, cap
 def test_cli_invalid_scenario_exit_code(tmp_path):
     path = _write(tmp_path, MINIMAL.replace("c: 1.0", "c: -1.0"))
     assert main(["verify-exact", "--scenario", path]) == 2
+
+
+def test_cli_refusal_names_the_sorted_velocities(capsys):
+    # the lone breather(1, 1) moves left at velocity -2, outside the uniqueness
+    # regime; a CLI user cannot pass override=True, so the hint is for library callers
+    assert main(["monotonicity", "--scenario", SCENARIOS + "single-breather.yaml"]) == 2
+    assert capsys.readouterr().err == (
+        "monotonicity: invalid input: velocity of the lone object is not positive "
+        "(sorted velocities: -2); library callers of select_parameters may pass "
+        "override=True for exploratory runs outside the uniqueness regime\n"
+    )
 
 
 def test_cli_missing_file_exit_code(tmp_path):

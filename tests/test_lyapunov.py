@@ -76,7 +76,8 @@ def test_select_parameters_hypothesis_violated():
         [Breather(1.0, 1.0), Breather(1.2, 1.0, x2=50.0)]
     )
     assert not cfg.positive_v2
-    with pytest.raises(HypothesisViolated):
+    refused = r"second-smallest velocity is not positive \(sorted velocities: -3\.32, -2\)"
+    with pytest.raises(HypothesisViolated, match=refused):
         select_parameters(cfg, 0.01)
     # with the override, no rightward-moving cutoff can sit below v2 < 0
     with pytest.raises(EmptyAdmissibleInterval):

@@ -1,8 +1,9 @@
-"""Every public function and method in mkdvlab is reached by a kind.
+"""Every function and method in mkdvlab is reached by a kind.
 
-`mkdvlab all` runs on the flagship and on the lone soliton, the J = 3 and
-J = 1 paths, under sys.setprofile.  A public function that no kind calls is
-dead code, or a test-only reference that belongs in tests/oracles.py.
+`mkdvlab all` runs on the flagship, the lone soliton and the lone breather,
+the J = 3 and J = 1 paths and the CLI's failure path, under sys.setprofile.
+A function, public or private, that no kind calls is dead code, or a
+test-only reference that belongs in tests/oracles.py.
 """
 
 import importlib
@@ -29,20 +30,20 @@ LEMMA_CHECKS = {
 }
 
 
-def _public_code():
-    """The code object of each public module-level function and public method
-    (properties included) defined in mkdvlab, by dotted name."""
+def _defined_code():
+    """The code object of each module-level function and method (properties
+    included) defined in mkdvlab, by dotted name; dunder methods excluded."""
     out = {}
     for info in pkgutil.iter_modules(mkdvlab.__path__):
         mod = importlib.import_module(f"mkdvlab.{info.name}")
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            if getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
                 out[f"{info.name}.{name}"] = obj.__code__
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    if attr.startswith("_"):
+                    if attr.startswith("__") and attr.endswith("__"):
                         continue
                     # properties, cached properties, static and class methods
                     fn = getattr(member, "fget", None) or getattr(member, "func", member)
@@ -52,7 +53,7 @@ def _public_code():
     return out
 
 
-def test_every_public_function_is_reached_by_a_kind(tmp_path):
+def test_every_function_is_reached_by_a_kind(tmp_path):
     called = set()
 
     def record(frame, event, arg):
@@ -63,14 +64,15 @@ def test_every_public_function_is_reached_by_a_kind(tmp_path):
     codes = []
     sys.setprofile(record)
     try:
-        for scenario in ("flagship", "single-soliton"):
+        for scenario in ("flagship", "single-soliton", "single-breather"):
             argv = ["all", "--scenario", os.path.join(SCENARIOS, f"{scenario}.yaml"), *overrides]
             codes.append(cli.main([*argv, "--out", str(tmp_path / scenario)]))
     finally:
         sys.setprofile(None)
-    assert codes == [0, 0]
+    # the lone breather moves left: monotonicity and rate-fit refuse it (exit 2)
+    assert codes == [0, 0, 2]
 
-    public = _public_code()
-    assert LEMMA_CHECKS <= public.keys()
-    unreached = sorted(name for name, code in public.items() if code not in called)
+    defined = _defined_code()
+    assert LEMMA_CHECKS <= defined.keys()
+    unreached = sorted(name for name, code in defined.items() if code not in called)
     assert unreached == sorted(LEMMA_CHECKS)

@@ -46,7 +46,7 @@ class SingularJacobian(MkdvLabError):
 
 
 class EmptyAdmissibleInterval(MkdvLabError):
-    """No admissible first cutoff speed exists (should not happen for valid data)."""
+    """No admissible first cutoff speed exists: v2 <= 0, which only override=True lets through."""
 
 
 class EigensolveFailure(MkdvLabError):

@@ -86,9 +86,8 @@ class _Stepper:
     """Exponential RK4 (Krogstad) stepper on rfft coefficients.
 
     The nonlinear term is N(u) = -ik (u^3)^; the step size h and the flux
-    symbol -ik are folded into the nine Krogstad coefficients (b3 = b2 is not
-    stored), so each stage multiplies the dealiased cube (u^3)^ directly.  So
-    is the factor
+    symbol -ik are folded into the nine Krogstad coefficients, so each stage
+    multiplies the dealiased cube (u^3)^ directly.  So is the factor
     (m/n)^3 (n/m) = 4 that rescales the cube from the padded length m = 2n;
     a power of two, it changes no bit of the result.
     """

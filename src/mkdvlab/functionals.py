@@ -79,8 +79,11 @@ class CutoffFamily:
 
     sigma: float
     speeds: tuple[float, ...]
-    J: int
     tau0: float
+
+    @property
+    def J(self) -> int:
+        return len(self.speeds) + 1
 
     def weight(self, j: int, t: float, x) -> np.ndarray:
         """Phi_j(t, x); j is 1-based, Phi_J is identically 1."""
@@ -123,7 +126,7 @@ def make_cutoff_family(
         tau0 = min(abs(vv - m) for vv in v for m in speeds)
     else:
         tau0 = np.inf
-    return CutoffFamily(sigma=float(sigma), speeds=speeds, J=cfg.J, tau0=tau0)
+    return CutoffFamily(sigma=float(sigma), speeds=speeds, tau0=tau0)
 
 
 @dataclass(frozen=True)

@@ -377,7 +377,7 @@ def _run_monotonicity(s: Scenario) -> ExperimentReport:
                 "initial": rep.values[0],
                 "final": rep.values[-1],
             }
-            series[key] = {"t": rep.times, "value": rep.values}
+            series[key] = {"t": traj.times, "value": rep.values}
             worst = max(worst, rep.worst_drop)
     coef = {
         f"j{j}": coefficient_positivity(p, j).all_hold for j in range(1, s.cfg.J)
@@ -402,7 +402,7 @@ def _run_modulate(s: Scenario) -> ExperimentReport:
     max_res = float(np.max(np.abs(track.ortho_residuals)))
     series = {
         "modulation": {
-            "t": track.times,
+            "t": traj.times,
             "w_h2": track.w_h2,
             **{f"offset_{k}": col for k, col in enumerate(track.offsets.T)},
         }
@@ -420,6 +420,11 @@ def _run_modulate(s: Scenario) -> ExperimentReport:
     )
 
 
+def _coercivity_grid(o, n: int) -> Grid:
+    """The grid of n nodes on which the coercivity kind checks the re-centred o."""
+    return make_grid(max(20.0, 8.0 / shape_pair(o)[1]), n)
+
+
 def _run_coercivity(s: Scenario) -> ExperimentReport:
     # the dense eigensolve only needs to resolve the profile, not the full run
     n_eig = min(s.grid.n, 512)
@@ -428,7 +433,7 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
     for idx, o in enumerate(s.cfg.objects):
         single = order_and_validate([o])
         p1 = select_parameters(single, s.sigma, override=True)
-        g = make_grid(max(20.0, 8.0 / shape_pair(o)[1]), n_eig)
+        g = _coercivity_grid(o, n_eig)
         # re-centre the profile so the dense grid can stay small; a
         # translation shifts a breather's x1 and x2 alike
         if isinstance(o, Soliton):

@@ -8,7 +8,7 @@ interval, which maximizes slack and is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,31 +46,36 @@ DROP_BUDGET = 1e-5
 
 @dataclass(frozen=True)
 class LyapunovParams:
-    """The scalar tuning constants and the cutoff family they produced."""
+    """nu1, the shape pairs and the cutoff family; the other nu's follow from nu1."""
 
     nu1: float
-    nu: float
-    nu_prime: float
-    nu2: float
-    nu3: float
     shape_pairs: tuple[tuple[float, float], ...]
     fam: CutoffFamily
 
+    @property
+    def nu(self) -> float:
+        return self.nu1 + (2.0 / 3.0) * (1.0 - self.nu1)
+
+    @property
+    def nu_prime(self) -> float:
+        return self.nu1 + (1.0 - self.nu1) / 3.0
+
+    @property
+    def nu2(self) -> float:
+        """nu2 = nu3, which split the gap nu_prime - nu1 evenly."""
+        return 0.5 * (self.nu_prime - self.nu1)
+
+    nu3 = nu2
+
     def validate(self):
-        """Re-verify every invariant independently of how the values were built."""
+        """Re-verify every inequality independently of how the values were built."""
         a1, b1 = self.shape_pairs[0]
         if not 0 < self.nu1 < 1:
             raise ValueError(f"nu1={self.nu1} outside (0,1)")
         if (b1**2 - a1**2) + self.nu1 * (a1**2 + b1**2) <= 0:
             raise ValueError("nu1 does not satisfy the first-shape positivity")
-        if abs(self.nu - (self.nu1 + (2.0 / 3.0) * (1 - self.nu1))) > 1e-14:
-            raise ValueError("nu identity violated")
-        if abs(self.nu_prime - (self.nu1 + (1 - self.nu1) / 3.0)) > 1e-14:
-            raise ValueError("nu_prime identity violated")
-        if abs(self.nu1 + self.nu2 + self.nu3 - self.nu_prime) > 1e-14:
-            raise ValueError("nu1 + nu2 + nu3 must equal nu_prime")
-        if self.nu2 <= 0 or self.nu3 <= 0:
-            raise ValueError("nu2 and nu3 must be positive")
+        if self.nu2 <= 0:
+            raise ValueError("nu2 = nu3 must be positive")
         if self.fam.speeds:
             m1 = self.fam.speeds[0]
             if m1 * (b1**2 - a1**2) <= 0.5 * (self.nu1 - 1) * (a1**2 + b1**2) ** 2:
@@ -89,29 +94,30 @@ class LyapunovParams:
         )
 
 
-def _sigma_cap_for_first_shape(a1: float, b1: float, nu1: float, nu2: float, nu3: float) -> float:
+def _sigma_cap_for_first_shape(p: LyapunovParams) -> float:
     """Largest sigma keeping the two sigma-dependent coefficient bounds nonnegative.
 
     Only binds when b1^2 - a1^2 < 0; both bounds follow from solving the
     coefficient inequalities for sigma.
     """
+    a1, b1 = p.shape_pairs[0]
     d = b1**2 - a1**2
     if d >= 0:
         return np.inf
     r = a1**2 + b1**2
-    cap2 = (2.0 * 3.0**0.25 * (1 - nu1) ** 0.25 * nu2**0.75 * r**1.5 / (3.0 * abs(d))) ** 2
-    cap3 = 2.0 * nu3 * r**2 / abs(d)
+    cap2 = (2.0 * 3.0**0.25 * (1 - p.nu1) ** 0.25 * p.nu2**0.75 * r**1.5 / (3.0 * abs(d))) ** 2
+    cap3 = 2.0 * p.nu3 * r**2 / abs(d)
     return min(cap2, cap3)
 
 
 def select_parameters(
     cfg: OrderedConfiguration, sigma: float, override: bool = False
 ) -> LyapunovParams:
-    """Choose nu's and cutoff speeds for an ordered configuration.
+    """Choose nu1 and the cutoff speeds for an ordered configuration.
 
-    nu1 sits at the midpoint of its admissible interval, nu2 = nu3 split
-    the gap to nu_prime evenly, the cutoff speeds are interval midpoints,
-    and sigma is shrunk when the first shape pair forces a smaller value.
+    nu1 sits at the midpoint of its admissible interval, the cutoff speeds
+    are interval midpoints, and sigma is shrunk when the first shape pair
+    forces a smaller value.
     """
     if not cfg.positive_v2 and not override:
         which = "second-smallest velocity" if cfg.J > 1 else "velocity of the lone object"
@@ -127,14 +133,6 @@ def select_parameters(
     r1 = a1**2 + b1**2
     nu1_min = max(0.0, -d1 / r1)
     nu1 = 0.5 * (1.0 + nu1_min)
-    nu = nu1 + (2.0 / 3.0) * (1.0 - nu1)
-    nu_prime = nu1 + (1.0 - nu1) / 3.0
-    nu2 = nu3 = 0.5 * (nu_prime - nu1)
-
-    sigma_eff = float(sigma)
-    cap = _sigma_cap_for_first_shape(a1, b1, nu1, nu2, nu3)
-    if sigma_eff > 0.9 * cap:
-        sigma_eff = 0.9 * cap
 
     v = cfg.velocities
     speeds = []
@@ -152,16 +150,10 @@ def select_parameters(
         for j in range(2, cfg.J):
             speeds.append(0.5 * (v[j - 1] + v[j]))
 
-    fam = make_cutoff_family(cfg, speeds, sigma_eff)
-    params = LyapunovParams(
-        nu1=nu1,
-        nu=nu,
-        nu_prime=nu_prime,
-        nu2=nu2,
-        nu3=nu3,
-        shape_pairs=pairs,
-        fam=fam,
-    )
+    params = LyapunovParams(nu1, pairs, make_cutoff_family(cfg, speeds, sigma))
+    cap = _sigma_cap_for_first_shape(params)
+    if params.fam.sigma > 0.9 * cap:
+        params = replace(params, fam=replace(params.fam, sigma=float(0.9 * cap)))
     params.validate()
     return params
 
@@ -335,9 +327,8 @@ def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> Coe
 
 @dataclass
 class MonotonicityReport:
-    """Almost-monotonicity audit of one functional along a trajectory."""
+    """Almost-monotonicity audit of one functional along a trajectory's times."""
 
-    times: np.ndarray
     values: list[float]
     worst_drop: float  # largest decrease in excess of the slack (0 = verified)
     slack_bound: float  # slack at the start of the window (largest allowed)
@@ -366,10 +357,10 @@ def monotonicity_report(
             weak = _weakened(trip, p.shape(j), p.nu)
             rows[j].append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
     slack = [C * np.exp(-2.0 * varpi * t) + budget for t in traj.times]
-    return {j: _audit(traj.times, rows[j], slack) for j in js}
+    return {j: _audit(rows[j], slack) for j in js}
 
 
-def _audit(times, rows, slack) -> dict[str, MonotonicityReport]:
+def _audit(rows, slack) -> dict[str, MonotonicityReport]:
     """One report per functional from rows of (M_j, E_j + omega M_j, F_j + omega M_j, weak)."""
     reports = {}
     for name, column in zip(("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F"), zip(*rows)):
@@ -382,7 +373,7 @@ def _audit(times, rows, slack) -> dict[str, MonotonicityReport]:
             best_so_far = max(best_so_far, v - sl)
             worst = max(worst, best_so_far - v)
         reports[name] = MonotonicityReport(
-            times=times, values=values, worst_drop=float(worst), slack_bound=float(slack[0])
+            values=values, worst_drop=float(worst), slack_bound=float(slack[0])
         )
     return reports
 
@@ -449,7 +440,12 @@ class CoefficientReport:
     """The four scalar positivity checks behind the weakened-functional growth."""
 
     values: tuple[float, float, float, float]
-    holds: tuple[bool, bool, bool, bool]
+
+    @property
+    def holds(self) -> tuple[bool, bool, bool, bool]:
+        """c1, c2, c3 >= 0 and c4 > 0."""
+        c1, c2, c3, c4 = self.values
+        return (c1 >= 0, c2 >= 0, c3 >= 0, c4 > 0)
 
     @property
     def all_hold(self) -> bool:
@@ -471,7 +467,4 @@ def coefficient_positivity(p: LyapunovParams, j: int) -> CoefficientReport:
     c2 = 3.0 * d * np.sqrt(s) + 2.0 * 3.0**0.25 * (1 - p.nu1) ** 0.25 * p.nu2**0.75 * r**1.5
     c3 = 3.0 * d * s / 4.0 + 1.5 * p.nu3 * r**2
     c4 = 1.5 * p.nu * r**2 + m * d - 1.5 * p.nu_prime * r**2
-    return CoefficientReport(
-        values=(float(c1), float(c2), float(c3), float(c4)),
-        holds=(c1 >= 0, c2 >= 0, c3 >= 0, c4 > 0),
-    )
+    return CoefficientReport(values=(float(c1), float(c2), float(c3), float(c4)))

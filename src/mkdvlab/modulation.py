@@ -134,9 +134,8 @@ def fit_translations(
 
 @dataclass
 class ModulationTrack:
-    """Fits along a trajectory: row i of each array belongs to times[i]."""
+    """Fits along a trajectory: row i of each array belongs to the trajectory's times[i]."""
 
-    times: np.ndarray  # the trajectory's own times array
     offsets: np.ndarray  # (T, m) flat offsets, slowest object first
     ortho_residuals: np.ndarray  # (T, m)
     w_h2: np.ndarray  # (T,) H^2 norms of the residuals
@@ -158,7 +157,6 @@ def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
     """Fit offsets at every snapshot, warm-starting from the previous one."""
     T, m = len(traj.times), total_offsets(cfg)
     track = ModulationTrack(
-        times=traj.times,
         offsets=np.empty((T, m)),
         ortho_residuals=np.empty((T, m)),
         w_h2=np.empty(T),

@@ -228,41 +228,39 @@ class OrderedConfiguration:
     """Wave objects sorted by strictly increasing velocity."""
 
     objects: tuple[WaveObject, ...]
-    velocities: tuple[float, ...]
-    positive_v1: bool
-    positive_v2: bool
 
     @property
     def J(self) -> int:
         return len(self.objects)
+
+    @property
+    def velocities(self) -> tuple[float, ...]:
+        return tuple(velocity(o) for o in self.objects)
+
+    @property
+    def positive_v1(self) -> bool:
+        return self.velocities[0] > 0
+
+    @property
+    def positive_v2(self) -> bool:
+        """v2 > 0; for a single object, the sign of the only velocity present."""
+        v = self.velocities
+        return (v[1] if len(v) > 1 else v[0]) > 0
 
     def shape_pairs(self) -> list[tuple[float, float]]:
         return [shape_pair(o) for o in self.objects]
 
 
 def order_and_validate(objects: Sequence[WaveObject]) -> OrderedConfiguration:
-    """Sort by velocity, reject duplicates, record the sign hypotheses.
-
-    For a single object the second-velocity flag falls back to the sign of
-    the only velocity present.
-    """
+    """Sort by velocity and reject duplicates."""
     if not objects:
         raise ValueError("configuration must contain at least one object")
-    vs = [velocity(o) for o in objects]
-    order = np.argsort(vs)
-    sorted_v = [vs[i] for i in order]
-    for a, b in zip(sorted_v, sorted_v[1:]):
+    cfg = OrderedConfiguration(tuple(sorted(objects, key=velocity)))
+    v = cfg.velocities
+    for a, b in zip(v, v[1:]):
         if a == b:
             raise DuplicateVelocity(f"two objects share velocity {a}")
-    sorted_obj = tuple(objects[i] for i in order)
-    v1 = sorted_v[0]
-    v2 = sorted_v[1] if len(sorted_v) > 1 else sorted_v[0]
-    return OrderedConfiguration(
-        objects=sorted_obj,
-        velocities=tuple(sorted_v),
-        positive_v1=v1 > 0,
-        positive_v2=v2 > 0,
-    )
+    return cfg
 
 
 def check_tails(cfg: OrderedConfiguration, t: float, g: Grid):

@@ -170,23 +170,12 @@ def test_A5_almost_monotonicity(flagship_scenario):
     pairs = tuple(shape_pair(o) for o in neg_cfg.objects)
     a1, b1 = pairs[0]
     nu1 = 0.5 * (1.0 + max(0.0, -(b1**2 - a1**2) / (a1**2 + b1**2)))
-    nu = nu1 + (2.0 / 3.0) * (1 - nu1)
-    nu_prime = nu1 + (1 - nu1) / 3.0
     fam = CutoffFamily(
         sigma=1.0,
         speeds=(0.5,),
-        J=2,
         tau0=min(abs(velocity(o) - 0.5) for o in neg_cfg.objects),
     )
-    neg_p = LyapunovParams(
-        nu1=nu1,
-        nu=nu,
-        nu_prime=nu_prime,
-        nu2=0.5 * (nu_prime - nu1),
-        nu3=0.5 * (nu_prime - nu1),
-        shape_pairs=pairs,
-        fam=fam,
-    )
+    neg_p = LyapunovParams(nu1=nu1, shape_pairs=pairs, fam=fam)
     u0 = profile_sum(neg_cfg, 0.0, g)
     neg_traj = evolve(u0, EvolutionControls(dt=5e-4, t_end=4.0, save_every=400))
     varpi_n, _ = calibrate_slack(neg_cfg, neg_p, g)

@@ -1,5 +1,7 @@
 """Conserved quantities, cutoff family, localized integrals, criticality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def test_psi_derivatives_match_finite_differences():
 
 def test_cutoff_weight_is_translated_psi():
     x = np.linspace(-20, 20, 100)
-    fam = CutoffFamily(sigma=0.01, speeds=(0.5,), J=2, tau0=0.5)
+    fam = CutoffFamily(sigma=0.01, speeds=(0.5,), tau0=0.5)
     np.testing.assert_allclose(fam.weight(1, 4.0, x), psi(0.01, x - 2.0))
 
 
@@ -147,6 +149,7 @@ def test_make_cutoff_family_flagship():
     fam = make_cutoff_family(_flagship(), (0.5, 2.5), 0.01)
     assert fam.J == 3
     assert fam.tau0 == pytest.approx(0.5)
+    assert replace(fam, speeds=(0.5,)).J == 2
 
 
 def test_make_cutoff_family_rejects_bad_speeds():
@@ -179,7 +182,7 @@ def test_localized_triple_global_weight(grid):
 def test_localized_triple_weight_localization(grid):
     # sigma = 1 keeps the cutoff transition narrow enough that a profile 40
     # units away sees weight ~1e-9 on one side and ~1 on the other
-    fam = CutoffFamily(sigma=1.0, speeds=(0.5,), J=2, tau0=0.5)
+    fam = CutoffFamily(sigma=1.0, speeds=(0.5,), tau0=0.5)
     far_right = make_field(grid, q_profile(1.0, grid.x - 40.0))
     far_left = make_field(grid, q_profile(1.0, grid.x + 40.0))
     l2 = integrate(grid, far_right.values**2)
@@ -188,7 +191,7 @@ def test_localized_triple_weight_localization(grid):
 
 
 def test_localization_consistency(grid):
-    fam = CutoffFamily(sigma=0.01, speeds=(0.5,), J=2, tau0=0.5)
+    fam = CutoffFamily(sigma=0.01, speeds=(0.5,), tau0=0.5)
     u = make_field(grid, breather_eval(Breather(1.0, 1.0), 0.0, grid.x))
     phi = fam.weight(1, 0.0, grid.x)
     total = integrate(grid, u.values**2)

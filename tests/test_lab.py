@@ -180,6 +180,31 @@ def test_resolved_config_parses_back_to_its_scenario(name):
     assert (back.sigma, back.seed) == (s.sigma, s.seed)
 
 
+# both caps bind: b1^2 - a1^2 < 0 shrinks sigma = 100 to 0.9 times its cap, and the
+# quadratic tuning constraint puts m1 far below the midpoint of (0, v2)
+BOTH_CAPS = """
+name: both-caps
+objects:
+  - {kind: breather, alpha: 2.0, beta: 0.1, x2: 40.0}
+  - {kind: soliton, c: 1.0}
+grid: {half_length: 300.0, n: 1024}
+evolution: {dt: 1.0e-3, t_end: 0.1}
+sigma: 100.0
+"""
+
+
+@pytest.mark.parametrize("name", ["flagship", "single-soliton", "single-breather", "both-caps"])
+def test_resolved_config_text_is_pinned(name):
+    # every derived constant, bit for bit, against the record kept in tests/golden
+    if name == "both-caps":
+        text = BOTH_CAPS
+    else:
+        with open(SCENARIOS + name + ".yaml") as f:
+            text = f.read()
+    with open(os.path.join(os.path.dirname(__file__), "golden", name + ".json")) as f:
+        assert parse_scenario(text).config_text == f.read()
+
+
 @pytest.mark.parametrize("cls", [Soliton, Breather, Grid, EvolutionControls])
 def test_every_schema_field_has_a_reader(cls):
     # a scenario section is read off its dataclass's fields by annotation, so a

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mkdvlab import lyapunov
+from mkdvlab import lab
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
 from mkdvlab.functionals import conserved, localized_triples
 from mkdvlab.grid import circulant, integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.lyapunov import (
-    LyapunovParams,
     _bordered_form,
     _certify,
     _form_matrix,
@@ -98,17 +97,15 @@ def test_select_parameters_midpoints_for_later_speeds():
 
 def test_validate_rejects_tampered_params():
     p = select_parameters(_flagship(), 0.01)
-    bad = LyapunovParams(
-        nu1=p.nu1,
-        nu=p.nu + 0.01,
-        nu_prime=p.nu_prime,
-        nu2=p.nu2,
-        nu3=p.nu3,
-        shape_pairs=p.shape_pairs,
-        fam=p.fam,
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
+    with pytest.raises(ValueError, match=r"outside \(0,1\)"):
+        replace(p, nu1=1.0).validate()
+
+
+def test_derived_nus_follow_nu1():
+    p = replace(select_parameters(_flagship(), 0.01), nu1=0.6)
+    assert p.nu2 == p.nu3 == pytest.approx(0.4 / 6.0, abs=1e-14)
+    assert p.nu1 + p.nu2 + p.nu3 == pytest.approx(p.nu_prime, abs=1e-14)
+    assert p.nu == pytest.approx(0.6 + (2.0 / 3.0) * 0.4, abs=1e-14)
 
 
 def test_sigma_shrunk_when_first_shape_very_negative():
@@ -212,7 +209,7 @@ OBJECT_IDS = ["c1", "c4", "breather"]
 
 def _coercivity_setup(obj, n=256):
     """The coercivity kind's re-centred grid at size n and the object's parameters."""
-    g = make_grid(max(20.0, 8.0 / shape_pair(obj)[1]), n)
+    g = lab._coercivity_grid(obj, n)
     return g, select_parameters(order_and_validate([obj]), 0.01, override=True)
 
 

@@ -1,5 +1,7 @@
 """Closed-form profiles: values, derivatives, ordering, envelopes, sums."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,16 @@ def test_order_and_validate_sorts_by_velocity():
     assert isinstance(cfg.objects[0], Breather)
     assert cfg.positive_v2 and not cfg.positive_v1
     assert cfg.J == 3
+
+
+def test_velocities_and_flags_follow_the_objects():
+    cfg = order_and_validate(
+        [Soliton(c=4.0), Breather(alpha=1.0, beta=1.0), Soliton(c=1.0)]
+    )
+    rest = replace(cfg, objects=cfg.objects[1:])
+    assert rest.velocities == (1.0, 4.0)
+    assert rest.positive_v1 and rest.positive_v2
+    assert not replace(cfg, objects=cfg.objects[:1]).positive_v2
 
 
 def test_order_and_validate_duplicate():

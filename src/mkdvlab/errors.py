@@ -18,7 +18,8 @@ class DuplicateVelocity(MkdvLabError):
 
 
 class HypothesisViolated(MkdvLabError):
-    """The second-smallest velocity is not positive and no override was given."""
+    """The second-smallest velocity, or a lone object's own velocity, is not
+    positive and no override was given."""
 
     exit_code = 2
 

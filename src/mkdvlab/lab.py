@@ -551,7 +551,8 @@ def write_report(s: Scenario, report: ExperimentReport, out_dir: str):
     for name, cols in report.series.items():
         path = os.path.join(out_dir, f"{report.kind}-{name}.dat")
         keys = list(cols)
-        rows = zip(*(cols[k] for k in keys)) if keys else []
+        # built before the file opens, so unequal columns raise and write nothing
+        rows = list(zip(*(cols[k] for k in keys), strict=True))
         with open(path, "w") as f:
             f.write("# " + "\t".join(keys) + "\n")
             for row in rows:

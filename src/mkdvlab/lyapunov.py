@@ -338,17 +338,16 @@ def monotonicity_report(
     traj: Trajectory,
     js,
     p: LyapunovParams,
-    varpi: float = 0.0,
-    C: float = 0.0,
-    budget: float = DROP_BUDGET,
+    varpi: float,
+    C: float,
 ) -> dict[int, dict[str, MonotonicityReport]]:
     """Record decreases of the four audited functionals beyond the decaying slack.
 
     For each j in js the functionals are M_j, E_j + omega M_j, F_j + omega M_j and
     the weakened F, all read from one localized triple per snapshot, with omega =
     p.default_omega(); the js share each snapshot's derivative pair.  The slack
-    allowed between t1 < t2 is C exp(-2 varpi t1) + budget; the report never raises
-    on violations.
+    allowed between t1 < t2 is C exp(-2 varpi t1) + DROP_BUDGET; the report never
+    raises on violations.
     """
     omega = p.default_omega()
     rows = {j: [] for j in js}
@@ -356,7 +355,7 @@ def monotonicity_report(
         for j, trip in zip(js, localized_triples(make_field(traj.grid, row), p.fam, js, t)):
             weak = _weakened(trip, p.shape(j), p.nu)
             rows[j].append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
-    slack = [C * np.exp(-2.0 * varpi * t) + budget for t in traj.times]
+    slack = [C * np.exp(-2.0 * varpi * t) + DROP_BUDGET for t in traj.times]
     return {j: _audit(rows[j], slack) for j in js}
 
 

@@ -80,9 +80,10 @@ def q_second(c: float, z):
     return np.sqrt(2.0 * c) * c * sech * (1.0 - 2.0 * sech**2)
 
 
-def soliton_eval(s: Soliton, t: float, x, shift: float = 0.0):
-    """kappa * Q_c(x - x0 + shift - c t); shift is the modulation offset."""
-    return s.kappa * q_profile(s.c, np.asarray(x) - s.x0 + shift - s.c * t)
+def soliton_eval(s: Soliton, t: float, x):
+    """kappa * Q_c(x - x0 - c t), the soliton at time t; the modulation fit's
+    translated profiles come from _offset_partials."""
+    return s.kappa * q_profile(s.c, np.asarray(x) - s.x0 - s.c * t)
 
 
 _HYP_CLAMP = 100.0  # |beta*y2| cap; beyond it the profile is ~1e-44, and
@@ -106,23 +107,24 @@ def _breather_quotient(b: Breather, t: float, x, shift1: float, shift2: float):
     return k, N, D, s, c, sh, ch
 
 
-def breather_eval(b: Breather, t: float, x, shift1: float = 0.0, shift2: float = 0.0):
+def breather_eval(b: Breather, t: float, x):
     """Closed-form value 2*sqrt(2) d/dx arctan((beta/alpha) sin(a y1)/cosh(b y2)).
 
     Worked out with the quotient rule this is k N / D with k =
     2*sqrt(2)*alpha*beta, N = alpha cos(a y1) cosh(b y2) - beta sin(a y1)
     sinh(b y2) and D = alpha^2 cosh^2(b y2) + beta^2 sin^2(a y1).
     """
-    k, N, D, *_ = _breather_quotient(b, t, x, shift1, shift2)
+    k, N, D, *_ = _breather_quotient(b, t, x, 0.0, 0.0)
     return k * N / D
 
 
 def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float):
     """Value k N / D of the shifted breather, its phase partials and their Hessian on demand.
 
-    Returns (value, d1, d2, second) from one evaluation of the quotient; value has
-    the bits of breather_eval, and second() returns the Hessian [[d11, d12], [d12,
-    d22]] from the same evaluation.  D has no mixed phase partial.
+    Returns (value, d1, d2, second) from one evaluation of the quotient; at zero
+    offsets value has the bits of breather_eval, and second() returns the Hessian
+    [[d11, d12], [d12, d22]] from the same evaluation.  D has no mixed phase
+    partial.
     """
     k, N, D, s, c, sh, ch = _breather_quotient(b, t, x, shift1, shift2)
     a, be = b.alpha, b.beta
@@ -149,36 +151,31 @@ def _breather_partials(b: Breather, t: float, x, shift1: float, shift2: float):
     return k * N / D, k * g1 / Dsq, k * g2 / Dsq, second
 
 
-def _offsets(shifts: Sequence[float]) -> tuple[float, float]:
-    """First and second translation offsets, 0.0 where shifts stops short."""
-    s1 = shifts[0] if len(shifts) else 0.0
-    s2 = shifts[1] if len(shifts) > 1 else 0.0
-    return s1, s2
-
-
 def _offset_partials(o: WaveObject, shifts: Sequence[float], t: float, x):
     """One shifted profile with its offset partials, as used by the modulation solver.
 
-    Returns (value, dirs, hess) from a single evaluation: value has the bits of
-    eval_object, dirs holds one partial per offset (one for a soliton, two for a
-    breather), and hess() evaluates the second partials from the same evaluation
-    only when called: hess()[a][b] is the partial of dirs[a] in offset b.
+    Returns (value, dirs, hess) from a single evaluation: at zero offsets value
+    has the bits of eval_object, dirs holds one partial per offset (one for a
+    soliton, two for a breather), and hess() evaluates the second partials from
+    the same evaluation only when called: hess()[a][b] is the partial of dirs[a]
+    in offset b.  Offsets missing from the end of shifts are 0.0.
     """
-    s1, s2 = _offsets(shifts)
+    s1 = shifts[0] if len(shifts) else 0.0
+    s2 = shifts[1] if len(shifts) > 1 else 0.0
     if isinstance(o, Soliton):
-        z = np.asarray(x) - o.x0 + s1 - o.c * t  # soliton_eval's argument
+        z = np.asarray(x) - o.x0 + s1 - o.c * t  # soliton_eval's argument, shifted by s1
         k, c = o.kappa, o.c
         return k * q_profile(c, z), [k * q_prime(c, z)], lambda: [[k * q_second(c, z)]]
     value, d1, d2, hess = _breather_partials(o, t, x, s1, s2)
     return value, [d1, d2], hess
 
 
-def eval_object(o: WaveObject, t: float, x, shifts: Sequence[float] = ()):
-    """Evaluate a soliton or breather, with optional translation offsets."""
-    s1, s2 = _offsets(shifts)
+def eval_object(o: WaveObject, t: float, x):
+    """Evaluate a soliton or breather at time t; translated profiles come
+    from _offset_partials."""
     if isinstance(o, Soliton):
-        return soliton_eval(o, t, x, s1)
-    return breather_eval(o, t, x, s1, s2)
+        return soliton_eval(o, t, x)
+    return breather_eval(o, t, x)
 
 
 def velocity(o: WaveObject) -> float:
@@ -274,17 +271,11 @@ def check_tails(cfg: OrderedConfiguration, t: float, g: Grid):
             )
 
 
-def profile_sum(
-    cfg: OrderedConfiguration,
-    t: float,
-    g: Grid,
-    shifts: Sequence[Sequence[float]] | None = None,
-) -> Field:
+def profile_sum(cfg: OrderedConfiguration, t: float, g: Grid) -> Field:
     """Pointwise sum of all object evaluations at time t on the grid."""
     check_tails(cfg, t, g)
     x = g.x
     total = np.zeros_like(x)
-    for i, o in enumerate(cfg.objects):
-        sh = shifts[i] if shifts is not None else ()
-        total += eval_object(o, t, x, sh)
+    for o in cfg.objects:
+        total += eval_object(o, t, x)
     return make_field(g, total)

@@ -1,13 +1,29 @@
 """Reference quantities the tests compare mkdvlab's own paths against.
 
 mkdvlab computes the H^2 norm only inside the modulation fit, from a derivative
-pair it already holds, and the second-variation form only as the coercivity
-check's matrix.  These are the same quantities for a single field, written as
-functions the tests can call on any input.
+pair it already holds, the second-variation form only as the coercivity check's
+matrix, and translated profiles only inside the fit.  These are the same
+quantities for a single field, written as functions the tests can call on any
+input.
 """
 
-from mkdvlab.grid import Field, integrate, spectral_derivative
+import numpy as np
+
+from mkdvlab.grid import Field, integrate, make_field, spectral_derivative
 from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
+from mkdvlab.profiles import _offset_partials
+
+
+def shifted_profile_sum(cfg, t: float, g, shifts) -> Field:
+    """Sum of the profiles translated by per-object offsets, in object order.
+
+    Each profile is the value the modulation fit evaluates, so at the fit's
+    offsets the sum has the bits the fit subtracts from u.
+    """
+    total = np.zeros_like(g.x)
+    for o, sh in zip(cfg.objects, shifts, strict=True):
+        total += _offset_partials(o, sh, t, g.x)[0]
+    return make_field(g, total)
 
 
 def h2_norm_sq(f: Field) -> float:

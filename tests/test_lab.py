@@ -36,6 +36,7 @@ from mkdvlab.lab import (
 from mkdvlab.evolution import EvolutionControls, stability_bound
 from mkdvlab.grid import Grid, make_field, make_grid
 from mkdvlab.profiles import Breather, Soliton, order_and_validate, profile_sum
+from oracles import h2_norm_sq
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
 
@@ -135,6 +136,20 @@ def _readme_scenario() -> str:
     with open(os.path.join(SCENARIOS, "..", "README.md")) as f:
         section = f.read().split("## Scenario schema", 1)[1]
     return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    # shortened to 21 snapshots; the rebuilt residual must be the tracked fit's
+    with open(os.path.join(SCENARIOS, "..", "README.md")) as f:
+        section = f.read().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    long_run, short_run = "t_end=8.0, save_every=400", "t_end=0.2, save_every=20"
+    assert code.count(long_run) == 1
+    ns = {}
+    exec(code.replace(long_run, short_run), ns)
+    traj, track, i = ns["traj"], ns["track"], ns["i"]
+    assert len(traj.times) == 21 and track.w_h2.shape == (21,)
+    assert np.sqrt(h2_norm_sq(ns["w"])) == track.w_h2[i]
 
 
 @pytest.mark.parametrize(
@@ -543,6 +558,13 @@ def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
     assert {hessians.count(o) for o in s.cfg.objects} == {sum(iterations)}
 
 
+def _translated(o, shifts):
+    """The object whose profile is o's translated by the fit's offsets."""
+    if isinstance(o, Soliton):
+        return replace(o, x0=o.x0 - shifts[0])
+    return replace(o, x1=o.x1 + shifts[0], x2=o.x2 + shifts[1])
+
+
 @pytest.mark.parametrize("name", ["flagship", "lone soliton"])
 def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
     # rate-fit reads w, its derivative pair and the profiles from each fit
@@ -556,15 +578,24 @@ def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
     assert np.array_equal(series["w_h2"], track.w_h2)
     assert s.cfg.J == (3 if name == "flagship" else 1) and len(traj.times) > 40
     fits = modulation._fits(traj, s.cfg)
+    worst = 0.0
     for (t, st), row, y in zip(fits, traj.values, track.offsets, strict=True):
         assert np.array_equal(st.offsets, y)
         assert np.array_equal(st.w.values, row - sum(st.profiles))
         shifts = modulation.split_offsets(s.cfg, y)
         assert len(st.profiles) == len(shifts) == s.cfg.J
         for o, sh, p in zip(s.cfg.objects, shifts, st.profiles):
-            assert np.array_equal(p, profiles.eval_object(o, t, s.grid.x, sh))
+            moved = profiles.eval_object(_translated(o, sh), t, s.grid.x)
+            worst = max(worst, float(np.max(np.abs(p - moved))))
         for got, want in zip(st.w_pair, grid.derivative_pair(st.w), strict=True):
             assert np.array_equal(got, want)
+        # the stored offsets are a root: a refit from them takes no step
+        again = modulation.fit_translations(make_field(s.grid, row), s.cfg, t, guess=y)
+        assert again.iterations == 0 and np.array_equal(again.w.values, st.w.values)
+    # each held profile is the object moved by its offsets, up to the rounding
+    # of the translated argument: measured 1.0e-14 on the flagship (profiles of
+    # height about 2.8) and 0 on the lone soliton, a margin of 10
+    assert worst < 1e-13
 
 
 def test_rate_fit_note_names_its_weight():
@@ -636,6 +667,15 @@ def test_emit_plot_data_columns(tmp_path):
     assert lines[0] == "# t\tv"
     assert len(lines) == 3
     assert (tmp_path / "demo-empty.dat").read_text().startswith("#")
+
+
+def test_write_report_refuses_unequal_columns(tmp_path):
+    rep = ExperimentReport(
+        kind="demo", passed=True, summary={}, series={"series": {"t": [0.0, 1.0], "v": [2.0]}}
+    )
+    with pytest.raises(ValueError):
+        write_report(parse_scenario(MINIMAL), rep, str(tmp_path))
+    assert not (tmp_path / "demo-series.dat").exists()
 
 
 def test_conservation_experiment_short(tmp_path):

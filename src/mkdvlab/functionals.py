@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, derivative_pair, integrate
+from .grid import Field, derivative_pair, integrate
 from .profiles import OrderedConfiguration
 
 
@@ -49,30 +49,6 @@ def psi(sigma: float, x):
     return (2.0 / np.pi) * np.arctan(np.exp(-0.5 * np.sqrt(sigma) * np.asarray(x, dtype=float)))
 
 
-def psi_prime(sigma: float, x):
-    """Analytic derivative -(sqrt(sigma)/(2 pi)) sech(sqrt(sigma) x / 2)."""
-    rs = np.sqrt(sigma)
-    return -(rs / (2.0 * np.pi)) / np.cosh(0.5 * rs * np.asarray(x, dtype=float))
-
-
-def psi_second(sigma: float, x):
-    """Analytic second derivative (sigma/(4 pi)) sech(.) tanh(.)."""
-    rs = np.sqrt(sigma)
-    z = 0.5 * rs * np.asarray(x, dtype=float)
-    return (sigma / (4.0 * np.pi)) * np.tanh(z) / np.cosh(z)
-
-
-def derivative_inequality_holds(first, second, sigma: float) -> bool:
-    """Check |w''| <= (sqrt(sigma)/2)|w'| samplewise for given derivative samples."""
-    return bool(np.all(np.abs(second) <= 0.5 * np.sqrt(sigma) * np.abs(first)))
-
-
-def cutoff_derivative_inequality(sigma: float, g: Grid) -> bool:
-    """The analytic cutoff satisfies |Psi''| <= (sqrt(sigma)/2)|Psi'| at every node."""
-    x = g.x
-    return derivative_inequality_holds(psi_prime(sigma, x), psi_second(sigma, x), sigma)
-
-
 @dataclass(frozen=True)
 class CutoffFamily:
     """Cutoff shape parameter, the J-1 weight speeds, and their separation."""
@@ -92,14 +68,6 @@ class CutoffFamily:
         if j == self.J:
             return np.ones_like(x)
         return psi(self.sigma, x - self.speeds[j - 1] * t)
-
-    def weight_x(self, j: int, t: float, x) -> np.ndarray:
-        """Spatial derivative of Phi_j (zero for j = J)."""
-        self._check_index(j)
-        x = np.asarray(x, dtype=float)
-        if j == self.J:
-            return np.zeros_like(x)
-        return psi_prime(self.sigma, x - self.speeds[j - 1] * t)
 
     def _check_index(self, j: int):
         if not 1 <= j <= self.J:

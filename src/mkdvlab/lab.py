@@ -257,7 +257,10 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
     ta, tb = float(window[0]), float(window[1])
     mask = (times >= ta) & (times <= tb)
     if mask.sum() < 2:
-        raise ValueError("fit window must contain at least two samples")
+        raise ValueError(
+            f"fit window [{ta:.6g}, {tb:.6g}] holds {mask.sum()} sample(s); "
+            "the rate fit needs at least two"
+        )
     tw = times[mask]
     dw = distances[mask]
     if np.any(dw <= 0):

@@ -1,5 +1,5 @@
 """Parameter selection, Lyapunov/weakened functionals, monotonicity tracking,
-interpolation and coefficient checks, and the discrete coercivity eigencheck.
+coefficient checks, and the discrete coercivity eigencheck.
 
 Parameter defaults follow the midpoint rule: every quantity that only has to
 satisfy an open condition is placed at the midpoint of its admissible
@@ -21,23 +21,15 @@ from .functionals import (
     localized_triples,
     make_cutoff_family,
 )
-from .grid import (
-    Field,
-    Grid,
-    circulant,
-    derivative_pair,
-    integrate,
-    make_field,
-    spectral_derivative,
-)
+from .grid import Grid, circulant, derivative_pair, make_field
 from .profiles import (
     OrderedConfiguration,
     WaveObject,
+    _offset_partials,
     center,
     eval_object,
     shape_pair,
 )
-from .modulation import modulation_directions
 
 # slack floor of the monotonicity audit: the decrease any functional may show
 # on top of the decaying term C exp(-2 varpi t)
@@ -278,11 +270,11 @@ def _bordered_form(obj: WaveObject, g: Grid) -> np.ndarray:
 
 def _restricted_forms(obj: WaveObject, g: Grid) -> np.ndarray:
     """[[Ar, h pr], [h pr^T, 0]]: _bordered_form restricted to the discrete-L^2 complement
-    of W V, V the m <= 2 modulation directions, so Ar = W A W and pr = W P there.
-    x = W y is orthogonal to V exactly when y is orthogonal to W V.
+    of W V, V the m <= 2 modulation directions (the fit's offset partials), so Ar = W A W
+    and pr = W P there.  x = W y is orthogonal to V exactly when y is orthogonal to W V.
     """
     M = _bordered_form(obj, g)
-    dirs = _apply_inverse_sqrt(g, modulation_directions(obj, (), 0.0, g))
+    dirs = _apply_inverse_sqrt(g, _offset_partials(obj, (), 0.0, g.x)[1])
     return _restrict_to_complement(dirs.T, M)
 
 
@@ -404,34 +396,6 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
         t_sep = 0.0
     C = scale * np.exp(-2.0 * varpi * t_sep)
     return float(varpi), float(C)
-
-
-@dataclass
-class InterpolationReport:
-    holds_quadratic: bool  # X^2 <= A + eps X
-    holds_linear: bool  # X <= eps + sqrt(A)
-    ratio: float  # X^2 / (A + eps X), <= 1 when the bound holds
-
-
-def interpolation_inequality_check(u: Field, fam: CutoffFamily, j: int) -> InterpolationReport:
-    """Check X^2 <= A + eps X with the |Phi_jx|-weighted Sobolev quantities at t = 0."""
-    g = u.grid
-    wx = np.abs(fam.weight_x(j, 0.0, g.x))
-    u1, u2 = derivative_pair(u)
-    u3 = spectral_derivative(u, 3).values
-    i1 = integrate(g, u1**2 * wx)
-    i2 = integrate(g, u2**2 * wx)
-    i3 = integrate(g, u3**2 * wx)
-    X = np.sqrt(i2)
-    A = np.sqrt(i1 * i3)
-    eps = 0.5 * np.sqrt(fam.sigma) * np.sqrt(i1)
-    denom = A + eps * X
-    tol = 1e-12 * max(1.0, X**2)
-    return InterpolationReport(
-        holds_quadratic=bool(X**2 <= denom + tol),
-        holds_linear=bool(X <= eps + np.sqrt(A) + tol),
-        ratio=float(X**2 / denom) if denom > 0 else 0.0,
-    )
 
 
 @dataclass

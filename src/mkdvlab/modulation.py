@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
 from .functionals import CutoffFamily
-from .grid import Field, Grid, _h2_sum, derivative_pair, integrate, make_field
+from .grid import Field, _h2_sum, derivative_pair, integrate, make_field
 from .profiles import OrderedConfiguration, _offset_partials, n_offsets, shape_pair
 
 MAX_NEWTON_ITERS = 50
@@ -35,15 +35,6 @@ def split_offsets(cfg: OrderedConfiguration, flat: np.ndarray) -> list[tuple[flo
 
 def total_offsets(cfg: OrderedConfiguration) -> int:
     return sum(n_offsets(o) for o in cfg.objects)
-
-
-def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:
-    """Translation-parameter derivatives of one shifted profile, one row each.
-
-    One row for a soliton (the spatial derivative of the shifted profile),
-    two for a breather (partials in each phase parameter), all closed-form.
-    """
-    return np.array(_offset_partials(o, shifts, t, g.x)[1])
 
 
 @dataclass

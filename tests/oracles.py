@@ -1,17 +1,40 @@
-"""Reference quantities the tests compare mkdvlab's own paths against.
+"""Reference quantities the tests compare mkdvlab's own paths against, and the
+paper's two lemma checks on the cutoff.
 
 mkdvlab computes the H^2 norm only inside the modulation fit, from a derivative
 pair it already holds, the second-variation form only as the coercivity check's
-matrix, and translated profiles only inside the fit.  These are the same
-quantities for a single field, written as functions the tests can call on any
-input.
+matrix, and translated profiles and their offset partials only inside the fit.
+These are the same quantities for a single field, written as functions the
+tests can call on any input.
+
+The cutoff inequality |Psi''| <= (sqrt(sigma)/2)|Psi'| and the weighted
+interpolation bound X^2 <= A + eps X are lemmas of the almost-monotonicity
+proof.  Both are theorems (the first is |tanh| <= 1, the second follows from it
+by one integration by parts and Cauchy-Schwarz), so no kind runs them: as
+audits they could not fail.  The tests check them, with the cutoff derivatives
+only they use.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from mkdvlab.grid import Field, integrate, make_field, spectral_derivative
+from mkdvlab.functionals import CutoffFamily
+from mkdvlab.grid import (
+    Field,
+    Grid,
+    derivative_pair,
+    integrate,
+    make_field,
+    spectral_derivative,
+)
 from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
 from mkdvlab.profiles import _offset_partials
+
+
+def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:
+    """The offset partials of one shifted profile, one row each, as the fit evaluates them."""
+    return np.array(_offset_partials(o, shifts, t, g.x)[1])
 
 
 def shifted_profile_sum(cfg, t: float, g, shifts) -> Field:
@@ -48,3 +71,64 @@ def quadratic_form_H(w: Field, profile: Field, j: int, p: LyapunovParams, t: flo
     wx = spectral_derivative(w, 1).values
     wxx = spectral_derivative(w, 2).values
     return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
+
+
+def psi_prime(sigma: float, x):
+    """Analytic derivative -(sqrt(sigma)/(2 pi)) sech(sqrt(sigma) x / 2)."""
+    rs = np.sqrt(sigma)
+    return -(rs / (2.0 * np.pi)) / np.cosh(0.5 * rs * np.asarray(x, dtype=float))
+
+
+def psi_second(sigma: float, x):
+    """Analytic second derivative (sigma/(4 pi)) sech(.) tanh(.)."""
+    rs = np.sqrt(sigma)
+    z = 0.5 * rs * np.asarray(x, dtype=float)
+    return (sigma / (4.0 * np.pi)) * np.tanh(z) / np.cosh(z)
+
+
+def derivative_inequality_holds(first, second, sigma: float) -> bool:
+    """Check |w''| <= (sqrt(sigma)/2)|w'| samplewise for given derivative samples."""
+    return bool(np.all(np.abs(second) <= 0.5 * np.sqrt(sigma) * np.abs(first)))
+
+
+def cutoff_derivative_inequality(sigma: float, g: Grid) -> bool:
+    """The analytic cutoff satisfies |Psi''| <= (sqrt(sigma)/2)|Psi'| at every node."""
+    x = g.x
+    return derivative_inequality_holds(psi_prime(sigma, x), psi_second(sigma, x), sigma)
+
+
+def weight_x(fam: CutoffFamily, j: int, t: float, x) -> np.ndarray:
+    """Spatial derivative of Phi_j (zero for j = J)."""
+    fam._check_index(j)
+    x = np.asarray(x, dtype=float)
+    if j == fam.J:
+        return np.zeros_like(x)
+    return psi_prime(fam.sigma, x - fam.speeds[j - 1] * t)
+
+
+@dataclass
+class InterpolationReport:
+    holds_quadratic: bool  # X^2 <= A + eps X
+    holds_linear: bool  # X <= eps + sqrt(A)
+    ratio: float  # X^2 / (A + eps X), <= 1 when the bound holds
+
+
+def interpolation_inequality_check(u: Field, fam: CutoffFamily, j: int) -> InterpolationReport:
+    """Check X^2 <= A + eps X with the |Phi_jx|-weighted Sobolev quantities at t = 0."""
+    g = u.grid
+    wx = np.abs(weight_x(fam, j, 0.0, g.x))
+    u1, u2 = derivative_pair(u)
+    u3 = spectral_derivative(u, 3).values
+    i1 = integrate(g, u1**2 * wx)
+    i2 = integrate(g, u2**2 * wx)
+    i3 = integrate(g, u3**2 * wx)
+    X = np.sqrt(i2)
+    A = np.sqrt(i1 * i3)
+    eps = 0.5 * np.sqrt(fam.sigma) * np.sqrt(i1)
+    denom = A + eps * X
+    tol = 1e-12 * max(1.0, X**2)
+    return InterpolationReport(
+        holds_quadratic=bool(X**2 <= denom + tol),
+        holds_linear=bool(X <= eps + np.sqrt(A) + tol),
+        ratio=float(X**2 / denom) if denom > 0 else 0.0,
+    )

@@ -36,7 +36,7 @@ from mkdvlab.profiles import (
     soliton_eval,
     velocity,
 )
-from oracles import h2_norm_sq, shifted_profile_sum
+from oracles import cutoff_derivative_inequality, h2_norm_sq, shifted_profile_sum
 
 FLAGSHIP_TEXT = """
 name: flagship
@@ -134,8 +134,6 @@ def test_A4_cutoff_inequalities():
     g = make_grid(100.0, 4096)
     ok = True
     details = []
-    from mkdvlab.functionals import cutoff_derivative_inequality
-
     for sigma in (1e-3, 1e-2, 1e-1):
         holds = cutoff_derivative_inequality(sigma, g)
         ok = ok and holds

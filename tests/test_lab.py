@@ -1067,6 +1067,19 @@ def test_rate_fit_fails_where_the_residual_cannot_decay(tmp_path, capsys):
     assert summary["r_squared"] < 0.8
 
 
+def test_cli_rate_fit_refuses_a_window_with_one_sample(tmp_path, capsys):
+    # dt 5e-4 and a save every 400 steps keep t = 0 and t = 0.2 only, so the
+    # window [0.05, 0.2] holds one snapshot: invalid input, and nothing written
+    argv = ["rate-fit", "--scenario", SCENARIOS + "flagship.yaml", "--out", str(tmp_path)]
+    argv += ["--override", "evolution.t_end=0.2", "--override", "evolution.save_every=400"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "rate-fit: invalid input: fit window [0.05, 0.2] holds 1 sample(s); "
+        "the rate fit needs at least two\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 SLOW_SOLITON = """
 name: slow-soliton
 objects:

@@ -23,11 +23,9 @@ from mkdvlab.lyapunov import (
     calibrate_slack,
     coefficient_positivity,
     coercivity_check,
-    interpolation_inequality_check,
     monotonicity_report,
     select_parameters,
 )
-from mkdvlab.modulation import modulation_directions
 from mkdvlab.profiles import (
     Breather,
     Soliton,
@@ -37,7 +35,7 @@ from mkdvlab.profiles import (
     shape_pair,
     soliton_eval,
 )
-from oracles import quadratic_form_H
+from oracles import interpolation_inequality_check, modulation_directions, quadratic_form_H
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from mkdvlab.evolution import EvolutionControls, evolve
 from mkdvlab.grid import integrate, make_field, make_grid, spectral_derivative
 from mkdvlab.modulation import (
     fit_translations,
-    modulation_directions,
     split_offsets,
     total_offsets,
     track_modulation,
@@ -22,7 +21,7 @@ from mkdvlab.profiles import (
     profile_sum,
     q_prime,
 )
-from oracles import h2_norm_sq, shifted_profile_sum
+from oracles import h2_norm_sq, modulation_directions, shifted_profile_sum
 
 
 @pytest.fixture(scope="module")

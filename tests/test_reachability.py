@@ -1,11 +1,13 @@
 """Every function and method in mkdvlab is reached by a kind, and every
-defaulted parameter is set by one.
+defaulted parameter is set by one, with no exceptions.
 
 `mkdvlab all` runs on the flagship, the lone soliton and the lone breather,
 the J = 3 and J = 1 paths and the CLI's failure path, under sys.setprofile.
 A function, public or private, that no kind calls is dead code, or a
 test-only reference that belongs in tests/oracles.py.  A defaulted parameter
 that no kind passes a value other than its default is an option nobody sets.
+A probe injected into a src module for the same runs is the negative control:
+the guard must report it and its parameter, and nothing else.
 """
 
 import importlib
@@ -15,21 +17,9 @@ import pkgutil
 import sys
 
 import mkdvlab
-from mkdvlab import cli
+from mkdvlab import cli, lyapunov
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-
-# The paper's two lemma checks and the cutoff derivatives only they use.  They
-# are to become monotonicity keys next to coefficient_positivity (ROADMAP item 6,
-# folded into item 16); until then only the tests call them.
-LEMMA_CHECKS = {
-    "functionals.cutoff_derivative_inequality",
-    "functionals.derivative_inequality_holds",
-    "functionals.psi_second",
-    "functionals.psi_prime",
-    "functionals.CutoffFamily.weight_x",
-    "lyapunov.interpolation_inequality_check",
-}
 
 
 def _defined_functions():
@@ -55,8 +45,17 @@ def _defined_functions():
     return out
 
 
-def test_every_function_is_reached_by_a_kind(tmp_path):
+def _probe(x, scale=1.0):
+    """No kind calls this, and none could set scale."""
+    return scale * x
+
+
+def test_every_function_is_reached_by_a_kind(tmp_path, monkeypatch):
+    probe = "lyapunov._probe"
+    monkeypatch.setattr(_probe, "__module__", lyapunov.__name__)
+    monkeypatch.setattr(lyapunov, "_probe", _probe, raising=False)
     defined = _defined_functions()
+    assert probe in defined
     # code object -> (function, parameter, default) of each defaulted parameter
     defaulted = {
         fn.__code__: [
@@ -87,10 +86,16 @@ def test_every_function_is_reached_by_a_kind(tmp_path):
     # the lone breather moves left: monotonicity and rate-fit refuse it (exit 2)
     assert codes == [0, 0, 2]
 
-    assert LEMMA_CHECKS <= defined.keys()
-    unreached = sorted(name for name, fn in defined.items() if fn.__code__ not in called)
-    assert unreached == sorted(LEMMA_CHECKS)
+    def guard(fns):
+        """The functions no kind reaches, and the options no kind sets."""
+        unreached = sorted(name for name, fn in fns.items() if fn.__code__ not in called)
+        options = {f"{n}.{param}" for fn in fns.values() for n, param, _ in defaulted[fn.__code__]}
+        assert options
+        return unreached, sorted(options - set_by_a_kind)
+
+    unreached, unset = guard({name: fn for name, fn in defined.items() if name != probe})
+    assert unreached == []
     # an option that every kind leaves at its default is one nobody sets
-    options = {f"{name}.{param}" for params in defaulted.values() for name, param, _ in params}
-    assert options
-    assert sorted(options - set_by_a_kind) == []
+    assert unset == []
+    # the negative control: the guard reports the probe and its option, and nothing else
+    assert guard(defined) == ([probe], [f"{probe}.scale"])

@@ -16,7 +16,7 @@ from .errors import (
     SingularJacobian,
     TailsTooLarge,
 )
-from .grid import Field, Grid, make_field, make_grid, spectral_derivative
+from .grid import Grid, make_grid
 from .profiles import (
     Breather,
     OrderedConfiguration,

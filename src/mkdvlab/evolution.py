@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlowUp
-from .grid import Field, Grid, make_field, spectral_derivative
+from .grid import Grid, derivative_pair
 from .profiles import WaveObject, eval_object
 
 BLOWUP_LIMIT = 1e6
@@ -48,12 +48,12 @@ class Trajectory:
     grid: Grid
 
 
-def stability_bound(u: Field) -> float:
+def stability_bound(g: Grid, u: np.ndarray) -> float:
     """Nonlinear CFL safety bound dt <= 2 / (max|u|^2 * k_max)."""
-    amp = float(np.max(np.abs(u.values)))
+    amp = float(np.max(np.abs(u)))
     if amp == 0.0:
         return np.inf
-    return 2.0 / (amp**2 * u.grid.k_max)
+    return 2.0 / (amp**2 * g.k_max)
 
 
 # points per block of _phi_functions, whose (block, 64) complex temporaries are
@@ -136,24 +136,32 @@ def _check_finite(values: np.ndarray, t: float):
         raise BlowUp(t)
 
 
-def evolve(u0: Field, controls: EvolutionControls) -> Trajectory:
-    """Run from t = 0 to t_end, saving every save_every steps.
+def evolve(g: Grid, u0: np.ndarray, controls: EvolutionControls) -> Trajectory:
+    """Run the samples u0 on g from t = 0 to t_end, saving every save_every steps.
 
-    Raises BlowUp at the first step whose coefficients are not finite, and at
-    a save point whose values exceed BLOWUP_LIMIT.
+    Raises ValueError unless u0 is a finite float array of shape (g.n,), and
+    BlowUp at the first step whose coefficients are not finite and at a save
+    point whose values exceed BLOWUP_LIMIT.
     """
-    bound = stability_bound(u0)
+    if not (isinstance(u0, np.ndarray) and u0.dtype.kind == "f" and u0.shape == (g.n,)):
+        raise ValueError(
+            f"u0 must be a float array of shape ({g.n},), got {type(u0).__name__} "
+            f"of shape {np.shape(u0)}"
+        )
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("u0 must be finite")
+    bound = stability_bound(g, u0)
     if controls.dt > bound:
         raise ValueError(
             f"dt={controls.dt:.3e} exceeds the nonlinear CFL safety bound {bound:.3e}"
         )
     n_steps = int(round(controls.t_end / controls.dt))
     n_saves = 1 + math.ceil(n_steps / controls.save_every)
-    stepper = _Stepper(u0.grid, controls.dt)
-    uh = np.fft.rfft(u0.values)
+    stepper = _Stepper(g, controls.dt)
+    uh = np.fft.rfft(u0)
     times = np.empty(n_saves)
-    values = np.empty((n_saves, u0.grid.n))
-    times[0], values[0] = 0.0, u0.values
+    values = np.empty((n_saves, g.n))
+    times[0], values[0] = 0.0, u0
     row = 1
     for i in range(1, n_steps + 1):
         uh = stepper.step(uh)
@@ -163,11 +171,11 @@ def evolve(u0: Field, controls: EvolutionControls) -> Trajectory:
         if not np.isfinite(np.vdot(uh, uh).real):
             raise BlowUp(t)
         if i % controls.save_every == 0 or i == n_steps:
-            values[row] = np.fft.irfft(uh, u0.grid.n)
+            values[row] = np.fft.irfft(uh, g.n)
             _check_finite(values[row], t)
             times[row] = t
             row += 1
-    return Trajectory(times=times, values=values, grid=u0.grid)
+    return Trajectory(times=times, values=values, grid=g)
 
 
 def pde_residual(objects: Sequence[WaveObject], t: float, g: Grid) -> float:
@@ -185,8 +193,7 @@ def pde_residual(objects: Sequence[WaveObject], t: float, g: Grid) -> float:
     u_t = (
         u_at(t - 2 * dt) - 8.0 * u_at(t - dt) + 8.0 * u_at(t + dt) - u_at(t + 2 * dt)
     ) / (12.0 * dt)
-    u = make_field(g, u_at(t))
-    v = u.values
-    flux = make_field(g, spectral_derivative(u, 2).values + v * v * v)
-    res = u_t + spectral_derivative(flux, 1).values
+    u = u_at(t)
+    flux = derivative_pair(g, u)[1] + u * u * u
+    res = u_t + derivative_pair(g, flux)[0]
     return float(np.max(np.abs(res)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, derivative_pair, integrate
+from .grid import Grid, derivative_pair, integrate
 from .profiles import OrderedConfiguration
 
 
@@ -28,18 +28,17 @@ def _second_energy_density(v, ux, uxx):
     return 0.5 * uxx**2 - 2.5 * v2 * ux**2 + 0.25 * (v2 * v2 * v2)
 
 
-def _densities(u: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _densities(g: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integrands u^2 and those of E and F, from one derivative pair."""
-    v = u.values
-    ux, uxx = derivative_pair(u)
-    return v**2, _energy_density(v, ux), _second_energy_density(v, ux, uxx)
+    ux, uxx = derivative_pair(g, u)
+    return u**2, _energy_density(u, ux), _second_energy_density(u, ux, uxx)
 
 
-def conserved(u: Field) -> tuple[float, float, float]:
+def conserved(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
     """The conserved mass (1/2) int u^2, energy int (1/2 u_x^2 - 1/4 u^4) and second
     energy int (1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6), from one derivative pair."""
-    m, e, f = _densities(u)
-    return 0.5 * integrate(u.grid, m), integrate(u.grid, e), integrate(u.grid, f)
+    m, e, f = _densities(g, u)
+    return 0.5 * integrate(g, m), integrate(g, e), integrate(g, f)
 
 
 def psi(sigma: float, x):
@@ -108,11 +107,12 @@ class LocalizedTriple:
             raise ValueError("localized mass must be nonnegative")
 
 
-def localized_triples(u: Field, fam: CutoffFamily, js, t: float) -> list[LocalizedTriple]:
+def localized_triples(
+    g: Grid, u: np.ndarray, fam: CutoffFamily, js, t: float
+) -> list[LocalizedTriple]:
     """The weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention) for
     each j in js, sharing one derivative pair."""
-    g = u.grid
-    m, e, f = _densities(u)
+    m, e, f = _densities(g, u)
     out = []
     for j in js:
         phi = fam.weight(j, t, g.x)

@@ -7,7 +7,7 @@ rule on the periodic grid, which is spectrally accurate here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,31 +66,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Field:
-    """Real-valued samples of a function on a Grid."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid with n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-
-
 def make_grid(L: float, n: int) -> Grid:
     """Build the periodic grid on [-L, L) with n nodes."""
     return Grid(half_length=float(L), n=int(n))
-
-
-def make_field(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid=grid, values=np.asarray(values, dtype=float))
 
 
 def _power_symbol(grid: Grid, order: int) -> np.ndarray:
@@ -102,21 +80,11 @@ def _power_symbol(grid: Grid, order: int) -> np.ndarray:
     return sym
 
 
-def spectral_derivative(f: Field, order: int) -> Field:
-    """Fourier differentiation of the given order (1..4)."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be in 1..4, got {order}")
-    g = f.grid
-    fh = _power_symbol(g, order) * np.fft.rfft(f.values)
-    return make_field(g, np.fft.irfft(fh, g.n))
-
-
-def derivative_pair(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(f_x, f_xx) from one forward transform, with the bits of spectral_derivative
-    at orders 1 and 2: the same symbols multiply the same coefficients."""
-    g = f.grid
-    fh = np.fft.rfft(f.values)
-    return np.fft.irfft(g.d1_symbol * fh, g.n), np.fft.irfft(g.d2_symbol * fh, g.n)
+def derivative_pair(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_x, f_xx) of the samples f, from one forward transform and the grid's
+    cached order-1 and order-2 symbols."""
+    fh = np.fft.rfft(f)
+    return np.fft.irfft(grid.d1_symbol * fh, grid.n), np.fft.irfft(grid.d2_symbol * fh, grid.n)
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:

@@ -23,7 +23,7 @@ import yaml
 from .errors import NonPositiveDistance
 from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
 from .functionals import conserved
-from .grid import Field, Grid, make_field, make_grid
+from .grid import Grid, make_grid
 from .lyapunov import (
     DROP_BUDGET,
     LyapunovParams,
@@ -80,17 +80,17 @@ class Scenario:
         text = json.dumps(resolved_config(self), indent=2, sort_keys=True)
         return text + "\n"
 
-    def trajectory(self, u0: Field) -> Trajectory:
-        """evolve(u0, controls), reused while the datum stays the same bit for bit.
+    def trajectory(self, u0: np.ndarray) -> Trajectory:
+        """evolve(grid, u0, controls), reused while the datum stays the same bit for bit.
 
         A miss empties the holder before integrating, so at most one trajectory
         is held and a run that raises leaves nothing behind.  The stored arrays
         are read-only: a consumer that writes into them fails loudly.
         """
-        key = u0.values.tobytes()
+        key = u0.tobytes()
         if key not in self._held:
             self._held.clear()
-            traj = evolve(u0, self.controls)
+            traj = evolve(self.grid, u0, self.controls)
             traj.times.flags.writeable = False
             traj.values.flags.writeable = False
             self._held[key] = traj
@@ -281,7 +281,7 @@ def fit_exponential_rate(times, distances, window) -> RateFit:
     )
 
 
-def localized_bump(g: Grid, seed: int, center: float) -> Field:
+def localized_bump(g: Grid, seed: int, center: float) -> np.ndarray:
     """Seeded smooth localized perturbation: a height-1e-3 Gaussian, jittered center/width.
 
     The seed draws the Gaussian's centre uniformly in [center - 2, center + 2)
@@ -298,7 +298,7 @@ def localized_bump(g: Grid, seed: int, center: float) -> Field:
     L = g.half_length
     d = g.x - x0
     d -= 2.0 * L * np.floor((d + L) / (2.0 * L))
-    return make_field(g, 1e-3 * np.exp(-(d**2) / (2.0 * width**2)))
+    return 1e-3 * np.exp(-(d**2) / (2.0 * width**2))
 
 
 def _bump_center(cfg: OrderedConfiguration) -> float:
@@ -346,7 +346,7 @@ def _run_conservation(s: Scenario) -> ExperimentReport:
     traj = _evolve_scenario(s)
     series = {"t": traj.times, "M": [], "E": [], "F": []}
     for row in traj.values:
-        for name, value in zip("MEF", conserved(make_field(traj.grid, row))):
+        for name, value in zip("MEF", conserved(traj.grid, row)):
             series[name].append(value)
     drifts = {}
     for name in ("M", "E", "F"):
@@ -465,8 +465,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
     varpi_hat, _ = s.slack
     u0 = profile_sum(s.cfg, 0.0, s.grid)
     bump = localized_bump(s.grid, s.seed, center=_bump_center(s.cfg))
-    u0 = make_field(s.grid, u0.values + bump.values)
-    traj = s.trajectory(u0)
+    traj = s.trajectory(u0 + bump)
     # radiation has nonpositive group velocity, so it leaves the rightward-moving
     # window 1 - Phi_{J-1} of the windowed distance
     d = scalar_product_series(traj, s.cfg, p.fam)

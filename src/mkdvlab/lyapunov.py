@@ -21,7 +21,7 @@ from .functionals import (
     localized_triples,
     make_cutoff_family,
 )
-from .grid import Grid, circulant, derivative_pair, make_field
+from .grid import Grid, circulant, derivative_pair
 from .profiles import (
     OrderedConfiguration,
     WaveObject,
@@ -166,7 +166,7 @@ def _second_variation_weights(
     + 5 w^2 P P_xx + 15/4 w^2 P^4] Phi_j + (b^2-a^2)[w_x^2 - 3 w^2 P^2] Phi_j
     + 1/2 (a^2+b^2)^2 w^2 Phi_j.
     """
-    px, pxx = derivative_pair(make_field(g, pv))
+    px, pxx = derivative_pair(g, pv)
     pv2 = pv * pv
     d = b**2 - a**2
     c1 = (d - 2.5 * pv2) * phi
@@ -344,7 +344,7 @@ def monotonicity_report(
     omega = p.default_omega()
     rows = {j: [] for j in js}
     for t, row in zip(traj.times, traj.values):
-        for j, trip in zip(js, localized_triples(make_field(traj.grid, row), p.fam, js, t)):
+        for j, trip in zip(js, localized_triples(traj.grid, row, p.fam, js, t)):
             weak = _weakened(trip, p.shape(j), p.nu)
             rows[j].append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
     slack = [C * np.exp(-2.0 * varpi * t) + DROP_BUDGET for t in traj.times]
@@ -385,7 +385,7 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
 
     scale = 0.0
     for o in cfg.objects:
-        M, E, F = conserved(make_field(g, eval_object(o, 0.0, g.x)))
+        M, E, F = conserved(g, eval_object(o, 0.0, g.x))
         scale += 2.0 * M + abs(E) + abs(F)
 
     centers = sorted(center(o, 0.0) for o in cfg.objects)

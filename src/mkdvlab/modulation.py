@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
 from .functionals import CutoffFamily
-from .grid import Field, _h2_sum, derivative_pair, integrate, make_field
+from .grid import Grid, _h2_sum, derivative_pair, integrate
 from .profiles import OrderedConfiguration, _offset_partials, n_offsets, shape_pair
 
 MAX_NEWTON_ITERS = 50
@@ -42,7 +42,7 @@ class ModulationState:
     """Converged fit of the translation offsets at one time."""
 
     offsets: np.ndarray  # flat, slowest object first; split_offsets gives per-object tuples
-    w: Field
+    w: np.ndarray
     w_pair: tuple[np.ndarray, np.ndarray]  # (w_x, w_xx)
     w_h2: float  # H^2 norm of w, the basin check's measure
     ortho_residuals: np.ndarray
@@ -51,7 +51,8 @@ class ModulationState:
 
 
 def fit_translations(
-    u: Field,
+    g: Grid,
+    u: np.ndarray,
     cfg: OrderedConfiguration,
     t: float,
     guess: np.ndarray | None = None,
@@ -65,7 +66,6 @@ def fit_translations(
     arbitrary data (e.g. u = 0), so a converged root is only accepted when
     the residual stays inside the basin radius 0.5 * min_j b_j.
     """
-    g = u.grid
     x = g.x
     m = total_offsets(cfg)
     radius = 0.5 * min(b for _, b in map(shape_pair, cfg.objects))
@@ -77,12 +77,11 @@ def fit_translations(
     for it in range(MAX_NEWTON_ITERS):
         offsets = split_offsets(cfg, y)
         parts = [_offset_partials(o, sh, t, x) for o, sh in zip(cfg.objects, offsets)]
-        w = u.values - sum(value for value, _, _ in parts)
+        w = u - sum(value for value, _, _ in parts)
         dirs = [d for _, ds, _ in parts for d in ds]
         G = np.array([h * np.sum(d * w) for d in dirs])
         if np.max(np.abs(G)) < 1e-12:
-            wf = make_field(g, w)
-            pair = derivative_pair(wf)
+            pair = derivative_pair(g, w)
             w_norm = float(np.sqrt(_h2_sum(g, w, *pair)))
             if w_norm > radius:
                 raise NoConvergence(
@@ -91,7 +90,7 @@ def fit_translations(
                 )
             return ModulationState(
                 offsets=y,
-                w=wf,
+                w=w,
                 w_pair=pair,
                 w_h2=w_norm,
                 ortho_residuals=G,
@@ -137,7 +136,7 @@ def _fits(traj, cfg: OrderedConfiguration):
     guess = None
     for t, row in zip(traj.times, traj.values):
         try:
-            st = fit_translations(make_field(traj.grid, row), cfg, t, guess=guess)
+            st = fit_translations(traj.grid, row, cfg, t, guess=guess)
         except (NoConvergence, SingularJacobian) as exc:
             raise type(exc)(f"snapshot t={t:.6g}: {exc}") from exc
         guess = st.offsets
@@ -173,7 +172,7 @@ def scalar_product_series(traj, cfg: OrderedConfiguration, fam: CutoffFamily) ->
     js = range(1, cfg.J + 1)
     windowed, w_h2, lhs, quad = [], [], [[] for _ in js], [[] for _ in js]
     for t, st in _fits(traj, cfg):
-        w, (wx, wxx) = st.w.values, st.w_pair
+        w, (wx, wxx) = st.w, st.w_pair
         h1 = w**2 + wx**2
         phis = [fam.weight(j, t, g.x) for j in js]
         window = 1.0 - phis[-2] if fam.J > 1 else 1.0

@@ -13,7 +13,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DuplicateVelocity, TailsTooLarge
-from .grid import Field, Grid, make_field
+from .grid import Grid
 
 # largest decay envelope allowed at the domain boundary
 TAIL_BUDGET = 1e-10
@@ -271,11 +271,11 @@ def check_tails(cfg: OrderedConfiguration, t: float, g: Grid):
             )
 
 
-def profile_sum(cfg: OrderedConfiguration, t: float, g: Grid) -> Field:
+def profile_sum(cfg: OrderedConfiguration, t: float, g: Grid) -> np.ndarray:
     """Pointwise sum of all object evaluations at time t on the grid."""
     check_tails(cfg, t, g)
     x = g.x
     total = np.zeros_like(x)
     for o in cfg.objects:
         total += eval_object(o, t, x)
-    return make_field(g, total)
+    return total

@@ -1,6 +1,10 @@
 """Reference quantities the tests compare mkdvlab's own paths against, and the
 paper's two lemma checks on the cutoff.
 
+Fourier differentiation of any order from a symbol built afresh is the
+reference for mkdvlab's one derivative path, the pair (f_x, f_xx) from the
+grid's cached symbols, and the interpolation check needs order 3.
+
 mkdvlab computes the H^2 norm only inside the modulation fit, from a derivative
 pair it already holds, the second-variation form only as the coercivity check's
 matrix, and translated profiles and their offset partials only inside the fit.
@@ -20,16 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from mkdvlab.functionals import CutoffFamily
-from mkdvlab.grid import (
-    Field,
-    Grid,
-    derivative_pair,
-    integrate,
-    make_field,
-    spectral_derivative,
-)
+from mkdvlab.grid import Grid, _power_symbol, derivative_pair, integrate
 from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
 from mkdvlab.profiles import _offset_partials
+
+
+def spectral_derivative(g: Grid, f: np.ndarray, order: int) -> np.ndarray:
+    """Fourier differentiation of the samples f of the given order (1..4)."""
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"order must be in 1..4, got {order}")
+    return np.fft.irfft(_power_symbol(g, order) * np.fft.rfft(f), g.n)
 
 
 def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:
@@ -37,7 +41,7 @@ def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:
     return np.array(_offset_partials(o, shifts, t, g.x)[1])
 
 
-def shifted_profile_sum(cfg, t: float, g, shifts) -> Field:
+def shifted_profile_sum(cfg, t: float, g, shifts) -> np.ndarray:
     """Sum of the profiles translated by per-object offsets, in object order.
 
     Each profile is the value the modulation fit evaluates, so at the fit's
@@ -46,31 +50,27 @@ def shifted_profile_sum(cfg, t: float, g, shifts) -> Field:
     total = np.zeros_like(g.x)
     for o, sh in zip(cfg.objects, shifts, strict=True):
         total += _offset_partials(o, sh, t, g.x)[0]
-    return make_field(g, total)
+    return total
 
 
-def h2_norm_sq(f: Field) -> float:
+def h2_norm_sq(g: Grid, f: np.ndarray) -> float:
     """Discrete squared H^2 norm: integral of f^2 + f_x^2 + f_xx^2."""
-    g = f.grid
-    fx = spectral_derivative(f, 1).values
-    fxx = spectral_derivative(f, 2).values
-    return integrate(g, f.values**2) + integrate(g, fx**2) + integrate(g, fxx**2)
+    fx = spectral_derivative(g, f, 1)
+    fxx = spectral_derivative(g, f, 2)
+    return integrate(g, f**2) + integrate(g, fx**2) + integrate(g, fxx**2)
 
 
-def quadratic_form_H(w: Field, profile: Field, j: int, p: LyapunovParams, t: float) -> float:
+def quadratic_form_H(
+    g: Grid, w: np.ndarray, profile: np.ndarray, j: int, p: LyapunovParams, t: float
+) -> float:
     """Second-variation quadratic form of the Lyapunov functional H_j at a profile.
 
     The integrand is written out in mkdvlab.lyapunov._second_variation_weights.
     """
-    if w.grid is not profile.grid and w.grid != profile.grid:
-        raise ValueError("w and profile must share a grid")
-    g = w.grid
-    c2, c1, c0 = _second_variation_weights(
-        profile.values, p.fam.weight(j, t, g.x), *p.shape(j), g
-    )
-    wx = spectral_derivative(w, 1).values
-    wxx = spectral_derivative(w, 2).values
-    return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w.values**2)
+    c2, c1, c0 = _second_variation_weights(profile, p.fam.weight(j, t, g.x), *p.shape(j), g)
+    wx = spectral_derivative(g, w, 1)
+    wxx = spectral_derivative(g, w, 2)
+    return integrate(g, c2 * wxx**2 + c1 * wx**2 + c0 * w**2)
 
 
 def psi_prime(sigma: float, x):
@@ -113,12 +113,13 @@ class InterpolationReport:
     ratio: float  # X^2 / (A + eps X), <= 1 when the bound holds
 
 
-def interpolation_inequality_check(u: Field, fam: CutoffFamily, j: int) -> InterpolationReport:
+def interpolation_inequality_check(
+    g: Grid, u: np.ndarray, fam: CutoffFamily, j: int
+) -> InterpolationReport:
     """Check X^2 <= A + eps X with the |Phi_jx|-weighted Sobolev quantities at t = 0."""
-    g = u.grid
     wx = np.abs(weight_x(fam, j, 0.0, g.x))
-    u1, u2 = derivative_pair(u)
-    u3 = spectral_derivative(u, 3).values
+    u1, u2 = derivative_pair(g, u)
+    u3 = spectral_derivative(g, u, 3)
     i1 = integrate(g, u1**2 * wx)
     i2 = integrate(g, u2**2 * wx)
     i3 = integrate(g, u3**2 * wx)

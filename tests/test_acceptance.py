@@ -12,7 +12,7 @@ import pytest
 
 from mkdvlab.evolution import EvolutionControls, evolve, pde_residual
 from mkdvlab.functionals import conserved, psi
-from mkdvlab.grid import make_field, make_grid
+from mkdvlab.grid import make_grid
 from mkdvlab.lab import parse_scenario, run_experiment
 from mkdvlab.lyapunov import (
     CutoffFamily,
@@ -64,9 +64,9 @@ def big_grid():
 @pytest.fixture(scope="module")
 def breather_run(big_grid):
     b = Breather(alpha=1.0, beta=1.0)
-    u0 = make_field(big_grid, breather_eval(b, 0.0, big_grid.x))
+    u0 = breather_eval(b, 0.0, big_grid.x)
     start = time.perf_counter()
-    traj = evolve(u0, EvolutionControls(dt=5e-4, t_end=10.0, save_every=2000))
+    traj = evolve(big_grid, u0, EvolutionControls(dt=5e-4, t_end=10.0, save_every=2000))
     return b, traj, time.perf_counter() - start
 
 
@@ -92,7 +92,7 @@ def test_A1_exactness():
 
 def test_A2_conservation(breather_run):
     _, traj, elapsed = breather_run
-    vals = np.array([conserved(make_field(traj.grid, row)) for row in traj.values])
+    vals = np.array([conserved(traj.grid, row) for row in traj.values])
     drifts = dict(zip("MEF", np.max(np.abs(vals - vals[0]), axis=0) / np.abs(vals[0])))
     worst = max(drifts.values())
     ok = worst < 1e-6 and elapsed < 120.0
@@ -110,16 +110,16 @@ def test_A3_solution_tracking(breather_run, big_grid):
     errs_b = []
     for t, row in zip(traj.times, traj.values):
         exact = breather_eval(b, t, big_grid.x)
-        errs_b.append(np.sqrt(h2_norm_sq(make_field(big_grid, row - exact))))
+        errs_b.append(np.sqrt(h2_norm_sq(big_grid, row - exact)))
     s = Soliton(c=1.0)
-    u0 = make_field(big_grid, soliton_eval(s, 0.0, big_grid.x))
+    u0 = soliton_eval(s, 0.0, big_grid.x)
     start = time.perf_counter()
-    straj = evolve(u0, EvolutionControls(dt=5e-4, t_end=10.0, save_every=2000))
+    straj = evolve(big_grid, u0, EvolutionControls(dt=5e-4, t_end=10.0, save_every=2000))
     s_elapsed = time.perf_counter() - start
     errs_s = []
     for t, row in zip(straj.times, straj.values):
         exact = soliton_eval(s, t, big_grid.x)
-        errs_s.append(np.sqrt(h2_norm_sq(make_field(big_grid, row - exact))))
+        errs_s.append(np.sqrt(h2_norm_sq(big_grid, row - exact)))
     worst_b, worst_s = max(errs_b), max(errs_s)
     ok = worst_b < 1e-5 and worst_s < 1e-5 and b_elapsed < 120.0 and s_elapsed < 120.0
     _report(
@@ -175,7 +175,7 @@ def test_A5_almost_monotonicity(flagship_scenario):
     )
     neg_p = LyapunovParams(nu1=nu1, shape_pairs=pairs, fam=fam)
     u0 = profile_sum(neg_cfg, 0.0, g)
-    neg_traj = evolve(u0, EvolutionControls(dt=5e-4, t_end=4.0, save_every=400))
+    neg_traj = evolve(g, u0, EvolutionControls(dt=5e-4, t_end=4.0, save_every=400))
     varpi_n, _ = calibrate_slack(neg_cfg, neg_p, g)
     neg_reps = monotonicity_report(neg_traj, [1], neg_p, varpi=varpi_n, C=0.0)
     neg_drop = neg_reps[1]["Fj+omega*Mj"].worst_drop
@@ -228,7 +228,7 @@ def test_A6_modulation_round_trip():
             shifts.append(tuple(injected[i : i + k]))
             i += k
         u = shifted_profile_sum(cfg, 0.0, g, shifts)
-        st = fit_translations(u, cfg, 0.0)
+        st = fit_translations(g, u, cfg, 0.0)
         worst_rec = max(worst_rec, float(np.max(np.abs(st.offsets - injected))))
         worst_res = max(worst_res, float(np.max(np.abs(st.ortho_residuals))))
     elapsed = time.perf_counter() - start

@@ -14,9 +14,13 @@ from mkdvlab.evolution import (
     stability_bound,
 )
 from mkdvlab.functionals import _energy_density, _second_energy_density
-from mkdvlab.grid import make_field, make_grid
-from mkdvlab.profiles import Breather, Soliton, breather_eval, soliton_eval
-from oracles import h2_norm_sq
+from mkdvlab.grid import make_grid
+from mkdvlab.profiles import Breather, Soliton, breather_eval, eval_object, soliton_eval
+from oracles import h2_norm_sq, spectral_derivative
+
+
+# the flagship's objects: a breather and two solitons
+FLAGSHIP = (Breather(1.0, 1.0, x2=60.0), Soliton(1.0), Soliton(4.0, x0=60.0))
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +28,13 @@ def grid():
     return make_grid(50.0, 2048)
 
 
-def _breather_field(g, t):
-    return make_field(g, breather_eval(Breather(alpha=1.0, beta=1.0), t, g.x))
+def _breather(g, t):
+    return breather_eval(Breather(alpha=1.0, beta=1.0), t, g.x)
 
 
-def _one_step(u, dt):
-    """One scheme step of size dt from the field u, as raw samples."""
-    return np.fft.irfft(_Stepper(u.grid, dt).step(np.fft.rfft(u.values)), u.grid.n)
+def _one_step(g, u, dt):
+    """One scheme step of size dt from the samples u on g."""
+    return np.fft.irfft(_Stepper(g, dt).step(np.fft.rfft(u)), g.n)
 
 
 def test_pde_residual_soliton(grid):
@@ -47,28 +51,53 @@ def test_pde_residual_overlapping_sum_is_large(grid):
     assert res > 0.1
 
 
+def _oracle_residual(objects, t, g):
+    """pde_residual's sup norm, its space derivatives taken by the oracle."""
+    dt = 1e-4
+
+    def u_at(tt):
+        return sum(eval_object(o, tt, g.x) for o in objects)
+
+    u_t = (
+        u_at(t - 2 * dt) - 8.0 * u_at(t - dt) + 8.0 * u_at(t + dt) - u_at(t + 2 * dt)
+    ) / (12.0 * dt)
+    u = u_at(t)
+    flux = spectral_derivative(g, u, 2) + u * u * u
+    return float(np.max(np.abs(u_t + spectral_derivative(g, flux, 1))))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7])
+@pytest.mark.parametrize(
+    "obj",
+    [*FLAGSHIP, Breather(1.0, 1.0)],
+    ids=["flagship-breather", "flagship-soliton-1", "flagship-soliton-4", "breather-1-1"],
+)
+def test_pde_residual_has_the_bits_of_the_oracle_derivatives(obj, t):
+    # the derivative pair's symbols are the oracle's at orders 1 and 2
+    g = make_grid(100.0, 4096)
+    assert pde_residual([obj], t, g) == _oracle_residual([obj], t, g)
+
+
 def test_one_step_breather_accuracy(grid):
     dt = 2.5e-4
-    u1 = _one_step(_breather_field(grid, 0.0), dt)
-    exact = _breather_field(grid, dt)
-    err = np.max(np.abs(u1 - exact.values))
+    u1 = _one_step(grid, _breather(grid, 0.0), dt)
+    err = np.max(np.abs(u1 - _breather(grid, dt)))
     assert err < 1e-9
 
 
 def test_one_step_breather_accuracy_coarse(grid):
     # at dt=1e-3 a 4th-order exponential integrator lands near 1e-7
     dt = 1e-3
-    u1 = _one_step(_breather_field(grid, 0.0), dt)
-    exact = _breather_field(grid, dt)
-    assert np.max(np.abs(u1 - exact.values)) < 5e-7
+    u1 = _one_step(grid, _breather(grid, 0.0), dt)
+    assert np.max(np.abs(u1 - _breather(grid, dt))) < 5e-7
 
 
 def test_step_convergence_order(grid):
     errs = []
     dts = [2e-3, 1e-3, 5e-4]
     for dt in dts:
-        u1 = _one_step(_breather_field(grid, 0.0), dt)
-        errs.append(np.max(np.abs(u1 - _breather_field(grid, dt).values)))
+        u1 = _one_step(grid, _breather(grid, 0.0), dt)
+        errs.append(np.max(np.abs(u1 - _breather(grid, dt))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     # one-step error of a 4th-order method decays at roughly 5th order
     assert np.all(orders > 3.5)
@@ -76,36 +105,52 @@ def test_step_convergence_order(grid):
 
 
 def test_soliton_short_evolution_tracks_exact(grid):
-    u0 = make_field(grid, soliton_eval(Soliton(c=1.0), 0.0, grid.x))
-    traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=1.0, save_every=1000))
-    exact = make_field(grid, soliton_eval(Soliton(c=1.0), 1.0, grid.x))
-    err = np.sqrt(h2_norm_sq(make_field(grid, traj.values[-1] - exact.values)))
+    u0 = soliton_eval(Soliton(c=1.0), 0.0, grid.x)
+    traj = evolve(grid, u0, EvolutionControls(dt=1e-3, t_end=1.0, save_every=1000))
+    exact = soliton_eval(Soliton(c=1.0), 1.0, grid.x)
+    err = np.sqrt(h2_norm_sq(grid, traj.values[-1] - exact))
     assert err < 1e-7
 
 
 def test_evolve_snapshot_times(grid):
-    u0 = _breather_field(grid, 0.0)
+    u0 = _breather(grid, 0.0)
     # 100 steps; a save_every that does not divide them still saves the last step
     for save_every, times in ((20, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]), (30, [0.0, 0.03, 0.06, 0.09, 0.1])):
-        traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.1, save_every=save_every))
+        traj = evolve(grid, u0, EvolutionControls(dt=1e-3, t_end=0.1, save_every=save_every))
         np.testing.assert_allclose(traj.times, times)
         assert traj.values.shape == (len(times), grid.n)
-        np.testing.assert_array_equal(traj.values[0], u0.values)
+        np.testing.assert_array_equal(traj.values[0], u0)
         assert traj.grid is grid
 
 
 def test_stability_bound_formula(grid):
-    u = _breather_field(grid, 0.0)
-    amp = np.max(np.abs(u.values))
-    assert stability_bound(u) == pytest.approx(2.0 / (amp**2 * grid.k_max))
-    zero = make_field(grid, np.zeros(grid.n))
-    assert stability_bound(zero) == np.inf
+    u = _breather(grid, 0.0)
+    amp = np.max(np.abs(u))
+    assert stability_bound(grid, u) == pytest.approx(2.0 / (amp**2 * grid.k_max))
+    assert stability_bound(grid, np.zeros(grid.n)) == np.inf
 
 
 def test_evolve_rejects_unstable_dt(grid):
-    u0 = _breather_field(grid, 0.0)
+    u0 = _breather(grid, 0.0)
     with pytest.raises(ValueError, match="safety bound"):
-        evolve(u0, EvolutionControls(dt=1.0, t_end=2.0))
+        evolve(grid, u0, EvolutionControls(dt=1.0, t_end=2.0))
+
+
+def test_evolve_rejects_a_datum_that_is_not_finite_samples_of_its_grid(grid):
+    # evolve is where outside data enters: a NaN, an infinity, a wrong length or a
+    # second axis is invalid input with a one-line message, before any step
+    u0 = _breather(grid, 0.0)
+    controls = EvolutionControls(dt=1e-3, t_end=0.01)
+    nan, inf = u0.copy(), u0.copy()
+    nan[7], inf[7] = np.nan, -np.inf
+    bad = {"nan": nan, "inf": inf, "length": u0[:-1], "2-D": np.stack([u0, u0])}
+    for name, u in bad.items():
+        with pytest.raises(ValueError) as info:
+            evolve(grid, u, controls)
+        message = str(info.value)
+        assert "\n" not in message, name
+        assert "u0 must be" in message, name
+    assert np.array_equal(evolve(grid, u0, controls).values[0], u0)
 
 
 def test_controls_validation():
@@ -116,8 +161,7 @@ def test_controls_validation():
 
 
 def test_zero_initial_data_stays_zero(grid):
-    u0 = make_field(grid, np.zeros(grid.n))
-    traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=0.01))
+    traj = evolve(grid, np.zeros(grid.n), EvolutionControls(dt=1e-3, t_end=0.01))
     assert np.max(np.abs(traj.values[-1])) == 0.0
 
 
@@ -133,7 +177,7 @@ def test_blowup_is_caught_at_its_step(grid, monkeypatch):
     monkeypatch.setattr(_Stepper, "step", step_nan_at_third)
     dt = 1e-3
     with pytest.raises(BlowUp) as info:
-        evolve(_breather_field(grid, 0.0), EvolutionControls(dt=dt, t_end=0.01, save_every=1000))
+        evolve(grid, _breather(grid, 0.0), EvolutionControls(dt=dt, t_end=0.01, save_every=1000))
     assert info.value.t == pytest.approx(3 * dt)
     assert len(calls) == 3
 
@@ -169,7 +213,7 @@ def _reference_krogstad_step(g, dt, uh):
 def test_stepper_matches_reference_krogstad_step():
     g = make_grid(50.0, 512)
     dt = 1e-3
-    ref = fast = np.fft.rfft(_breather_field(g, 0.0).values)
+    ref = fast = np.fft.rfft(_breather(g, 0.0))
     stepper = _Stepper(g, dt)
     for _ in range(10):
         ref = _reference_krogstad_step(g, dt, ref)
@@ -206,7 +250,7 @@ def test_blocked_phi_functions_keep_the_coefficient_bits(n, monkeypatch):
 
 def test_stepper_step_is_pure(grid):
     stepper = _Stepper(grid, 1e-3)
-    uh = np.fft.rfft(_breather_field(grid, 0.0).values)
+    uh = np.fft.rfft(_breather(grid, 0.0))
     before = uh.copy()
     first = stepper.step(uh)
     np.testing.assert_array_equal(uh, before)
@@ -217,8 +261,7 @@ def test_stepper_step_is_pure(grid):
 
 
 def test_densities_match_power_forms(grid):
-    u = _breather_field(grid, 0.3)
-    v = u.values
+    v = _breather(grid, 0.3)
     ux = np.gradient(v, grid.h)
     uxx = np.gradient(ux, grid.h)
     e = 0.5 * ux**2 - 0.25 * v**4

@@ -12,7 +12,7 @@ from mkdvlab.functionals import (
     make_cutoff_family,
     psi,
 )
-from mkdvlab.grid import integrate, make_field, make_grid, spectral_derivative
+from mkdvlab.grid import integrate, make_grid
 from mkdvlab.profiles import (
     Breather,
     Soliton,
@@ -28,6 +28,7 @@ from oracles import (
     h2_norm_sq,
     psi_prime,
     psi_second,
+    spectral_derivative,
     weight_x,
 )
 
@@ -38,40 +39,40 @@ def grid():
 
 
 def _q1(grid, x0=0.0):
-    return make_field(grid, q_profile(1.0, grid.x - x0))
+    return q_profile(1.0, grid.x - x0)
 
 
 def test_mass_of_zero(grid):
-    assert conserved(make_field(grid, np.zeros(grid.n)))[0] == 0.0
+    assert conserved(grid, np.zeros(grid.n))[0] == 0.0
 
 
 def test_mass_of_soliton(grid):
     # int Q_c^2 = 4 sqrt(c), so the half-convention mass of Q_1 is 2
-    assert conserved(_q1(grid))[0] == pytest.approx(2.0, abs=1e-12)
+    assert conserved(grid, _q1(grid))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_energy_of_soliton(grid):
     # E[Q_c] = -(2/3) c^{3/2}
-    assert conserved(_q1(grid))[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
-    q2 = make_field(grid, q_profile(2.0, grid.x))
-    assert conserved(q2)[1] == pytest.approx(-(2.0 / 3.0) * 2.0**1.5, abs=1e-9)
+    assert conserved(grid, _q1(grid))[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
+    q2 = q_profile(2.0, grid.x)
+    assert conserved(grid, q2)[1] == pytest.approx(-(2.0 / 3.0) * 2.0**1.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
 def test_second_energy_of_soliton(grid, c):
     # Q_c = sqrt(2c) sech(sqrt(c) x): with int sech^2 = 2, int sech^4 = 4/3 and
     # int sech^6 = 16/15, F[Q_c] = (2/5) c^{5/2}
-    assert conserved(make_field(grid, q_profile(c, grid.x)))[2] == pytest.approx(
+    assert conserved(grid, q_profile(c, grid.x))[2] == pytest.approx(
         0.4 * c**2.5, rel=2e-15
     )
 
 
 def test_energy_small_amplitude(grid):
     eps = 1e-3
-    u = make_field(grid, eps * q_profile(1.0, grid.x))
-    qx = spectral_derivative(_q1(grid), 1).values
+    u = eps * q_profile(1.0, grid.x)
+    qx = spectral_derivative(grid, _q1(grid), 1)
     expected = 0.5 * eps**2 * integrate(grid, qx**2)
-    e = conserved(u)[1]
+    e = conserved(grid, u)[1]
     assert e == pytest.approx(expected, rel=1e-5)
     assert e > 0
 
@@ -80,17 +81,15 @@ def test_second_energy_grid_converged():
     vals = []
     for n in (2048, 4096):
         g = make_grid(50.0, n)
-        vals.append(conserved(make_field(g, q_profile(1.0, g.x)))[2])
+        vals.append(conserved(g, q_profile(1.0, g.x))[2])
     assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 
 
 def test_second_energy_small_amplitude_scaling(grid):
     eps = 1e-4
     base = np.exp(-(grid.x**2) / 8)
-    u = make_field(grid, eps * base)
-    uxx = make_field(grid, base)
-    lead = 0.5 * integrate(grid, spectral_derivative(uxx, 2).values ** 2)
-    assert conserved(u)[2] == pytest.approx(eps**2 * lead, rel=1e-6)
+    lead = 0.5 * integrate(grid, spectral_derivative(grid, base, 2) ** 2)
+    assert conserved(grid, eps * base)[2] == pytest.approx(eps**2 * lead, rel=1e-6)
 
 
 def test_psi_pointwise_values():
@@ -174,8 +173,8 @@ def test_weight_last_is_one(grid):
 def test_localized_triple_global_weight(grid):
     fam = make_cutoff_family(_flagship(), (0.5, 2.5), 0.01)
     u = _q1(grid)
-    trip = localized_triples(u, fam, (3,), 0.0)[0]
-    M, E, F = conserved(u)
+    trip = localized_triples(grid, u, fam, (3,), 0.0)[0]
+    M, E, F = conserved(grid, u)
     # M_j drops the 1/2 of the conserved mass, hence the factor 2
     assert trip.Mj == pytest.approx(2.0 * M, rel=1e-12)
     assert trip.Ej == pytest.approx(E, rel=1e-12)
@@ -186,21 +185,19 @@ def test_localized_triple_weight_localization(grid):
     # sigma = 1 keeps the cutoff transition narrow enough that a profile 40
     # units away sees weight ~1e-9 on one side and ~1 on the other
     fam = CutoffFamily(sigma=1.0, speeds=(0.5,), tau0=0.5)
-    far_right = make_field(grid, q_profile(1.0, grid.x - 40.0))
-    far_left = make_field(grid, q_profile(1.0, grid.x + 40.0))
-    l2 = integrate(grid, far_right.values**2)
-    assert localized_triples(far_right, fam, (1,), 0.0)[0].Mj < 1e-3 * l2
-    assert localized_triples(far_left, fam, (1,), 0.0)[0].Mj == pytest.approx(4.0, abs=1e-3)
+    far_right = q_profile(1.0, grid.x - 40.0)
+    far_left = q_profile(1.0, grid.x + 40.0)
+    l2 = integrate(grid, far_right**2)
+    assert localized_triples(grid, far_right, fam, (1,), 0.0)[0].Mj < 1e-3 * l2
+    assert localized_triples(grid, far_left, fam, (1,), 0.0)[0].Mj == pytest.approx(4.0, abs=1e-3)
 
 
 def test_localization_consistency(grid):
     fam = CutoffFamily(sigma=0.01, speeds=(0.5,), tau0=0.5)
-    u = make_field(grid, breather_eval(Breather(1.0, 1.0), 0.0, grid.x))
+    u = breather_eval(Breather(1.0, 1.0), 0.0, grid.x)
     phi = fam.weight(1, 0.0, grid.x)
-    total = integrate(grid, u.values**2)
-    split = localized_triples(u, fam, (1,), 0.0)[0].Mj + integrate(
-        grid, u.values**2 * (1 - phi)
-    )
+    total = integrate(grid, u**2)
+    split = localized_triples(grid, u, fam, (1,), 0.0)[0].Mj + integrate(grid, u**2 * (1 - phi))
     assert split == pytest.approx(total, rel=1e-14)
 
 
@@ -213,12 +210,12 @@ def test_criticality_of_profiles(obj, grid):
     # at the profile, for random smooth localized directions
     a, b = shape_pair(obj)
     if isinstance(obj, Soliton):
-        p = make_field(grid, soliton_eval(obj, 0.0, grid.x))
+        p = soliton_eval(obj, 0.0, grid.x)
     else:
-        p = make_field(grid, breather_eval(obj, 0.0, grid.x))
+        p = breather_eval(obj, 0.0, grid.x)
 
     def functional(u):
-        M, E, F = conserved(u)
+        M, E, F = conserved(grid, u)
         return F + 2.0 * (b**2 - a**2) * E + (a**2 + b**2) ** 2 * M
 
     rng = np.random.default_rng(11)
@@ -229,8 +226,5 @@ def test_criticality_of_profiles(obj, grid):
         phi_vals = np.exp(-(grid.x**2) / (2 * width**2)) * sum(
             c * np.cos(0.3 * k * grid.x) for k, c in enumerate(coef)
         )
-        phi = make_field(grid, phi_vals)
-        up = make_field(grid, p.values + s * phi.values)
-        um = make_field(grid, p.values - s * phi.values)
-        deriv = (functional(up) - functional(um)) / (2 * s)
-        assert abs(deriv) < 1e-5 * np.sqrt(h2_norm_sq(phi))
+        deriv = (functional(p + s * phi_vals) - functional(p - s * phi_vals)) / (2 * s)
+        assert abs(deriv) < 1e-5 * np.sqrt(h2_norm_sq(grid, phi_vals))

@@ -11,7 +11,7 @@ from mkdvlab import lab
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
 from mkdvlab.functionals import conserved, localized_triples
-from mkdvlab.grid import circulant, integrate, make_field, make_grid, spectral_derivative
+from mkdvlab.grid import circulant, integrate, make_grid
 from mkdvlab.lyapunov import (
     _bordered_form,
     _certify,
@@ -35,7 +35,12 @@ from mkdvlab.profiles import (
     shape_pair,
     soliton_eval,
 )
-from oracles import interpolation_inequality_check, modulation_directions, quadratic_form_H
+from oracles import (
+    interpolation_inequality_check,
+    modulation_directions,
+    quadratic_form_H,
+    spectral_derivative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,52 +119,49 @@ def test_sigma_shrunk_when_first_shape_very_negative():
     assert coefficient_positivity(p, 1).all_hold
 
 
-def _weakened(u, j, p, t, nu):
+def _weakened(g, u, j, p, t, nu):
     """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j, written out from the localized
     triple; the Lyapunov functional H_j at nu = 1, the weakened F at nu = p.nu."""
-    trip = localized_triples(u, p.fam, (j,), t)[0]
+    trip = localized_triples(g, u, p.fam, (j,), t)[0]
     a, b = p.shape(j)
     return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
 
 
 def test_lyapunov_H_zero_field(grid):
     p = select_parameters(_flagship(), 0.01)
-    zero = make_field(grid, np.zeros(grid.n))
-    assert _weakened(zero, 1, p, 0.0, 1.0) == 0.0
-    assert _weakened(zero, 1, p, 0.0, p.nu) == 0.0
+    zero = np.zeros(grid.n)
+    assert _weakened(grid, zero, 1, p, 0.0, 1.0) == 0.0
+    assert _weakened(grid, zero, 1, p, 0.0, p.nu) == 0.0
 
 
 def test_lyapunov_H_single_soliton_composition(grid):
     cfg = order_and_validate([Soliton(1.0)])
     p = select_parameters(cfg, 0.01)
-    u = make_field(grid, q_profile(1.0, grid.x))
+    u = q_profile(1.0, grid.x)
     # j = J = 1: Phi == 1, (a,b) = (0,1), localized mass = 2 * mass
-    M, E, F = conserved(u)
+    M, E, F = conserved(grid, u)
     expected = F + 2.0 * E + 2.0 * M
-    assert _weakened(u, 1, p, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert _weakened(grid, u, 1, p, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lyapunov_dominates_weakened(grid):
     p = select_parameters(_flagship(), 0.01)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        u = make_field(
-            grid, np.exp(-(grid.x**2) / 16) * rng.standard_normal(grid.n)
-        )
-        diff = _weakened(u, 1, p, 0.3, 1.0) - _weakened(u, 1, p, 0.3, p.nu)
+        u = np.exp(-(grid.x**2) / 16) * rng.standard_normal(grid.n)
+        diff = _weakened(grid, u, 1, p, 0.3, 1.0) - _weakened(grid, u, 1, p, 0.3, p.nu)
         assert diff >= -1e-12
 
 
 def test_quadratic_form_zero_and_homogeneity(grid):
     p = select_parameters(_flagship(), 0.01)
-    zero = make_field(grid, np.zeros(grid.n))
-    prof = make_field(grid, soliton_eval(Soliton(1.0), 0.0, grid.x))
-    assert quadratic_form_H(zero, prof, 2, p, 0.0) == 0.0
+    zero = np.zeros(grid.n)
+    prof = soliton_eval(Soliton(1.0), 0.0, grid.x)
+    assert quadratic_form_H(grid, zero, prof, 2, p, 0.0) == 0.0
     rng = np.random.default_rng(8)
-    w = make_field(grid, np.exp(-(grid.x**2) / 25) * rng.standard_normal(grid.n))
-    w2 = make_field(grid, 2.0 * w.values)
-    assert quadratic_form_H(w2, prof, 2, p, 0.0) == pytest.approx(
-        4.0 * quadratic_form_H(w, prof, 2, p, 0.0), rel=1e-12
+    w = np.exp(-(grid.x**2) / 25) * rng.standard_normal(grid.n)
+    assert quadratic_form_H(grid, 2.0 * w, prof, 2, p, 0.0) == pytest.approx(
+        4.0 * quadratic_form_H(grid, w, prof, 2, p, 0.0), rel=1e-12
     )
 
 
@@ -167,18 +169,18 @@ def test_quadratic_form_free_field_reduction(grid):
     # zero profile with the identity weight: only the three Sobolev terms
     cfg = order_and_validate([Soliton(1.0)])
     p = select_parameters(cfg, 0.01)
-    zero_prof = make_field(grid, np.zeros(grid.n))
+    zero_prof = np.zeros(grid.n)
     rng = np.random.default_rng(9)
-    w = make_field(grid, np.exp(-(grid.x**2) / 25) * rng.standard_normal(grid.n))
-    wx = spectral_derivative(w, 1).values
-    wxx = spectral_derivative(w, 2).values
+    w = np.exp(-(grid.x**2) / 25) * rng.standard_normal(grid.n)
+    wx = spectral_derivative(grid, w, 1)
+    wxx = spectral_derivative(grid, w, 2)
     a, b = 0.0, 1.0
     expected = (
         0.5 * integrate(grid, wxx**2)
         + (b**2 - a**2) * integrate(grid, wx**2)
-        + 0.5 * (a**2 + b**2) ** 2 * integrate(grid, w.values**2)
+        + 0.5 * (a**2 + b**2) ** 2 * integrate(grid, w**2)
     )
-    assert quadratic_form_H(w, zero_prof, 1, p, 0.0) == pytest.approx(
+    assert quadratic_form_H(grid, w, zero_prof, 1, p, 0.0) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -189,15 +191,13 @@ def test_form_matrix_matches_quadratic_form_H(obj):
     # y^T (W A W) y is the form at w = W y
     g = make_grid(25.0, 256)
     p = select_parameters(order_and_validate([obj]), 0.01, override=True)
-    prof = make_field(g, eval_object(obj, 0.0, g.x))
-    weights = _second_variation_weights(
-        prof.values, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g
-    )
+    prof = eval_object(obj, 0.0, g.x)
+    weights = _second_variation_weights(prof, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g)
     A = _form_matrix(weights, g, np.empty((g.n, g.n)))
     rng = np.random.default_rng(11)
     w = np.exp(-(g.x**2) / 25) * rng.standard_normal(g.n)
     y = np.fft.irfft(np.fft.rfft(w) / _inverse_sqrt_symbol(g), g.n)
-    form = quadratic_form_H(make_field(g, w), prof, 1, p, 0.0)
+    form = quadratic_form_H(g, w, prof, 1, p, 0.0)
     assert y @ A @ y == pytest.approx(form, rel=1e-12)
 
 
@@ -523,21 +523,20 @@ def test_monotonicity_report_values_are_the_named_functionals(grid):
     traj = Trajectory(times=np.array([0.0, 1.0]), values=values, grid=grid)
     reps = monotonicity_report(traj, [1], p, varpi=0.0, C=0.0)[1]
     for i, (t, row) in enumerate(zip(traj.times, values)):
-        u = make_field(grid, row)
-        trip = localized_triples(u, p.fam, (1,), t)[0]
+        trip = localized_triples(grid, row, p.fam, (1,), t)[0]
         assert trip.Mj != 0.0 and trip.Ej != 0.0 and trip.Fj != 0.0
         assert reps["Mj"].values[i] == trip.Mj
         assert reps["Ej+omega*Mj"].values[i] == trip.Ej + omega * trip.Mj
         assert reps["Fj+omega*Mj"].values[i] == trip.Fj + omega * trip.Mj
-        assert reps["weakened_F"].values[i] == _weakened(u, 1, p, t, p.nu)
+        assert reps["weakened_F"].values[i] == _weakened(grid, row, 1, p, t, p.nu)
 
 
 def test_monotonicity_conserved_single_soliton():
     g = make_grid(100.0, 2048)
     cfg = order_and_validate([Soliton(1.0)])
     p = select_parameters(cfg, 0.01)
-    u0 = make_field(g, soliton_eval(Soliton(1.0), 0.0, g.x))
-    traj = evolve(u0, EvolutionControls(dt=1e-3, t_end=2.0, save_every=500))
+    u0 = soliton_eval(Soliton(1.0), 0.0, g.x)
+    traj = evolve(g, u0, EvolutionControls(dt=1e-3, t_end=2.0, save_every=500))
     reps = monotonicity_report(traj, [1], p, varpi=0.0, C=0.0)[1]
     assert len(reps) == 4
     for rep in reps.values():
@@ -548,16 +547,15 @@ def test_monotonicity_conserved_single_soliton():
 
 def test_interpolation_inequality_zero(grid):
     p = select_parameters(_flagship(), 0.01)
-    zero = make_field(grid, np.zeros(grid.n))
-    rep = interpolation_inequality_check(zero, p.fam, 1)
+    rep = interpolation_inequality_check(grid, np.zeros(grid.n), p.fam, 1)
     assert rep.holds_quadratic and rep.holds_linear
 
 
 def test_interpolation_inequality_soliton_at_transition():
     g = make_grid(100.0, 2048)
     p = select_parameters(_flagship(), 0.01)
-    u = make_field(g, q_profile(1.0, g.x))  # centered on the j=1 transition
-    rep = interpolation_inequality_check(u, p.fam, 1)
+    u = q_profile(1.0, g.x)  # centered on the j=1 transition
+    rep = interpolation_inequality_check(g, u, p.fam, 1)
     assert rep.holds_quadratic and rep.holds_linear
     assert rep.ratio < 1.0
 
@@ -573,7 +571,7 @@ def test_interpolation_inequality_random_fields():
         vals = np.exp(-((g.x - x0) ** 2) / (2 * width**2)) * sum(
             c * np.cos(0.2 * (k + 1) * g.x) for k, c in enumerate(coef)
         )
-        rep = interpolation_inequality_check(make_field(g, vals), p.fam, 1)
+        rep = interpolation_inequality_check(g, vals, p.fam, 1)
         assert rep.holds_quadratic and rep.holds_linear
 
 

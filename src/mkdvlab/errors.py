@@ -18,8 +18,8 @@ class DuplicateVelocity(MkdvLabError):
 
 
 class HypothesisViolated(MkdvLabError):
-    """The second-smallest velocity, or a lone object's own velocity, is not
-    positive and no override was given."""
+    """No positive second-smallest velocity v2, so no first cutoff speed: the paper's
+    hypothesis fails for J >= 2, and a lone object has no v2 at all."""
 
     exit_code = 2
 

@@ -41,11 +41,16 @@ def conserved(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
     return 0.5 * integrate(g, m), integrate(g, e), integrate(g, f)
 
 
+# psi's exponent cap: exp overflows past 709.78, and arctan(exp(700)) == arctan(inf)
+_EXP_CLAMP = 700.0
+
+
 def psi(sigma: float, x):
     """Cutoff shape (2/pi) arctan(exp(-sqrt(sigma) x / 2)); 1 at -inf, 0 at +inf."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return (2.0 / np.pi) * np.arctan(np.exp(-0.5 * np.sqrt(sigma) * np.asarray(x, dtype=float)))
+    arg = np.minimum(-0.5 * np.sqrt(sigma) * np.asarray(x, dtype=float), _EXP_CLAMP)
+    return (2.0 / np.pi) * np.arctan(np.exp(arg))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .profiles import (
     Breather,
     OrderedConfiguration,
     Soliton,
+    WaveObject,
     center,
     check_tails,
     order_and_validate,
@@ -230,7 +231,7 @@ def resolved_config(s: Scenario) -> dict:
                 "nu3": p.nu3,
                 "speeds": list(p.fam.speeds),
                 "sigma_effective": p.fam.sigma,
-                "tau0": p.fam.tau0 if np.isfinite(p.fam.tau0) else None,
+                "tau0": p.fam.tau0,
                 "omega": p.default_omega(),
                 "varpi_hat": varpi,
                 "C_hat": C,
@@ -302,15 +303,13 @@ def localized_bump(g: Grid, seed: int, center: float) -> np.ndarray:
 
 
 def _bump_center(cfg: OrderedConfiguration) -> float:
-    """Midpoint of the largest gap between object centers at t=0.
+    """Midpoint of the largest gap between the J >= 2 object centers at t=0.
 
     A bump overlapping an object permanently perturbs its shape parameters,
     which translation-only modulation cannot absorb; in a gap it disperses
     as pure radiation.
     """
     cs = sorted(center(o, 0.0) for o in cfg.objects)
-    if len(cs) == 1:
-        return cs[0] + 25.0
     gaps = [(b - a, 0.5 * (a + b)) for a, b in zip(cs, cs[1:])]
     return max(gaps)[1]
 
@@ -369,7 +368,7 @@ def _run_monotonicity(s: Scenario) -> ExperimentReport:
     reports = {}
     series = {}
     worst = 0.0
-    tracked_j = list(range(1, s.cfg.J)) or [1]
+    tracked_j = list(range(1, s.cfg.J))
     for j, reps in monotonicity_report(traj, tracked_j, p, varpi=varpi, C=C).items():
         for which in ("Mj", "weakened_F"):
             rep = reps[which]
@@ -423,9 +422,22 @@ def _run_modulate(s: Scenario) -> ExperimentReport:
     )
 
 
-def _coercivity_grid(o, n: int) -> Grid:
-    """The grid of n nodes on which the coercivity kind checks the re-centred o."""
-    return make_grid(max(20.0, 8.0 / shape_pair(o)[1]), n)
+def _coercivity_setup(
+    o: WaveObject, sigma: float, n: int
+) -> tuple[WaveObject, LyapunovParams, Grid]:
+    """(object, parameters, grid) on which the coercivity kind checks o.
+
+    The object is o re-centred at the origin, so the dense grid of n nodes
+    can stay small; a translation shifts a breather's x1 and x2 alike.  The
+    parameters are o's own as a lone object, which has no cutoff (Phi_1 = 1),
+    hence override=True.
+    """
+    if isinstance(o, Soliton):
+        centered = replace(o, x0=0.0)
+    else:
+        centered = replace(o, x1=o.x1 - o.x2, x2=0.0)
+    p1 = select_parameters(order_and_validate([o]), sigma, override=True)
+    return centered, p1, make_grid(max(20.0, 8.0 / shape_pair(o)[1]), n)
 
 
 def _run_coercivity(s: Scenario) -> ExperimentReport:
@@ -434,15 +446,7 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
     results = {}
     ok = True
     for idx, o in enumerate(s.cfg.objects):
-        single = order_and_validate([o])
-        p1 = select_parameters(single, s.sigma, override=True)
-        g = _coercivity_grid(o, n_eig)
-        # re-centre the profile so the dense grid can stay small; a
-        # translation shifts a breather's x1 and x2 alike
-        if isinstance(o, Soliton):
-            centered = replace(o, x0=0.0)
-        else:
-            centered = replace(o, x1=o.x1 - o.x2, x2=0.0)
+        centered, p1, g = _coercivity_setup(o, s.sigma, n_eig)
         res = coercivity_check(centered, p1, 1, g)
         # mu* moves in its 15th digit with the BLAS thread count, and a soliton's
         # lambda_min_raw is zero to round-off: 8 decimals keep the summary byte-stable.
@@ -490,10 +494,6 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
         }
     }
     passed = fit.varpi > 0 and fit.r_squared > RATE_R2_TOL
-    if s.cfg.J > 1:
-        region = f"on the 1-Phi_{s.cfg.J - 1} weighted region"
-    else:
-        region = "unweighted, on the whole domain (J = 1 has no cutoff to window by)"
     return ExperimentReport(
         kind="rate-fit",
         passed=passed,
@@ -506,8 +506,8 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
             "varpi_calibrated": varpi_hat,
             "scalar_product": sp,
             "global_distance_final": float(d["w_h2"][-1]),
-            "note": f"distance measured {region}; the global residual cannot "
-            "decay on a periodic domain because radiation never leaves",
+            "note": f"distance measured on the 1-Phi_{s.cfg.J - 1} weighted region; the global "
+            "residual cannot decay on a periodic domain because radiation never leaves",
         },
         series=series,
     )

@@ -78,8 +78,6 @@ class LyapunovParams:
 
     def default_omega(self) -> float:
         """Small slack weight for the mass-augmented monotonicity checks."""
-        if not self.fam.speeds:
-            return 1e-3 * min((a**2 + b**2) ** 2 for a, b in self.shape_pairs)
         return 1e-3 * min(
             (a**2 + b**2) ** 2 * m
             for (a, b), m in zip(self.shape_pairs, self.fam.speeds)
@@ -109,15 +107,16 @@ def select_parameters(
 
     nu1 sits at the midpoint of its admissible interval, the cutoff speeds
     are interval midpoints, and sigma is shrunk when the first shape pair
-    forces a smaller value.
+    forces a smaller value.  Without v2 > 0 (`positive_v2`) there is no first
+    cutoff speed, so HypothesisViolated is raised; override=True lets a lone
+    object through, with no cutoff, for the coercivity check, while J >= 2
+    with v2 <= 0 still ends in EmptyAdmissibleInterval.
     """
     if not cfg.positive_v2 and not override:
-        which = "second-smallest velocity" if cfg.J > 1 else "velocity of the lone object"
         velocities = ", ".join(f"{v:g}" for v in cfg.velocities)
         raise HypothesisViolated(
-            f"{which} is not positive (sorted velocities: {velocities}); library callers "
-            "of select_parameters may pass override=True for exploratory runs outside "
-            "the uniqueness regime"
+            "the cutoff audits need a positive second-smallest velocity "
+            f"(sorted velocities: {velocities})"
         )
     pairs = tuple(cfg.shape_pairs())
     a1, b1 = pairs[0]
@@ -370,7 +369,8 @@ def _audit(rows, slack) -> dict[str, MonotonicityReport]:
 
 
 def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tuple[float, float]:
-    """Diagnostic (varpi, C) for the monotonicity slack, from the profiles at t = 0.
+    """Diagnostic (varpi, C) for the monotonicity slack of J >= 2 objects, from the
+    profiles at t = 0.
 
     varpi is tied to the cutoff transition scale and the slowest profile
     decay; C scales with the total functional size of the profiles, damped
@@ -378,10 +378,7 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
     """
     tau0 = p.fam.tau0
     min_b = min(b for _, b in p.shape_pairs)
-    if not np.isfinite(tau0):
-        varpi = 0.25 * min_b
-    else:
-        varpi = 0.25 * tau0 * min(np.sqrt(p.fam.sigma), min_b)
+    varpi = 0.25 * tau0 * min(np.sqrt(p.fam.sigma), min_b)
 
     scale = 0.0
     for o in cfg.objects:
@@ -389,11 +386,7 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
         scale += 2.0 * M + abs(E) + abs(F)
 
     centers = sorted(center(o, 0.0) for o in cfg.objects)
-    if len(centers) > 1 and np.isfinite(tau0):
-        d_min = min(b2 - a2 for a2, b2 in zip(centers, centers[1:]))
-        t_sep = d_min / (2.0 * tau0)
-    else:
-        t_sep = 0.0
+    t_sep = min(b2 - a2 for a2, b2 in zip(centers, centers[1:])) / (2.0 * tau0)
     C = scale * np.exp(-2.0 * varpi * t_sep)
     return float(varpi), float(C)
 

@@ -165,8 +165,8 @@ def scalar_product_series(traj, cfg: OrderedConfiguration, fam: CutoffFamily) ->
     "scalar" and "quadratic") the series |int Ptilde_j w| and its quadratic
     reference int (w^2 + w_x^2) Phi_j, which tests that the profile/residual
     scalar product is quadratic.  "windowed" is the H^2-type distance of w
-    weighted by 1 - Phi_{J-1}, the fastest co-moving window, and unweighted
-    when J = 1, where there is no cutoff to window by.
+    weighted by 1 - Phi_{J-1}, the fastest co-moving window, so fam needs a
+    cutoff (J >= 2).
     """
     g = traj.grid
     js = range(1, cfg.J + 1)
@@ -175,8 +175,7 @@ def scalar_product_series(traj, cfg: OrderedConfiguration, fam: CutoffFamily) ->
         w, (wx, wxx) = st.w, st.w_pair
         h1 = w**2 + wx**2
         phis = [fam.weight(j, t, g.x) for j in js]
-        window = 1.0 - phis[-2] if fam.J > 1 else 1.0
-        windowed.append(float(np.sqrt(integrate(g, (h1 + wxx**2) * window))))
+        windowed.append(float(np.sqrt(integrate(g, (h1 + wxx**2) * (1.0 - phis[-2])))))
         w_h2.append(st.w_h2)
         for j, pj, phi in zip(js, st.profiles, phis):
             lhs[j - 1].append(abs(integrate(g, pj * w)))

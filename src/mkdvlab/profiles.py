@@ -240,9 +240,10 @@ class OrderedConfiguration:
 
     @property
     def positive_v2(self) -> bool:
-        """v2 > 0; for a single object, the sign of the only velocity present."""
+        """v2 > 0: the paper's hypothesis of at most one velocity <= 0, under which a first
+        cutoff speed fits in (max(0, v1), v2).  A lone object has no v2, so it is false."""
         v = self.velocities
-        return (v[1] if len(v) > 1 else v[0]) > 0
+        return len(v) > 1 and v[1] > 0
 
     def shape_pairs(self) -> list[tuple[float, float]]:
         return [shape_pair(o) for o in self.objects]

@@ -245,7 +245,8 @@ def test_A6_modulation_round_trip():
 def test_A7_coercivity():
     g = make_grid(30.0, 512)
     cfg = order_and_validate([Soliton(c=1.0)])
-    p = select_parameters(cfg, 0.01)
+    # a lone object has no cutoff: its parameters need the override the coercivity kind passes
+    p = select_parameters(cfg, 0.01, override=True)
     start = time.perf_counter()
     res = coercivity_check(cfg.objects[0], p, 1, g)
     # the bare form W A W and penalty W P without the orthogonality constraints

@@ -108,6 +108,19 @@ def test_psi_monotone_decreasing():
     assert np.all((vals > 0) & (vals < 1))
 
 
+def test_psi_saturates_without_overflow():
+    # exp(-sqrt(sigma) x / 2) overflows past an exponent of 709.78, at x < -89.8
+    # for sigma = 250, inside a box of half-length 100, and the suite turns the
+    # RuntimeWarning into an error.  The exponent is capped at 700, where arctan
+    # already returns the double it returns for inf, so no value moves
+    x = np.array([-1e300, -100.0, -89.8, -89.0, -1.0, 0.0, 100.0])
+    with np.errstate(over="ignore"):
+        raw = np.exp(-0.5 * np.sqrt(250.0) * x)
+    # three overflow, and x = -89 (exponent 703.6) is capped without overflowing
+    assert np.isinf(raw[:3]).all() and np.isfinite(raw[3:]).all()
+    assert np.array_equal(psi(250.0, x), (2.0 / np.pi) * np.arctan(raw))
+
+
 def test_psi_requires_positive_sigma():
     with pytest.raises(ValueError):
         psi(0.0, 1.0)

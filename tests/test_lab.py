@@ -19,6 +19,7 @@ from mkdvlab.errors import (
     BlowUp,
     DuplicateVelocity,
     EigensolveFailure,
+    HypothesisViolated,
     NoConvergence,
     NonPositiveDistance,
     SingularJacobian,
@@ -285,17 +286,15 @@ def test_localized_bump_stays_in_its_documented_ranges():
     assert len({b.tobytes() for b in bumps}) == 100
 
 
-@pytest.mark.parametrize("L, x0", [(40.0, 10.0), (30.0, 0.0)])
-def test_lone_object_bump_is_periodic_across_the_wrap(L, x0):
-    # a lone soliton's bump sits at its centre + 25, 5 short of the right edge;
-    # measured without the periodic wrap, the Gaussian jumped by 7e-5 at the
-    # edge and its top 20 Fourier modes reached 5.6e-4 of the largest, against
-    # below 2e-16 with it, so the bound 1e-12 has a margin above 5000
+@pytest.mark.parametrize("L", [40.0, 30.0])
+def test_bump_near_the_edge_is_periodic_across_the_wrap(L):
+    # a bump centred 5 short of the right edge; measured without the periodic
+    # wrap, the Gaussian jumped by 7e-5 at the edge and its top 20 Fourier modes
+    # reached 5.6e-4 of the largest, against below 2e-16 with it, so the bound
+    # 1e-12 has a margin above 5000
     g = make_grid(L, 1024)
-    centre = lab._bump_center(order_and_validate([Soliton(1.0, x0=x0)]))
-    assert centre == L - 5.0
     for seed in (0, 7):
-        bump = localized_bump(g, seed, center=centre)
+        bump = localized_bump(g, seed, center=L - 5.0)
         spec = np.abs(np.fft.rfft(bump))
         assert spec[-20:].max() < 1e-12 * spec.max()
         assert 0.999e-3 < bump.max() <= 1e-3
@@ -361,7 +360,7 @@ def test_coercivity_certifies_the_breather_at_its_own_place():
     s = parse_scenario(MINIMAL.replace("{kind: soliton, c: 1.0}", obj))
     got = run_experiment(s, "coercivity").summary["results"]["object_0"]
     (o,) = s.cfg.objects
-    p1 = lyapunov.select_parameters(order_and_validate([o]), s.sigma, override=True)
+    _, p1, _ = lab._coercivity_setup(o, s.sigma, 512)
     own = lyapunov.coercivity_check(o, p1, 1, make_grid(30.0, 512))
     assert got["n"] == 512
     assert abs(got["mu"] - own.mu) < 1e-8
@@ -572,12 +571,14 @@ def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
     # rate-fit reads w, its derivative pair and the profiles from each fit
     # and rebuilds none of them.  Near the flagship's boundary all three
     # profile tails are comparable (about 1e-50), so the profiles must be
-    # summed in object order for w to keep the fit's bits
+    # summed in object order for w to keep the fit's bits.  rate-fit refuses
+    # a lone object, whose fits modulate still reads
     s = _flagship_every_step() if name == "flagship" else parse_scenario(MINIMAL)
     traj = lab._evolve_scenario(s)
     track = modulation.track_modulation(traj, s.cfg)
-    series = modulation.scalar_product_series(traj, s.cfg, s.params.fam)
-    assert np.array_equal(series["w_h2"], track.w_h2)
+    if s.cfg.positive_v2:
+        series = modulation.scalar_product_series(traj, s.cfg, s.params.fam)
+        assert np.array_equal(series["w_h2"], track.w_h2)
     assert s.cfg.J == (3 if name == "flagship" else 1) and len(traj.times) > 40
     fits = modulation._fits(traj, s.cfg)
     worst = 0.0
@@ -600,12 +601,20 @@ def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
     assert worst < 1e-13
 
 
-def test_rate_fit_note_names_its_weight():
+def test_rate_fit_note_names_its_weight(tmp_path, capsys):
     two = run_experiment(parse_scenario(TWO_SOLITONS), "rate-fit")
     assert two.summary["note"].startswith("distance measured on the 1-Phi_1 weighted region")
-    lone = parse_scenario(MINIMAL.replace("t_end: 0.1", "t_end: 0.1, save_every: 25"))
-    note = run_experiment(lone, "rate-fit").summary["note"]
-    assert note.startswith("distance measured unweighted, on the whole domain")
+    # a lone object has no cutoff to window by, so rate-fit refuses it and writes nothing
+    lone = _write(tmp_path, MINIMAL.replace("t_end: 0.1", "t_end: 0.1, save_every: 25"))
+    out = tmp_path / "out"
+    assert main(["rate-fit", "--scenario", lone, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "rate-fit: invalid input: the cutoff audits need a positive second-smallest "
+        "velocity (sorted velocities: 1)\n"
+    )
+    assert not out.exists()
 
 
 def test_resolved_config_is_built_once_per_scenario(tmp_path, monkeypatch):
@@ -653,8 +662,14 @@ def test_every_summary_and_config_leaf_is_a_json_type(name):
         s = parse_scenario(f.read())
     s = replace(s, controls=replace(s.controls, t_end=0.2, save_every=200))
     assert _non_json_leaves(resolved_config(s), "resolved_config") == []
+    # the lone soliton has no cutoff, so the two cutoff audits refuse it
+    refused = () if s.cfg.positive_v2 else ("monotonicity", "rate-fit")
     for kind in EXPERIMENT_KINDS:
-        assert _non_json_leaves(run_experiment(s, kind).summary, kind) == []
+        if kind in refused:
+            with pytest.raises(HypothesisViolated):
+                run_experiment(s, kind)
+        else:
+            assert _non_json_leaves(run_experiment(s, kind).summary, kind) == []
 
 
 def test_emit_plot_data_columns(tmp_path):
@@ -678,6 +693,14 @@ def test_write_report_refuses_unequal_columns(tmp_path):
     with pytest.raises(ValueError):
         write_report(parse_scenario(MINIMAL), rep, str(tmp_path))
     assert not (tmp_path / "demo-series.dat").exists()
+
+
+def test_monotonicity_runs_at_a_steep_cutoff():
+    # sigma = 600 on [-60, 60): the cutoff's exponent sqrt(sigma) |x| / 2 reaches
+    # 735 at the left edge, past exp's overflow at 709.78, and the suite turns a
+    # RuntimeWarning into an error
+    rep = run_experiment(parse_scenario(TWO_SOLITONS + "sigma: 600\n"), "monotonicity")
+    assert rep.passed
 
 
 def test_conservation_experiment_short(tmp_path):
@@ -875,13 +898,11 @@ def test_cli_invalid_scenario_exit_code(tmp_path):
 
 
 def test_cli_refusal_names_the_sorted_velocities(capsys):
-    # the lone breather(1, 1) moves left at velocity -2, outside the uniqueness
-    # regime; a CLI user cannot pass override=True, so the hint is for library callers
+    # the lone breather(1, 1), at velocity -2, has no second velocity and so no cutoff
     assert main(["monotonicity", "--scenario", SCENARIOS + "single-breather.yaml"]) == 2
     assert capsys.readouterr().err == (
-        "monotonicity: invalid input: velocity of the lone object is not positive "
-        "(sorted velocities: -2); library callers of select_parameters may pass "
-        "override=True for exploratory runs outside the uniqueness regime\n"
+        "monotonicity: invalid input: the cutoff audits need a positive second-smallest "
+        "velocity (sorted velocities: -2)\n"
     )
 
 
@@ -1063,23 +1084,41 @@ def test_cli_modulation_failure_names_its_snapshot(
         run_experiment(parse_scenario(text), "modulate")
 
 
+# two solitons on a box wide enough for both over [0, 4], integrated at a step
+# whose time error outgrows the bump
+SLOW_STEP_PAIR = """
+name: slow-step-pair
+objects:
+  - {kind: soliton, c: 1.0}
+  - {kind: soliton, c: 4.0, x0: 30.0}
+grid: {half_length: 120.0, n: 2048}
+evolution: {dt: 2.0e-3, t_end: 4.0, save_every: 100}
+sigma: 0.01
+seed: 7
+"""
+
+
 def test_rate_fit_fails_where_the_residual_cannot_decay(tmp_path, capsys):
-    # a lone soliton has no window to leave, so the bump's radiation stays in
-    # the fitted distance: 16 samples in the window and no decay; it grows by
-    # 1.0% over the window.  Measured varpi -3.17e-3 and r^2 0.728 (n = 2048
-    # gives the same to nine digits); the bounds leave a factor of about 3 on
-    # varpi each way and 0.07 on r^2
-    overrides = ["grid.n=1024", "evolution.dt=2e-3", "evolution.t_end=4", "evolution.save_every=100"]
-    argv = ["rate-fit", "--scenario", SCENARIOS + "single-soliton.yaml", "--out", str(tmp_path)]
-    assert main(argv + [a for o in overrides for a in ("--override", o)]) == 1
+    # the time error at dt = 2e-3 grows linearly, mostly inside the window
+    # 1 - Phi_1: against the exact sum of the two profiles, the H^2 error of the
+    # unbumped run reads 2.4e-3 at t = 0.2 and 3.4e-2 at t = 4, 2.3e-2 of it in the
+    # window, and the fit's global_w_h2 grows from 2.0e-3 to 3.3e-2.  So the
+    # windowed distance grows 13-fold over the run: varpi -0.411 with r^2 0.950 on
+    # 16 samples, which passes the r^2 condition of the gate and fails only
+    # varpi > 0.  At dt = 1e-3 the H^2 error stays at or below 5.0e-4 and varpi
+    # reads +0.016.  The bounds leave about 0.1 on varpi each way and 0.05 on r^2
+    # (RATE_R2_TOL is 0.9)
+    argv = ["rate-fit", "--scenario", _write(tmp_path, SLOW_STEP_PAIR), "--out", str(tmp_path)]
+    assert main(argv) == 1
     assert capsys.readouterr().out == "rate-fit: FAIL\n"
     summary = json.loads((tmp_path / "rate-fit-summary.json").read_text())
     assert summary["passed"] is False
     assert summary["fit_window"] == [1.0, 4.0]
-    t = np.loadtxt(tmp_path / "rate-fit-rate.dat")[:, 0]
+    t, _, w_h2 = np.loadtxt(tmp_path / "rate-fit-rate.dat")[:, :3].T
     assert np.sum(t >= 1.0) == summary["fit_samples"] == 16
-    assert -1e-2 < summary["varpi"] < -1e-3
-    assert summary["r_squared"] < 0.8
+    assert -0.5 < summary["varpi"] < -0.3
+    assert lab.RATE_R2_TOL < summary["r_squared"] < 0.99
+    assert w_h2[0] < 2.5e-3 and w_h2[-1] > 10 * w_h2[0]
 
 
 def test_cli_rate_fit_refuses_a_window_with_one_sample(tmp_path, capsys):
@@ -1125,9 +1164,9 @@ def test_coercivity_reports_a_failed_eigensolve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     s = parse_scenario(MINIMAL)
     (o,) = s.cfg.objects
-    p1 = lyapunov.select_parameters(s.cfg, s.sigma, override=True)
+    centered, p1, g = lab._coercivity_setup(o, s.sigma, 256)
     with pytest.raises(EigensolveFailure):
-        lyapunov.coercivity_check(o, p1, 1, make_grid(20.0, 256))
+        lyapunov.coercivity_check(centered, p1, 1, g)
     assert main(["coercivity", "--scenario", _write(tmp_path, MINIMAL)]) == 3
     out, err = capsys.readouterr()
     assert out == ""

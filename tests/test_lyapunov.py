@@ -9,7 +9,7 @@ import scipy.linalg
 
 from mkdvlab import lab
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
-from mkdvlab.evolution import EvolutionControls, Trajectory, evolve
+from mkdvlab.evolution import Trajectory
 from mkdvlab.functionals import conserved, localized_triples
 from mkdvlab.grid import circulant, integrate, make_grid
 from mkdvlab.lyapunov import (
@@ -34,6 +34,7 @@ from mkdvlab.profiles import (
     q_profile,
     shape_pair,
     soliton_eval,
+    velocity,
 )
 from oracles import (
     interpolation_inequality_check,
@@ -78,16 +79,23 @@ def test_select_parameters_hypothesis_violated():
         [Breather(1.0, 1.0), Breather(1.2, 1.0, x2=50.0)]
     )
     assert not cfg.positive_v2
-    refused = r"second-smallest velocity is not positive \(sorted velocities: -3\.32, -2\)"
+    refused = (
+        r"^the cutoff audits need a positive second-smallest velocity "
+        r"\(sorted velocities: -3\.32, -2\)$"
+    )
     with pytest.raises(HypothesisViolated, match=refused):
         select_parameters(cfg, 0.01)
     # with the override, no rightward-moving cutoff can sit below v2 < 0
     with pytest.raises(EmptyAdmissibleInterval):
         select_parameters(cfg, 0.01, override=True)
-    # a single negative-velocity object needs no cutoff, so the override works
-    single = order_and_validate([Breather(1.0, 1.0)])
-    p = select_parameters(single, 0.01, override=True)
-    assert 0 < p.nu1 < 1
+    # a lone object has no v2, whatever the sign of its own velocity, so only the
+    # override lets it through, with no cutoff
+    for single in (Breather(1.0, 1.0), Soliton(1.0)):
+        v = f"{velocity(single):g}"
+        with pytest.raises(HypothesisViolated, match=rf"\(sorted velocities: {v}\)$"):
+            select_parameters(order_and_validate([single]), 0.01)
+        p = select_parameters(order_and_validate([single]), 0.01, override=True)
+        assert 0 < p.nu1 < 1 and p.fam.J == 1
 
 
 def test_select_parameters_midpoints_for_later_speeds():
@@ -135,8 +143,9 @@ def test_lyapunov_H_zero_field(grid):
 
 
 def test_lyapunov_H_single_soliton_composition(grid):
+    # a lone object has no cutoff, so its parameters need the override the coercivity kind passes
     cfg = order_and_validate([Soliton(1.0)])
-    p = select_parameters(cfg, 0.01)
+    p = select_parameters(cfg, 0.01, override=True)
     u = q_profile(1.0, grid.x)
     # j = J = 1: Phi == 1, (a,b) = (0,1), localized mass = 2 * mass
     M, E, F = conserved(grid, u)
@@ -168,7 +177,7 @@ def test_quadratic_form_zero_and_homogeneity(grid):
 def test_quadratic_form_free_field_reduction(grid):
     # zero profile with the identity weight: only the three Sobolev terms
     cfg = order_and_validate([Soliton(1.0)])
-    p = select_parameters(cfg, 0.01)
+    p = select_parameters(cfg, 0.01, override=True)
     zero_prof = np.zeros(grid.n)
     rng = np.random.default_rng(9)
     w = np.exp(-(grid.x**2) / 25) * rng.standard_normal(grid.n)
@@ -203,12 +212,6 @@ def test_form_matrix_matches_quadratic_form_H(obj):
 
 OBJECTS = [Soliton(1.0), Soliton(4.0), Breather(1.0, 1.0)]
 OBJECT_IDS = ["c1", "c4", "breather"]
-
-
-def _coercivity_setup(obj, n=256):
-    """The coercivity kind's re-centred grid at size n and the object's parameters."""
-    g = lab._coercivity_grid(obj, n)
-    return g, select_parameters(order_and_validate([obj]), 0.01, override=True)
 
 
 def _dense_form(weights, g):
@@ -250,7 +253,7 @@ def test_form_matrix_matches_dense_products(obj):
     # from the eigendecomposition of the dense B rather than from its symbol; the
     # largest entry differed by at most 5.6e-12 of the largest (c = 4), a margin
     # of 18 under the bound 1e-10
-    g, p = _coercivity_setup(obj)
+    obj, p, g = lab._coercivity_setup(obj, 0.01, 256)
     A, B, _ = _original_pencil(obj, p, g)
     lam, Q = np.linalg.eigh(B)
     W = (Q / np.sqrt(lam)) @ Q.T
@@ -267,7 +270,7 @@ def test_form_matrix_blocks_keep_the_bits(n):
     # from dense circulants: each row's transforms and sums are the same, and
     # 0.5 (a + b) = 0.5 (b + a) exactly, so not one bit may move
     obj = Breather(1.0, 1.0)
-    g, p = _coercivity_setup(obj, n)
+    obj, p, g = lab._coercivity_setup(obj, 0.01, n)
     weights = _second_variation_weights(
         eval_object(obj, 0.0, g.x), p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g
     )
@@ -287,7 +290,7 @@ def test_reflector_restriction_matches_null_space_basis(obj):
     # pr^T Br^-1 Ar Br^-1 pr, which the transformed problem reads as |pr|^2 and
     # pr^T Ar pr.  They differed by at most 7.9e-13 (eigenvalues) and 2.5e-11
     # (relative, c = 1), margins of 126 and 4 under the bounds
-    g, p = _coercivity_setup(obj)
+    obj, p, g = lab._coercivity_setup(obj, 0.01, 256)
     m = len(modulation_directions(obj, (), 0.0, g))
     M = _restricted_forms(obj, g)
     assert M.shape == (g.n - m + 1,) * 2 and M[-1, -1] == 0.0
@@ -327,7 +330,7 @@ def test_restriction_to_complement_on_random_data():
 def test_coercivity_soliton_small_grid():
     g = make_grid(25.0, 256)
     cfg = order_and_validate([Soliton(1.0)])
-    p = select_parameters(cfg, 0.01)
+    p = select_parameters(cfg, 0.01, override=True)
     res = coercivity_check(cfg.objects[0], p, 1, g)
     assert res.mu > 0
 
@@ -348,7 +351,7 @@ def test_coercivity_mu_matches_per_mu_eigensolves(obj):
     # the re-centred grid of the coercivity kind.  At mu*(1 -+ 1e-6) it measured
     # +-2.7e-8 to +-9.5e-8, of the expected size mu* 1e-6 (1 - dlambda_min/dmu)
     for n in (256, 512):
-        g, p = _coercivity_setup(obj, n)
+        obj, p, g = lab._coercivity_setup(obj, 0.01, n)
         Ar, Br, pr = _null_space_pencil(obj, p, g)
         mu = coercivity_check(obj, p, 1, g).mu
         gaps = []
@@ -399,7 +402,7 @@ def test_coercivity_matches_scipy_generalized_eigh(obj, n):
     # double it fell to 3.8e-11.  mu* differed by at most 1.5e-10 relative at
     # n <= 512, a margin of 6.6 under 1e-9, and by 2.2e-9 at n = 1024, where the
     # oracle's 5.5e-10 error in the eigenvalues is itself 2.1e-8 of mu*
-    g, p = _coercivity_setup(obj, n)
+    obj, p, g = lab._coercivity_setup(obj, 0.01, n)
     Ar, Br, pr = _null_space_pencil(obj, p, g)
     lam, Q = scipy.linalg.eigh(Ar, Br)
     res = coercivity_check(obj, p, 1, g)
@@ -416,7 +419,7 @@ def test_bordered_eigenvalue_matches_secular_bisection(obj):
     # n = 256), a margin of 17 under 1e-12, and lambda_min_raw by at most 3.6e-15,
     # a margin of 28 under 1e-13
     for n in (256, 512):
-        g, _ = _coercivity_setup(obj, n)
+        obj, _, g = lab._coercivity_setup(obj, 0.01, n)
         M = _restricted_forms(obj, g)
         ref_mu, ref_lam = _secular_oracle(M, g.h)
         res = _certify(M)
@@ -435,7 +438,7 @@ def test_unconstrained_form_certifies_nothing(obj):
     # so without the noise floor n eps max|lam| (1.4e-13 to 2.3e-12 there) mu* would
     # be positive.  The secular bisection agrees
     for n in (256, 512):
-        g, _ = _coercivity_setup(obj, n)
+        obj, _, g = lab._coercivity_setup(obj, 0.01, n)
         M = _bordered_form(obj, g)
         res = _certify(M)
         assert res.lambda_min_raw <= 1e-6
@@ -480,10 +483,10 @@ def test_coercivity_check_holds_one_matrix():
     # measured 11.8 MB, against 25.4 MB when it held the eigenvectors and dense
     # circulant copies, and the bound 16 MB sits between the two.  eigvalsh's
     # LAPACK copy is allocated outside numpy's arrays and does not show here
-    g, p = _coercivity_setup(Breather(1.0, 1.0), 1024)
+    obj, p, g = lab._coercivity_setup(Breather(1.0, 1.0), 0.01, 1024)
     tracemalloc.start()
     try:
-        coercivity_check(Breather(1.0, 1.0), p, 1, g)
+        coercivity_check(obj, p, 1, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -492,7 +495,7 @@ def test_coercivity_check_holds_one_matrix():
 
 def test_coercivity_rejects_oversized_grid():
     cfg = order_and_validate([Soliton(1.0)])
-    p = select_parameters(cfg, 0.01)
+    p = select_parameters(cfg, 0.01, override=True)
     with pytest.raises(ValueError):
         coercivity_check(cfg.objects[0], p, 1, make_grid(100.0, 8192))
 
@@ -529,20 +532,6 @@ def test_monotonicity_report_values_are_the_named_functionals(grid):
         assert reps["Ej+omega*Mj"].values[i] == trip.Ej + omega * trip.Mj
         assert reps["Fj+omega*Mj"].values[i] == trip.Fj + omega * trip.Mj
         assert reps["weakened_F"].values[i] == _weakened(grid, row, 1, p, t, p.nu)
-
-
-def test_monotonicity_conserved_single_soliton():
-    g = make_grid(100.0, 2048)
-    cfg = order_and_validate([Soliton(1.0)])
-    p = select_parameters(cfg, 0.01)
-    u0 = soliton_eval(Soliton(1.0), 0.0, g.x)
-    traj = evolve(g, u0, EvolutionControls(dt=1e-3, t_end=2.0, save_every=500))
-    reps = monotonicity_report(traj, [1], p, varpi=0.0, C=0.0)[1]
-    assert len(reps) == 4
-    for rep in reps.values():
-        # the largest decrease from any t1 < t2, tighter than the audit's DROP_BUDGET
-        values = np.array(rep.values)
-        assert np.max(np.maximum.accumulate(values) - values) <= 1e-6
 
 
 def test_interpolation_inequality_zero(grid):

@@ -203,8 +203,11 @@ def test_order_and_validate_duplicate():
 
 
 def test_order_and_validate_single_object_flags():
-    assert order_and_validate([Soliton(c=1.0)]).positive_v2
-    assert not order_and_validate([Breather(alpha=1.0, beta=1.0)]).positive_v2
+    # a lone object has no second velocity, whatever the sign of its own
+    soliton = order_and_validate([Soliton(c=1.0)])
+    assert soliton.positive_v1 and not soliton.positive_v2
+    breather = order_and_validate([Breather(alpha=1.0, beta=1.0)])
+    assert not breather.positive_v1 and not breather.positive_v2
 
 
 def test_check_tails():

@@ -2,7 +2,8 @@
 defaulted parameter is set by one, with no exceptions.
 
 `mkdvlab all` runs on the flagship, the lone soliton and the lone breather,
-the J = 3 and J = 1 paths and the CLI's failure path, under sys.setprofile.
+the J = 3 and J = 1 paths, under sys.setprofile.  A lone object has no cutoff,
+so monotonicity and rate-fit refuse both lone runs: the CLI's failure path.
 A function, public or private, that no kind calls is dead code, or a
 test-only reference that belongs in tests/oracles.py.  A defaulted parameter
 that no kind passes a value other than its default is an option nobody sets.
@@ -83,8 +84,8 @@ def test_every_function_is_reached_by_a_kind(tmp_path, monkeypatch):
             codes.append(cli.main([*argv, "--out", str(tmp_path / scenario)]))
     finally:
         sys.setprofile(None)
-    # the lone breather moves left: monotonicity and rate-fit refuse it (exit 2)
-    assert codes == [0, 0, 2]
+    # a lone object has no second velocity: monotonicity and rate-fit refuse it (exit 2)
+    assert codes == [0, 2, 2]
 
     def guard(fns):
         """The functions no kind reaches, and the options no kind sets."""

@@ -6,7 +6,8 @@ reuse the computational modules and write deterministic artifacts: a JSON
 summary (sorted keys, no timestamps), a resolved-config record with every
 derived constant, and plain-text column files for plotting.  Derived state
 lives on the parsed `Scenario`, computed once per instance and shared by the
-kinds run on it; the module itself holds no mutable state.
+kinds run on it, the run of the scenario's one datum included: every
+integrating kind audits that run.  The module itself holds no mutable state.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class Scenario:
     controls: EvolutionControls
     sigma: float
     seed: int
-    # the most recent integration, at most one entry: datum bytes -> Trajectory
-    _held: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def params(self) -> LyapunovParams:
@@ -81,21 +80,22 @@ class Scenario:
         text = json.dumps(resolved_config(self), indent=2, sort_keys=True)
         return text + "\n"
 
-    def trajectory(self, u0: np.ndarray) -> Trajectory:
-        """evolve(grid, u0, controls), reused while the datum stays the same bit for bit.
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The run of the scenario's datum, shared by every integrating kind.
 
-        A miss empties the holder before integrating, so at most one trajectory
-        is held and a run that raises leaves nothing behind.  The stored arrays
-        are read-only: a consumer that writes into them fails loudly.
+        The datum is the profile sum at t = 0 and, for J >= 2, the seeded bump
+        in the largest gap: a solution near the sum, not the sum itself.  A lone
+        object has no gap, so its datum is its bare profile.  The arrays are
+        read-only, and a run that raises caches nothing.
         """
-        key = u0.tobytes()
-        if key not in self._held:
-            self._held.clear()
-            traj = evolve(self.grid, u0, self.controls)
-            traj.times.flags.writeable = False
-            traj.values.flags.writeable = False
-            self._held[key] = traj
-        return self._held[key]
+        u0 = profile_sum(self.cfg, 0.0, self.grid)
+        if self.cfg.J > 1:
+            u0 = u0 + localized_bump(self.grid, self.seed, _bump_center(self.cfg))
+        traj = evolve(self.grid, u0, self.controls)
+        traj.times.flags.writeable = False
+        traj.values.flags.writeable = False
+        return traj
 
 
 def _fields(node, required, optional, where: str) -> dict:
@@ -324,10 +324,6 @@ class ExperimentReport:
     series: dict = field(default_factory=dict)  # name -> dict of equal-length columns
 
 
-def _evolve_scenario(s: Scenario) -> Trajectory:
-    return s.trajectory(profile_sum(s.cfg, 0.0, s.grid))
-
-
 def _run_verify_exact(s: Scenario) -> ExperimentReport:
     residuals = {}
     for i, o in enumerate(s.cfg.objects):
@@ -342,7 +338,7 @@ def _run_verify_exact(s: Scenario) -> ExperimentReport:
 
 
 def _run_conservation(s: Scenario) -> ExperimentReport:
-    traj = _evolve_scenario(s)
+    traj = s.trajectory
     series = {"t": traj.times, "M": [], "E": [], "F": []}
     for row in traj.values:
         for name, value in zip("MEF", conserved(traj.grid, row)):
@@ -364,7 +360,7 @@ def _run_conservation(s: Scenario) -> ExperimentReport:
 def _run_monotonicity(s: Scenario) -> ExperimentReport:
     p = s.params
     varpi, C = s.slack
-    traj = _evolve_scenario(s)
+    traj = s.trajectory
     reports = {}
     series = {}
     worst = 0.0
@@ -399,7 +395,7 @@ def _run_monotonicity(s: Scenario) -> ExperimentReport:
 
 
 def _run_modulate(s: Scenario) -> ExperimentReport:
-    traj = _evolve_scenario(s)
+    traj = s.trajectory
     track = track_modulation(traj, s.cfg)
     max_res = float(np.max(np.abs(track.ortho_residuals)))
     series = {
@@ -467,9 +463,7 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
 def _run_rate_fit(s: Scenario) -> ExperimentReport:
     p = s.params
     varpi_hat, _ = s.slack
-    u0 = profile_sum(s.cfg, 0.0, s.grid)
-    bump = localized_bump(s.grid, s.seed, center=_bump_center(s.cfg))
-    traj = s.trajectory(u0 + bump)
+    traj = s.trajectory
     # radiation has nonpositive group velocity, so it leaves the rightward-moving
     # window 1 - Phi_{J-1} of the windowed distance
     d = scalar_product_series(traj, s.cfg, p.fam)

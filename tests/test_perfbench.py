@@ -37,4 +37,4 @@ def test_traced_flagship_workload_passes_every_operation(tmp_path, monkeypatch):
     work.check([])
     assert [op for op in work.ops if not op["ok"]] == []
     assert len(work.ops) == len(lab.EXPERIMENT_KINDS) + s.cfg.J
-    assert tracer.layer_metrics()["evolution.evolve.calls"] == 2
+    assert tracer.layer_metrics()["evolution.evolve.calls"] == 1

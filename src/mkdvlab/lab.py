@@ -34,7 +34,7 @@ from .lyapunov import (
     monotonicity_report,
     select_parameters,
 )
-from .modulation import scalar_product_series, track_modulation
+from .modulation import ModulationTrack, scalar_product_series, track_modulation
 from .profiles import (
     Breather,
     OrderedConfiguration,
@@ -55,7 +55,12 @@ RATE_R2_TOL = 0.9
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully validated experiment description; `replace` starts with no derived state."""
+    """Fully validated experiment description; `replace` starts with no derived state.
+
+    Derived state is computed on first use and kept, unless computing it raises:
+    the one run of the datum (`trajectory`) and the one Newton pass of fits over
+    it (`track`), whose stored roots rate-fit refits from in zero steps.
+    """
 
     name: str
     cfg: OrderedConfiguration
@@ -96,6 +101,11 @@ class Scenario:
         traj.times.flags.writeable = False
         traj.values.flags.writeable = False
         return traj
+
+    @cached_property
+    def track(self) -> ModulationTrack:
+        """The fits of modulate and rate-fit: offsets, residuals and H^2 norms, not w."""
+        return track_modulation(self.trajectory, self.cfg)
 
 
 def _fields(node, required, optional, where: str) -> dict:
@@ -395,8 +405,7 @@ def _run_monotonicity(s: Scenario) -> ExperimentReport:
 
 
 def _run_modulate(s: Scenario) -> ExperimentReport:
-    traj = s.trajectory
-    track = track_modulation(traj, s.cfg)
+    traj, track = s.trajectory, s.track
     max_res = float(np.max(np.abs(track.ortho_residuals)))
     series = {
         "modulation": {
@@ -463,10 +472,10 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
 def _run_rate_fit(s: Scenario) -> ExperimentReport:
     p = s.params
     varpi_hat, _ = s.slack
-    traj = s.trajectory
+    traj, track = s.trajectory, s.track
     # radiation has nonpositive group velocity, so it leaves the rightward-moving
     # window 1 - Phi_{J-1} of the windowed distance
-    d = scalar_product_series(traj, s.cfg, p.fam)
+    d = scalar_product_series(traj, s.cfg, p.fam, track.offsets)
     windowed = d["windowed"]
     t_end = float(traj.times[-1])
     window = [0.25 * t_end, t_end]
@@ -483,7 +492,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
         "rate": {
             "t": traj.times,
             "windowed_distance": windowed,
-            "global_w_h2": d["w_h2"],
+            "global_w_h2": track.w_h2,
             "fit_line": [fit.C * np.exp(-fit.varpi * t) for t in traj.times],
         }
     }
@@ -499,7 +508,7 @@ def _run_rate_fit(s: Scenario) -> ExperimentReport:
             "fit_window": window,
             "varpi_calibrated": varpi_hat,
             "scalar_product": sp,
-            "global_distance_final": float(d["w_h2"][-1]),
+            "global_distance_final": float(track.w_h2[-1]),
             "note": f"distance measured on the 1-Phi_{s.cfg.J - 1} weighted region; the global "
             "residual cannot decay on a periodic domain because radiation never leaves",
         },

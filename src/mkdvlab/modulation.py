@@ -131,58 +131,47 @@ class ModulationTrack:
     w_h2: np.ndarray  # (T,) H^2 norms of the residuals
 
 
-def _fits(traj, cfg: OrderedConfiguration):
-    """(t, fit) at every snapshot, each fit warm-started from the previous one."""
+def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
+    """Fit offsets at every snapshot, each fit warm-started from the previous one."""
+    T, m = len(traj.times), total_offsets(cfg)
+    track = ModulationTrack(np.empty((T, m)), np.empty((T, m)), np.empty(T))
     guess = None
-    for t, row in zip(traj.times, traj.values):
+    for i, (t, row) in enumerate(zip(traj.times, traj.values)):
         try:
             st = fit_translations(traj.grid, row, cfg, t, guess=guess)
         except (NoConvergence, SingularJacobian) as exc:
             raise type(exc)(f"snapshot t={t:.6g}: {exc}") from exc
         guess = st.offsets
-        yield t, st
-
-
-def track_modulation(traj, cfg: OrderedConfiguration) -> ModulationTrack:
-    """Fit offsets at every snapshot, warm-starting from the previous one."""
-    T, m = len(traj.times), total_offsets(cfg)
-    track = ModulationTrack(
-        offsets=np.empty((T, m)),
-        ortho_residuals=np.empty((T, m)),
-        w_h2=np.empty(T),
-    )
-    for i, (_, st) in enumerate(_fits(traj, cfg)):
         track.offsets[i] = st.offsets
         track.ortho_residuals[i] = st.ortho_residuals
         track.w_h2[i] = st.w_h2
     return track
 
 
-def scalar_product_series(traj, cfg: OrderedConfiguration, fam: CutoffFamily) -> dict:
-    """Residual diagnostics along traj, from the fit at each snapshot, in one pass.
+def scalar_product_series(
+    traj, cfg: OrderedConfiguration, fam: CutoffFamily, offsets: np.ndarray
+) -> dict:
+    """Residual diagnostics along traj, rebuilt from the tracked offsets, in one pass.
 
-    "w_h2" is the fit's H^2 norm of w.  For each j = 1..J (row j - 1 of
-    "scalar" and "quadratic") the series |int Ptilde_j w| and its quadratic
-    reference int (w^2 + w_x^2) Phi_j, which tests that the profile/residual
-    scalar product is quadratic.  "windowed" is the H^2-type distance of w
-    weighted by 1 - Phi_{J-1}, the fastest co-moving window, so fam needs a
-    cutoff (J >= 2).
+    offsets holds one fitted root per snapshot (ModulationTrack.offsets), so
+    the fit that starts from it takes no Newton step and returns the tracked
+    fit's w, its derivative pair and the shifted profiles, bit for bit.  For
+    each j = 1..J (row j - 1 of "scalar" and "quadratic") the series
+    |int Ptilde_j w| and its quadratic reference int (w^2 + w_x^2) Phi_j,
+    which tests that the profile/residual scalar product is quadratic.
+    "windowed" is the H^2-type distance of w weighted by 1 - Phi_{J-1}, the
+    fastest co-moving window, so fam needs a cutoff (J >= 2).
     """
     g = traj.grid
     js = range(1, cfg.J + 1)
-    windowed, w_h2, lhs, quad = [], [], [[] for _ in js], [[] for _ in js]
-    for t, st in _fits(traj, cfg):
+    windowed, lhs, quad = [], [[] for _ in js], [[] for _ in js]
+    for t, row, y in zip(traj.times, traj.values, offsets, strict=True):
+        st = fit_translations(g, row, cfg, t, guess=y)
         w, (wx, wxx) = st.w, st.w_pair
         h1 = w**2 + wx**2
         phis = [fam.weight(j, t, g.x) for j in js]
         windowed.append(float(np.sqrt(integrate(g, (h1 + wxx**2) * (1.0 - phis[-2])))))
-        w_h2.append(st.w_h2)
         for j, pj, phi in zip(js, st.profiles, phis):
             lhs[j - 1].append(abs(integrate(g, pj * w)))
             quad[j - 1].append(integrate(g, h1 * phi))
-    return {
-        "windowed": windowed,
-        "w_h2": np.array(w_h2),
-        "scalar": np.array(lhs),
-        "quadratic": np.array(quad),
-    }
+    return {"windowed": windowed, "scalar": np.array(lhs), "quadratic": np.array(quad)}

@@ -501,16 +501,20 @@ def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_c
     # j shares it, and each pair has the oracle's bits.  A kind that
     # fits takes its pair inside the fit, and no kind evaluates a profile per
     # snapshot: eval_object runs only for the datum's J profiles, when the
-    # kind integrates it
+    # kind integrates it.  rate-fit runs after modulate, as in `all`, and
+    # refits from each root of modulate's pass in zero Newton steps
     s = _flagship_every_step()
     assert s.slack  # calibrated once per scenario, before the audits
+    if kind == "rate-fit":
+        assert run_experiment(s, "modulate").passed
     fit, eval_object = modulation.fit_translations, profiles.eval_object
-    pairs_in_fits, profile_times = [], []
+    pairs_in_fits, steps, profile_times = [], [], []
 
     def counted_fit(*args, **kwargs):
         before = len(pair_calls)
         st = fit(*args, **kwargs)
         pairs_in_fits.append(len(pair_calls) - before)
+        steps.append(st.iterations)
         return st
 
     def counted_eval(o, t, *args):
@@ -528,7 +532,42 @@ def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_c
     got = {tag: pair_calls.count(tag) for tag in set(pair_calls)}
     assert got == {tag: per_snapshot * T for tag, per_snapshot in expected.items()}
     assert pairs_in_fits == ([1] * T if kind in ("modulate", "rate-fit") else [])
-    assert profile_times == [0.0] * s.cfg.J
+    if kind == "rate-fit":
+        assert steps == [0] * T and profile_times == []
+    else:
+        assert profile_times == [0.0] * s.cfg.J
+
+
+def test_modulate_and_rate_fit_share_one_newton_pass(tmp_path, pair_calls, monkeypatch):
+    # the scenario keeps modulate's pass (offsets, not residuals), and rate-fit
+    # rebuilds each residual by a fit from the stored root, which takes no
+    # Newton step; alone, rate-fit makes the same pass first, so it fits and
+    # transforms each snapshot twice.  Either way rate-fit writes the same bytes
+    steps = []
+    fit = modulation.fit_translations
+
+    def counted_fit(*args, **kwargs):
+        st = fit(*args, **kwargs)
+        steps.append(st.iterations)
+        return st
+
+    monkeypatch.setattr(modulation, "fit_translations", counted_fit)
+    shared, alone = _flagship_every_step(), _flagship_every_step()
+    T = len(shared.trajectory.times)
+    assert run_experiment(shared, "modulate").passed
+    pass_steps = list(steps)
+    assert len(pass_steps) == T and sum(pass_steps) > 0
+    steps.clear()
+    after = run_experiment(shared, "rate-fit", out_dir=str(tmp_path / "after"))
+    assert steps == [0] * T
+    steps.clear()
+    pair_calls.clear()
+    assert run_experiment(alone, "rate-fit", out_dir=str(tmp_path / "alone")).passed
+    assert steps == pass_steps + [0] * T and pair_calls.count("modulation") == 2 * T
+    assert after.summary == run_experiment(alone, "rate-fit").summary
+    for name in ("rate-fit-summary.json", "rate-fit-rate.dat"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert "track" in vars(shared) and "track" not in vars(replace(shared))
 
 
 def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
@@ -568,23 +607,29 @@ def _translated(o, shifts):
 
 
 @pytest.mark.parametrize("name", ["flagship", "lone soliton"])
-def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
-    # rate-fit reads w, its derivative pair and the profiles from each fit
-    # and rebuilds none of them.  Near the flagship's boundary all three
-    # profile tails are comparable (about 1e-50), so the profiles must be
+def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name, monkeypatch):
+    # rate-fit rebuilds w, its derivative pair and the profiles by a fit from
+    # each root of the scenario's pass, which must take no Newton step and
+    # keep every bit of the pass's own fit.  Near the flagship's boundary all
+    # three profile tails are comparable (about 1e-50), so the profiles must be
     # summed in object order for w to keep the fit's bits.  rate-fit refuses
-    # a lone object, whose fits modulate still reads
+    # a lone object, whose pass modulate still reads
     s = _flagship_every_step() if name == "flagship" else parse_scenario(MINIMAL)
     traj = s.trajectory
-    track = modulation.track_modulation(traj, s.cfg)
-    if s.cfg.positive_v2:
-        series = modulation.scalar_product_series(traj, s.cfg, s.params.fam)
-        assert np.array_equal(series["w_h2"], track.w_h2)
+    fits, fit = [], modulation.fit_translations
+
+    def kept(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(modulation, "fit_translations", kept)
+    track = s.track
+    monkeypatch.undo()
     assert s.cfg.J == (3 if name == "flagship" else 1) and len(traj.times) > 40
-    fits = modulation._fits(traj, s.cfg)
     worst = 0.0
-    for (t, st), row, y in zip(fits, traj.values, track.offsets, strict=True):
-        assert np.array_equal(st.offsets, y)
+    rows = zip(fits, traj.times, traj.values, track.offsets, track.w_h2, strict=True)
+    for st, t, row, y, w_h2 in rows:
+        assert np.array_equal(st.offsets, y) and st.w_h2 == w_h2
         assert np.array_equal(st.w, row - sum(st.profiles))
         shifts = modulation.split_offsets(s.cfg, y)
         assert len(st.profiles) == len(shifts) == s.cfg.J
@@ -595,7 +640,9 @@ def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name):
             assert np.array_equal(got, spectral_derivative(s.grid, st.w, order))
         # the stored offsets are a root: a refit from them takes no step
         again = modulation.fit_translations(s.grid, row, s.cfg, t, guess=y)
-        assert again.iterations == 0 and np.array_equal(again.w, st.w)
+        assert again.iterations == 0 and again.w_h2 == st.w_h2
+        rebuilt, held = [again.w, *again.w_pair, *again.profiles], [st.w, *st.w_pair, *st.profiles]
+        assert all(map(np.array_equal, rebuilt, held))
     # each held profile is the object moved by its offsets, up to the rounding
     # of the translated argument: measured 1.0e-14 on the flagship (profiles of
     # height about 2.8) and 0 on the lone soliton, a margin of 10
@@ -1091,8 +1138,14 @@ def test_cli_modulation_failure_names_its_snapshot(
     assert err.startswith(f"modulate: runtime failure: {message}") and err.count("\n") == 1
     if error is SingularJacobian:
         assert float(err.split()[-1]) > 1e14
-    with pytest.raises(error, match="^snapshot t="):
-        run_experiment(parse_scenario(text), "modulate")
+    # a pass that raises caches nothing, so rate-fit makes the pass again and
+    # meets the same failure
+    s = parse_scenario(text)
+    for kind in ("modulate", "rate-fit"):
+        with pytest.raises(error, match="^snapshot t=") as raised:
+            run_experiment(s, kind)
+        assert err == f"modulate: runtime failure: {raised.value}\n"
+        assert "track" not in vars(s)
 
 
 # two solitons on a box wide enough for both over [0, 4], integrated at a step

@@ -34,7 +34,7 @@ from .lyapunov import (
     monotonicity_report,
     select_parameters,
 )
-from .modulation import ModulationTrack, scalar_product_series, track_modulation
+from .modulation import ModulationTrack, track_modulation
 from .profiles import (
     Breather,
     OrderedConfiguration,
@@ -59,7 +59,7 @@ class Scenario:
 
     Derived state is computed on first use and kept, unless computing it raises:
     the one run of the datum (`trajectory`) and the one Newton pass of fits over
-    it (`track`), whose stored roots rate-fit refits from in zero steps.
+    it (`track`), which fits each snapshot once for both modulate and rate-fit.
     """
 
     name: str
@@ -104,8 +104,15 @@ class Scenario:
 
     @cached_property
     def track(self) -> ModulationTrack:
-        """The fits of modulate and rate-fit: offsets, residuals and H^2 norms, not w."""
-        return track_modulation(self.trajectory, self.cfg)
+        """The one pass of fits that modulate and rate-fit read: offsets, residuals
+        and H^2 norms, not w, and, with v2 > 0, rate-fit's series.
+
+        The series need the cutoff family of `params`, which exists exactly when
+        v2 > 0.  A lone object or a v2 <= 0 configuration gets the fits alone, so
+        modulate audits it without computing parameters.
+        """
+        fam = self.params.fam if self.cfg.positive_v2 else None
+        return track_modulation(self.trajectory, self.cfg, fam)
 
 
 def _fields(node, required, optional, where: str) -> dict:
@@ -470,20 +477,18 @@ def _run_coercivity(s: Scenario) -> ExperimentReport:
 
 
 def _run_rate_fit(s: Scenario) -> ExperimentReport:
-    p = s.params
     varpi_hat, _ = s.slack
     traj, track = s.trajectory, s.track
     # radiation has nonpositive group velocity, so it leaves the rightward-moving
     # window 1 - Phi_{J-1} of the windowed distance
-    d = scalar_product_series(traj, s.cfg, p.fam, track.offsets)
-    windowed = d["windowed"]
+    windowed = track.windowed
     t_end = float(traj.times[-1])
     window = [0.25 * t_end, t_end]
     fit = fit_exponential_rate(traj.times, windowed, window)
 
     sp = {}
     decay = np.exp(-2.0 * fit.varpi * traj.times)
-    for j, (scalar, quadratic) in enumerate(zip(d["scalar"], d["quadratic"]), start=1):
+    for j, (scalar, quadratic) in enumerate(zip(track.scalar, track.quadratic), start=1):
         sp[f"j{j}"] = {
             "C_measured": float(np.max(scalar / (decay + quadratic))),
             "max_scalar": float(np.max(scalar)),

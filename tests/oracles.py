@@ -9,7 +9,9 @@ mkdvlab computes the H^2 norm only inside the modulation fit, from a derivative
 pair it already holds, the second-variation form only as the coercivity check's
 matrix, and translated profiles and their offset partials only inside the fit.
 These are the same quantities for a single field, written as functions the
-tests can call on any input.
+tests can call on any input.  The fit evaluates each object on its own window;
+`full_grid_fit` is the same Newton iteration with every evaluation and every
+scalar product on the whole grid, the reference for what the windows leave out.
 
 The cutoff inequality |Psi''| <= (sqrt(sigma)/2)|Psi'| and the weighted
 interpolation bound X^2 <= A + eps X are lemmas of the almost-monotonicity
@@ -23,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mkdvlab.errors import NoConvergence, SingularJacobian
 from mkdvlab.functionals import CutoffFamily
-from mkdvlab.grid import Grid, _power_symbol, derivative_pair, integrate
+from mkdvlab.grid import Grid, _h2_sum, _power_symbol, derivative_pair, integrate
 from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
-from mkdvlab.profiles import _offset_partials
+from mkdvlab.modulation import MAX_NEWTON_ITERS, ModulationState, split_offsets, total_offsets
+from mkdvlab.profiles import _offset_partials, shape_pair
 
 
 def spectral_derivative(g: Grid, f: np.ndarray, order: int) -> np.ndarray:
@@ -51,6 +55,56 @@ def shifted_profile_sum(cfg, t: float, g, shifts) -> np.ndarray:
     for o, sh in zip(cfg.objects, shifts, strict=True):
         total += _offset_partials(o, sh, t, g.x)[0]
     return total
+
+
+def full_grid_fit(g: Grid, u: np.ndarray, cfg, t: float, guess=None) -> ModulationState:
+    """fit_translations with every object evaluated on the whole grid.
+
+    The same Newton iteration, stopping rule, basin check and Jacobian test as
+    the fit, but each profile, offset partial and Hessian is evaluated at every
+    node and each scalar product sums over the whole grid; every window is the
+    whole grid.
+    """
+    x = g.x
+    m = total_offsets(cfg)
+    radius = 0.5 * min(b for _, b in map(shape_pair, cfg.objects))
+    y = np.zeros(m) if guess is None else np.array(guess, dtype=float)
+    h = g.h
+    for it in range(MAX_NEWTON_ITERS):
+        offsets = split_offsets(cfg, y)
+        parts = [_offset_partials(o, sh, t, x) for o, sh in zip(cfg.objects, offsets)]
+        w = u - sum(value for value, _, _ in parts)
+        dirs = [d for _, ds, _ in parts for d in ds]
+        G = np.array([h * np.sum(d * w) for d in dirs])
+        if np.max(np.abs(G)) < 1e-12:
+            pair = derivative_pair(g, w)
+            w_norm = float(np.sqrt(_h2_sum(g, w, *pair)))
+            if w_norm > radius:
+                raise NoConvergence(f"residual H2 norm {w_norm:.3e} exceeds {radius:.3e}")
+            return ModulationState(
+                offsets=y,
+                w=w,
+                w_pair=pair,
+                w_h2=w_norm,
+                ortho_residuals=G,
+                iterations=it,
+                windows=[slice(0, g.n)] * cfg.J,
+                profiles=[value for value, _, _ in parts],
+            )
+        J = np.empty((m, m))
+        for a, da in enumerate(dirs):
+            for b in range(a, m):
+                J[a, b] = J[b, a] = -h * np.sum(da * dirs[b])
+        i = 0
+        for _, ds, hess in parts:
+            k = i + len(ds)
+            J[i:k, i:k] += [[h * np.sum(sec * w) for sec in row] for row in hess()]
+            i = k
+        cond = np.linalg.cond(J)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularJacobian(f"modulation Jacobian condition number {cond:.3e}")
+        y = y - np.linalg.solve(J, G)
+    raise NoConvergence(f"no convergence after {MAX_NEWTON_ITERS} iterations at t={t:.6g}")
 
 
 def h2_norm_sq(g: Grid, f: np.ndarray) -> float:

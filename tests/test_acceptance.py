@@ -30,6 +30,7 @@ from mkdvlab.profiles import (
     Breather,
     Soliton,
     breather_eval,
+    center,
     order_and_validate,
     profile_sum,
     shape_pair,
@@ -188,6 +189,29 @@ def test_A5_almost_monotonicity(flagship_scenario):
         f"{sorted(drops)} (all 0 required); negative control v2<0 "
         f"unslacked drop {neg_drop:.2e} (> 1 required); {elapsed:.0f}s",
     )
+
+
+def test_window_clipped_at_the_box_edge(flagship_scenario):
+    # the c = 4 soliton starts at x = 60 and moves right at speed 4, so from
+    # t = 5.2 on its window (half-width 17 ln 10 / 2 = 19.6) reaches past
+    # x = 100 and is clipped at the box edge.  Each refit from a stored root
+    # of the flagship's pass shows the window it converged on: it must be
+    # non-empty and hold the node nearest the moved soliton's centre
+    s = flagship_scenario
+    g, track = s.grid, s.track
+    fast = s.cfg.objects[2]
+    assert isinstance(fast, Soliton) and fast.c == 4.0
+    clipped = 0
+    for t, row, y in zip(s.trajectory.times, s.trajectory.values, track.offsets):
+        st = fit_translations(g, row, s.cfg, t, guess=y)
+        assert st.iterations == 0
+        sl = st.windows[2]
+        mid = center(fast, t) - y[-1]
+        assert 0 <= sl.start < sl.stop <= g.n
+        assert sl.start <= int(np.argmin(np.abs(g.x - mid))) < sl.stop
+        assert (sl.stop == g.n) == (t > 5.1)
+        clipped += sl.stop == g.n
+    assert clipped == 15  # t = 5.2, 5.4, ..., 8
 
 
 def _random_config(rng):

@@ -35,9 +35,22 @@ from mkdvlab.lab import (
     write_report,
 )
 from mkdvlab.evolution import EvolutionControls, stability_bound
-from mkdvlab.grid import Grid, make_grid
-from mkdvlab.profiles import Breather, Soliton, order_and_validate, profile_sum
-from oracles import h2_norm_sq, spectral_derivative
+from mkdvlab.grid import Grid, integrate, make_grid
+from mkdvlab.profiles import (
+    Breather,
+    Soliton,
+    center,
+    decay_envelope,
+    order_and_validate,
+    profile_sum,
+)
+from oracles import (
+    full_grid_fit,
+    h2_norm_sq,
+    modulation_directions,
+    shifted_profile_sum,
+    spectral_derivative,
+)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios", "")
 
@@ -389,8 +402,8 @@ def test_flagship_per_snapshot_summaries():
         "tolerance": 1e-06,
     }
     assert run_experiment(s, "modulate").summary == {
-        "max_ortho_residual": 5.5851781574957665e-14,
-        "max_offset": 7.808521678453784e-10,
+        "max_ortho_residual": 5.585178157515027e-14,
+        "max_offset": 7.808521678453783e-10,
         "max_w_h2": 0.0019574298632308662,
         "tolerance": 1e-10,
     }
@@ -431,14 +444,14 @@ def test_flagship_per_snapshot_summaries():
     assert summary == {
         "varpi": 0.013398377187985176,
         "C": 0.0018100437005424404,
-        "r_squared": 0.9999998355445363,
+        "r_squared": 0.9999998355445361,
         "fit_samples": 31,
         "fit_window": [0.005, 0.02],
         "varpi_calibrated": 0.0125,
         "scalar_product": {
-            "j1": {"C_measured": 2.248768339772651e-10, "max_scalar": 2.2475646344273626e-10},
-            "j2": {"C_measured": 1.0379426798308617e-14, "max_scalar": 1.0379293106240619e-14},
-            "j3": {"C_measured": 3.9267893384069515e-10, "max_scalar": 3.924699428932081e-10},
+            "j1": {"C_measured": 2.2487683397726453e-10, "max_scalar": 2.247564634427357e-10},
+            "j2": {"C_measured": 1.0379426798683178e-14, "max_scalar": 1.0379293106615175e-14},
+            "j3": {"C_measured": 3.926789338406947e-10, "max_scalar": 3.9246994289320764e-10},
         },
         "global_distance_final": 0.0019574298632308662,
     }
@@ -490,10 +503,11 @@ def pair_calls(monkeypatch):
     [
         ("conservation", {"functionals": 1}),
         ("monotonicity", {"functionals": 1}),
-        # the fit's pair serves its H^2 norm and, in rate-fit, the windowed
-        # distance and all J scalar products
+        # the fit's pair serves its H^2 norm and the pass's rate-fit series:
+        # the windowed distance and all J scalar products
         ("modulate", {"modulation": 1}),
-        ("rate-fit", {"modulation": 1}),
+        # rate-fit after modulate reads the series of modulate's pass
+        ("rate-fit", {}),
     ],
 )
 def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_calls, monkeypatch):
@@ -502,19 +516,18 @@ def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_c
     # fits takes its pair inside the fit, and no kind evaluates a profile per
     # snapshot: eval_object runs only for the datum's J profiles, when the
     # kind integrates it.  rate-fit runs after modulate, as in `all`, and
-    # refits from each root of modulate's pass in zero Newton steps
+    # fits nothing and transforms nothing: the one pass measured its series
     s = _flagship_every_step()
     assert s.slack  # calibrated once per scenario, before the audits
     if kind == "rate-fit":
         assert run_experiment(s, "modulate").passed
     fit, eval_object = modulation.fit_translations, profiles.eval_object
-    pairs_in_fits, steps, profile_times = [], [], []
+    pairs_in_fits, profile_times = [], []
 
     def counted_fit(*args, **kwargs):
         before = len(pair_calls)
         st = fit(*args, **kwargs)
         pairs_in_fits.append(len(pair_calls) - before)
-        steps.append(st.iterations)
         return st
 
     def counted_eval(o, t, *args):
@@ -531,18 +544,15 @@ def test_per_snapshot_audits_transform_each_snapshot_once(kind, expected, pair_c
     assert s.cfg.J == 3 and T == 41
     got = {tag: pair_calls.count(tag) for tag in set(pair_calls)}
     assert got == {tag: per_snapshot * T for tag, per_snapshot in expected.items()}
-    assert pairs_in_fits == ([1] * T if kind in ("modulate", "rate-fit") else [])
-    if kind == "rate-fit":
-        assert steps == [0] * T and profile_times == []
-    else:
-        assert profile_times == [0.0] * s.cfg.J
+    assert pairs_in_fits == ([1] * T if kind == "modulate" else [])
+    assert profile_times == ([] if kind == "rate-fit" else [0.0] * s.cfg.J)
 
 
 def test_modulate_and_rate_fit_share_one_newton_pass(tmp_path, pair_calls, monkeypatch):
-    # the scenario keeps modulate's pass (offsets, not residuals), and rate-fit
-    # rebuilds each residual by a fit from the stored root, which takes no
-    # Newton step; alone, rate-fit makes the same pass first, so it fits and
-    # transforms each snapshot twice.  Either way rate-fit writes the same bytes
+    # the scenario keeps modulate's pass (offsets and rate-fit's series, not
+    # residuals), so rate-fit after modulate fits and transforms nothing; alone,
+    # rate-fit makes the same pass itself, one fit and one pair per snapshot.
+    # Either way rate-fit writes the same bytes
     steps = []
     fit = modulation.fit_translations
 
@@ -554,20 +564,52 @@ def test_modulate_and_rate_fit_share_one_newton_pass(tmp_path, pair_calls, monke
     monkeypatch.setattr(modulation, "fit_translations", counted_fit)
     shared, alone = _flagship_every_step(), _flagship_every_step()
     T = len(shared.trajectory.times)
+    pair_calls.clear()
     assert run_experiment(shared, "modulate").passed
     pass_steps = list(steps)
     assert len(pass_steps) == T and sum(pass_steps) > 0
-    steps.clear()
-    after = run_experiment(shared, "rate-fit", out_dir=str(tmp_path / "after"))
-    assert steps == [0] * T
+    assert pair_calls == ["modulation"] * T
+    assert shared.slack  # calibrated once per scenario, with its own pairs
     steps.clear()
     pair_calls.clear()
+    after = run_experiment(shared, "rate-fit", out_dir=str(tmp_path / "after"))
+    assert steps == [] and pair_calls == []
     assert run_experiment(alone, "rate-fit", out_dir=str(tmp_path / "alone")).passed
-    assert steps == pass_steps + [0] * T and pair_calls.count("modulation") == 2 * T
+    assert steps == pass_steps and pair_calls.count("modulation") == T
     assert after.summary == run_experiment(alone, "rate-fit").summary
     for name in ("rate-fit-summary.json", "rate-fit-rate.dat"):
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
     assert "track" in vars(shared) and "track" not in vars(replace(shared))
+
+
+# A5's negative control, two breathers of velocities -3.32 and -2 (v2 < 0), on
+# the flagship's box
+LEFTWARD_BREATHERS = """
+name: leftward-breathers
+objects:
+  - {kind: breather, alpha: 1.2, beta: 1.0, x2: 30.0}
+  - {kind: breather, alpha: 1.0, beta: 1.0, x2: -8.0}
+grid: {half_length: 100.0, n: 4096}
+evolution: {dt: 5.0e-4, t_end: 0.02, save_every: 10}
+"""
+
+
+@pytest.mark.parametrize("text", [MINIMAL, LEFTWARD_BREATHERS], ids=["lone soliton", "v2 < 0"])
+def test_modulate_without_a_second_velocity_reads_no_parameters(text):
+    # without v2 > 0 there is no cutoff family and rate-fit refuses the
+    # scenario, so the pass computes no parameters and builds no series
+    s = parse_scenario(text)
+    assert not s.cfg.positive_v2
+    assert run_experiment(s, "modulate").passed
+    assert "params" not in vars(s) and "track" in vars(s)
+    assert s.track.windowed is None and s.track.scalar is None and s.track.quadratic is None
+    with pytest.raises(HypothesisViolated):
+        run_experiment(s, "rate-fit")
+    # with v2 > 0 the same pass builds rate-fit's series through the parameters
+    s = _flagship_every_step()
+    assert run_experiment(s, "modulate").passed and "params" in vars(s)
+    T = len(s.trajectory.times)
+    assert s.track.windowed.shape == (T,) and s.track.scalar.shape == (s.cfg.J, T)
 
 
 def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):
@@ -608,12 +650,12 @@ def _translated(o, shifts):
 
 @pytest.mark.parametrize("name", ["flagship", "lone soliton"])
 def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name, monkeypatch):
-    # rate-fit rebuilds w, its derivative pair and the profiles by a fit from
-    # each root of the scenario's pass, which must take no Newton step and
-    # keep every bit of the pass's own fit.  Near the flagship's boundary all
-    # three profile tails are comparable (about 1e-50), so the profiles must be
-    # summed in object order for w to keep the fit's bits.  rate-fit refuses
-    # a lone object, whose pass modulate still reads
+    # each fit of the scenario's pass keeps w, its derivative pair and each
+    # shifted profile on its window, from which the pass measures rate-fit's
+    # series; w is the snapshot minus the profiles placed on their windows, in
+    # object order.  A fit from the stored root takes no Newton step and keeps
+    # every bit, which is how README's library example rebuilds a residual.
+    # rate-fit refuses a lone object, whose pass modulate still reads
     s = _flagship_every_step() if name == "flagship" else parse_scenario(MINIMAL)
     traj = s.trajectory
     fits, fit = [], modulation.fit_translations
@@ -630,23 +672,79 @@ def test_fit_holds_the_residual_pair_and_profiles_of_its_root(name, monkeypatch)
     rows = zip(fits, traj.times, traj.values, track.offsets, track.w_h2, strict=True)
     for st, t, row, y, w_h2 in rows:
         assert np.array_equal(st.offsets, y) and st.w_h2 == w_h2
-        assert np.array_equal(st.w, row - sum(st.profiles))
+        total = np.zeros(s.grid.n)
+        for sl, p in zip(st.windows, st.profiles, strict=True):
+            total[sl] += p
+        assert np.array_equal(st.w, row - total)
         shifts = modulation.split_offsets(s.cfg, y)
-        assert len(st.profiles) == len(shifts) == s.cfg.J
-        for o, sh, p in zip(s.cfg.objects, shifts, st.profiles):
-            moved = profiles.eval_object(_translated(o, sh), t, s.grid.x)
+        assert len(st.profiles) == len(st.windows) == len(shifts) == s.cfg.J
+        for o, sh, sl, p in zip(s.cfg.objects, shifts, st.windows, st.profiles):
+            assert 0 < sl.stop - sl.start == len(p)
+            moved = profiles.eval_object(_translated(o, sh), t, s.grid.x[sl])
             worst = max(worst, float(np.max(np.abs(p - moved))))
         for order, got in enumerate(st.w_pair, start=1):
             assert np.array_equal(got, spectral_derivative(s.grid, st.w, order))
         # the stored offsets are a root: a refit from them takes no step
         again = modulation.fit_translations(s.grid, row, s.cfg, t, guess=y)
-        assert again.iterations == 0 and again.w_h2 == st.w_h2
+        assert again.iterations == 0 and again.w_h2 == st.w_h2 and again.windows == st.windows
         rebuilt, held = [again.w, *again.w_pair, *again.profiles], [st.w, *st.w_pair, *st.profiles]
         assert all(map(np.array_equal, rebuilt, held))
     # each held profile is the object moved by its offsets, up to the rounding
     # of the translated argument: measured 1.0e-14 on the flagship (profiles of
     # height about 2.8) and 0 on the lone soliton, a margin of 10
     assert worst < 1e-13
+
+
+def _full_grid_pass(s):
+    """The oracle's full-grid fit at every snapshot, warm-started like the pass."""
+    states, guess = [], None
+    for t, row in zip(s.trajectory.times, s.trajectory.values):
+        states.append(full_grid_fit(s.grid, row, s.cfg, t, guess=guess))
+        guess = states[-1].offsets
+    return states
+
+
+@pytest.mark.parametrize("t_end,T", [(0.02, 41), (0.1, 201)], ids=["every step", "dense"])
+def test_windowed_pass_agrees_with_the_full_grid_fit(t_end, T, monkeypatch):
+    # the flagship with a snapshot every step, to t = 0.02 and to t = 0.1 (the
+    # benchmark's flagship-dense run), fitted on windows and on the full grid
+    s = _flagship_every_step()
+    s = replace(s, controls=replace(s.controls, t_end=t_end))
+    fits, fit = [], modulation.fit_translations
+
+    def kept(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(modulation, "fit_translations", kept)
+    track = s.track
+    monkeypatch.undo()
+    ref = _full_grid_pass(s)
+    assert len(fits) == len(ref) == T
+    # the same Newton steps, and roots that agree to the rounding of the
+    # offsets: measured 1.5e-14 of the largest offset (5.1e-23 absolute) and
+    # 2.2e-16 of w_h2, bounded with a margin of 10
+    assert [st.iterations for st in fits] == [st.iterations for st in ref]
+    offsets = np.array([st.offsets for st in ref])
+    assert np.max(np.abs(track.offsets - offsets)) <= 1.5e-13 * np.max(np.abs(offsets))
+    w_h2 = np.array([st.w_h2 for st in ref])
+    assert np.max(np.abs(track.w_h2 - w_h2) / w_h2) <= 2.2e-15
+    # every root is orthogonal to the stopping rule's 1e-12 on its windows and
+    # on the full grid, where the offset partials are evaluated at every node
+    assert np.max(np.abs(track.ortho_residuals)) < 1e-12
+    for st, t, row in zip(fits, s.trajectory.times, s.trajectory.values):
+        shifts = modulation.split_offsets(s.cfg, st.offsets)
+        w = row - shifted_profile_sum(s.cfg, t, s.grid, shifts)
+        for o, sh in zip(s.cfg.objects, shifts):
+            for d in modulation_directions(o, sh, t, s.grid):
+                assert abs(integrate(s.grid, d * w)) < 1e-12
+        # the truncation is certified: at every node a window leaves out, the
+        # moved object's decay envelope is below the floor of its peak
+        for o, sh, sl in zip(s.cfg.objects, shifts, st.windows):
+            moved = _translated(o, sh)
+            env = decay_envelope(moved, t, s.grid.x) / decay_envelope(moved, t, center(moved, t))
+            assert np.all(env[sl] >= modulation.WINDOW_FLOOR * (1 - 1e-12))
+            assert np.all(np.delete(env, np.arange(sl.start, sl.stop)) < modulation.WINDOW_FLOOR)
 
 
 def test_rate_fit_note_names_its_weight(tmp_path, capsys):

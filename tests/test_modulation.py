@@ -21,7 +21,13 @@ from mkdvlab.profiles import (
     profile_sum,
     q_prime,
 )
-from oracles import h2_norm_sq, modulation_directions, shifted_profile_sum, spectral_derivative
+from oracles import (
+    full_grid_fit,
+    h2_norm_sq,
+    modulation_directions,
+    shifted_profile_sum,
+    spectral_derivative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +147,43 @@ def test_track_modulation_exact_breather():
     cfg = order_and_validate([Breather(1.0, 1.0)])
     u0 = breather_eval(cfg.objects[0], 0.0, g.x)
     traj = evolve(g, u0, EvolutionControls(dt=1e-3, t_end=2.0, save_every=500))
-    track = track_modulation(traj, cfg)
+    # a lone object has no cutoff family, so the pass measures no rate-fit series
+    track = track_modulation(traj, cfg, None)
     T = len(traj.times)
     assert track.offsets.shape == track.ortho_residuals.shape == (T, 2)
     assert track.w_h2.shape == (T,)
+    assert track.windowed is None and track.scalar is None and track.quadratic is None
     # offsets on an exact solution only reflect solver error
     assert np.max(np.abs(track.offsets)) < 1e-6
     for t, row, y, w_h2 in zip(traj.times, traj.values, track.offsets, track.w_h2):
+        # a fit from the stored root takes no step and rebuilds the tracked residual
+        st = fit_translations(g, row, cfg, t, guess=y)
+        assert st.iterations == 0 and st.w_h2 == w_h2
+        assert w_h2 == np.sqrt(h2_norm_sq(g, st.w))
+        # the windowed residual keeps the profile's tails beyond the window,
+        # below 1e-17 of the envelope's peak, and the second derivative of that
+        # cut amplifies them: measured 5.4e-15 at t = 0, where the full-grid
+        # residual is exactly zero, and at most 2.0e-16 later; a margin of 9
         w = row - shifted_profile_sum(cfg, t, g, split_offsets(cfg, y))
-        assert w_h2 == np.sqrt(h2_norm_sq(g, w))
+        assert abs(w_h2 - np.sqrt(h2_norm_sq(g, w))) < 5e-14
 
+
+def test_window_covering_the_box_reproduces_the_full_grid_fit():
+    # a wide soliton (c = 0.04: the window's half-width is 17 ln 10 / 0.2 = 196)
+    # on a box of half-length 60: every evaluation covers every node, so the
+    # windowed fit must make the full-grid fit's iterations with the same bits
+    g = make_grid(60.0, 256)
+    cfg = order_and_validate([Soliton(c=0.04, x0=3.0)])
+    u = shifted_profile_sum(cfg, 0.0, g, [(0.3,)]) + 1e-4 * np.exp(-((g.x - 8.0) ** 2))
+    st, ref = fit_translations(g, u, cfg, 0.0), full_grid_fit(g, u, cfg, 0.0)
+    assert st.windows == ref.windows == [slice(0, g.n)]
+    assert st.iterations == ref.iterations >= 2
+    assert st.w_h2 == ref.w_h2
+    for got, want in [
+        (st.offsets, ref.offsets),
+        (st.ortho_residuals, ref.ortho_residuals),
+        (st.w, ref.w),
+        *zip(st.w_pair, ref.w_pair),
+        *zip(st.profiles, ref.profiles),
+    ]:
+        assert np.array_equal(got, want)

@@ -1,5 +1,5 @@
-"""Parameter selection, Lyapunov/weakened functionals, monotonicity tracking,
-coefficient checks, and the discrete coercivity eigencheck.
+"""Parameter selection, Lyapunov/weakened functionals, monotonicity tracking and
+the discrete coercivity eigencheck.
 
 Parameter defaults follow the midpoint rule: every quantity that only has to
 satisfy an open condition is placed at the midpoint of its admissible
@@ -60,7 +60,12 @@ class LyapunovParams:
     nu3 = nu2
 
     def validate(self):
-        """Re-verify every inequality independently of how the values were built."""
+        """Re-verify every inequality independently of how the values were built.
+
+        Together they give the four coefficient conditions of cutoff index 1: c1 > 0
+        is the first-shape positivity, c4 > 0 the m1 constraint, and c2, c3 >= 0
+        the sigma cap.
+        """
         a1, b1 = self.shape_pairs[0]
         if not 0 < self.nu1 < 1:
             raise ValueError(f"nu1={self.nu1} outside (0,1)")
@@ -72,16 +77,11 @@ class LyapunovParams:
             m1 = self.fam.speeds[0]
             if m1 * (b1**2 - a1**2) <= 0.5 * (self.nu1 - 1) * (a1**2 + b1**2) ** 2:
                 raise ValueError("m1 violates the quadratic tuning constraint")
+        if self.fam.sigma > _sigma_cap_for_first_shape(self):
+            raise ValueError("sigma exceeds the cap of the first shape's coefficient bounds")
 
     def shape(self, j: int) -> tuple[float, float]:
         return self.shape_pairs[j - 1]
-
-    def default_omega(self) -> float:
-        """Small slack weight for the mass-augmented monotonicity checks."""
-        return 1e-3 * min(
-            (a**2 + b**2) ** 2 * m
-            for (a, b), m in zip(self.shape_pairs, self.fam.speeds)
-        )
 
 
 def _sigma_cap_for_first_shape(p: LyapunovParams) -> float:
@@ -332,28 +332,26 @@ def monotonicity_report(
     varpi: float,
     C: float,
 ) -> dict[int, dict[str, MonotonicityReport]]:
-    """Record decreases of the four audited functionals beyond the decaying slack.
+    """Record decreases of the two audited functionals beyond the decaying slack.
 
-    For each j in js the functionals are M_j, E_j + omega M_j, F_j + omega M_j and
-    the weakened F, all read from one localized triple per snapshot, with omega =
-    p.default_omega(); the js share each snapshot's derivative pair.  The slack
-    allowed between t1 < t2 is C exp(-2 varpi t1) + DROP_BUDGET; the report never
-    raises on violations.
+    For each j in js the functionals are M_j and the weakened F, the two whose
+    almost-monotonicity the uniqueness argument rests on, both read from one
+    localized triple per snapshot; the js share each snapshot's derivative pair.
+    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + DROP_BUDGET; the
+    report never raises on violations.
     """
-    omega = p.default_omega()
     rows = {j: [] for j in js}
     for t, row in zip(traj.times, traj.values):
         for j, trip in zip(js, localized_triples(traj.grid, row, p.fam, js, t)):
-            weak = _weakened(trip, p.shape(j), p.nu)
-            rows[j].append((trip.Mj, trip.Ej + omega * trip.Mj, trip.Fj + omega * trip.Mj, weak))
+            rows[j].append((trip.Mj, _weakened(trip, p.shape(j), p.nu)))
     slack = [C * np.exp(-2.0 * varpi * t) + DROP_BUDGET for t in traj.times]
     return {j: _audit(rows[j], slack) for j in js}
 
 
 def _audit(rows, slack) -> dict[str, MonotonicityReport]:
-    """One report per functional from rows of (M_j, E_j + omega M_j, F_j + omega M_j, weak)."""
+    """One report per functional from rows of (M_j, weakened F)."""
     reports = {}
-    for name, column in zip(("Mj", "Ej+omega*Mj", "Fj+omega*Mj", "weakened_F"), zip(*rows)):
+    for name, column in zip(("Mj", "weakened_F"), zip(*rows)):
         values = [float(v) for v in column]
         # running maximum makes the pairwise scan linear: the worst decrease from
         # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
@@ -389,38 +387,3 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
     t_sep = min(b2 - a2 for a2, b2 in zip(centers, centers[1:])) / (2.0 * tau0)
     C = scale * np.exp(-2.0 * varpi * t_sep)
     return float(varpi), float(C)
-
-
-@dataclass
-class CoefficientReport:
-    """The four scalar positivity checks behind the weakened-functional growth."""
-
-    values: tuple[float, float, float, float]
-
-    @property
-    def holds(self) -> tuple[bool, bool, bool, bool]:
-        """c1, c2, c3 >= 0 and c4 > 0."""
-        c1, c2, c3, c4 = self.values
-        return (c1 >= 0, c2 >= 0, c3 >= 0, c4 > 0)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.holds)
-
-
-def coefficient_positivity(p: LyapunovParams, j: int) -> CoefficientReport:
-    """Evaluate the four coefficient inequalities for cutoff index j < J."""
-    if not p.fam.speeds:
-        raise ValueError("coefficient positivity needs at least one cutoff (J >= 2)")
-    if not 1 <= j <= len(p.fam.speeds):
-        raise IndexError(f"j must be in 1..{len(p.fam.speeds)}")
-    s = p.fam.sigma
-    a, b = p.shape(j)
-    d = b**2 - a**2
-    r = a**2 + b**2
-    m = p.fam.speeds[j - 1]
-    c1 = 3.0 * d + 3.0 * p.nu1 * r
-    c2 = 3.0 * d * np.sqrt(s) + 2.0 * 3.0**0.25 * (1 - p.nu1) ** 0.25 * p.nu2**0.75 * r**1.5
-    c3 = 3.0 * d * s / 4.0 + 1.5 * p.nu3 * r**2
-    c4 = 1.5 * p.nu * r**2 + m * d - 1.5 * p.nu_prime * r**2
-    return CoefficientReport(values=(float(c1), float(c2), float(c3), float(c4)))

@@ -18,7 +18,15 @@ interpolation bound X^2 <= A + eps X are lemmas of the almost-monotonicity
 proof.  Both are theorems (the first is |tanh| <= 1, the second follows from it
 by one integration by parts and Cauchy-Schwarz), so no kind runs them: as
 audits they could not fail.  The tests check them, with the cutoff derivatives
-only they use.
+only they use.  The same holds for the four coefficient inequalities behind the
+weakened functional's growth: `LyapunovParams.validate` enforces them for cutoff
+index 1 wherever parameters are built, and for j >= 2 a positive velocity makes
+all four positive, so they are a test reference too.
+
+The monotonicity kind audits M_j and the weakened functional.  The mass-augmented
+F_j + omega M_j is not almost-monotone on data that satisfy the hypothesis either;
+it is kept here for the negative control with v2 < 0, on which it falls far
+beyond its drops on separating data.
 """
 
 from dataclasses import dataclass
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mkdvlab.errors import NoConvergence, SingularJacobian
-from mkdvlab.functionals import CutoffFamily
+from mkdvlab.functionals import CutoffFamily, localized_triples
 from mkdvlab.grid import Grid, _h2_sum, _power_symbol, derivative_pair, integrate
 from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
 from mkdvlab.modulation import MAX_NEWTON_ITERS, ModulationState, split_offsets, total_offsets
@@ -186,4 +194,58 @@ def interpolation_inequality_check(
         holds_quadratic=bool(X**2 <= denom + tol),
         holds_linear=bool(X <= eps + np.sqrt(A) + tol),
         ratio=float(X**2 / denom) if denom > 0 else 0.0,
+    )
+
+
+@dataclass
+class CoefficientReport:
+    """The four scalar positivity checks behind the weakened-functional growth."""
+
+    values: tuple[float, float, float, float]
+
+    @property
+    def holds(self) -> tuple[bool, bool, bool, bool]:
+        """c1, c2, c3 >= 0 and c4 > 0."""
+        c1, c2, c3, c4 = self.values
+        return (c1 >= 0, c2 >= 0, c3 >= 0, c4 > 0)
+
+    @property
+    def all_hold(self) -> bool:
+        return all(self.holds)
+
+
+def coefficient_positivity(p: LyapunovParams, j: int) -> CoefficientReport:
+    """Evaluate the four coefficient inequalities for cutoff index j < J."""
+    if not p.fam.speeds:
+        raise ValueError("coefficient positivity needs at least one cutoff (J >= 2)")
+    if not 1 <= j <= len(p.fam.speeds):
+        raise IndexError(f"j must be in 1..{len(p.fam.speeds)}")
+    s = p.fam.sigma
+    a, b = p.shape(j)
+    d = b**2 - a**2
+    r = a**2 + b**2
+    m = p.fam.speeds[j - 1]
+    c1 = 3.0 * d + 3.0 * p.nu1 * r
+    c2 = 3.0 * d * np.sqrt(s) + 2.0 * 3.0**0.25 * (1 - p.nu1) ** 0.25 * p.nu2**0.75 * r**1.5
+    c3 = 3.0 * d * s / 4.0 + 1.5 * p.nu3 * r**2
+    c4 = 1.5 * p.nu * r**2 + m * d - 1.5 * p.nu_prime * r**2
+    return CoefficientReport(values=(float(c1), float(c2), float(c3), float(c4)))
+
+
+def mass_augmented_F(traj, p: LyapunovParams, j: int) -> list[float]:
+    """F_j + omega M_j at each snapshot, omega = 1e-3 min_j (a_j^2 + b_j^2)^2 m_j."""
+    omega = 1e-3 * min((a**2 + b**2) ** 2 * m for (a, b), m in zip(p.shape_pairs, p.fam.speeds))
+    out = []
+    for t, row in zip(traj.times, traj.values):
+        trip = localized_triples(traj.grid, row, p.fam, (j,), t)[0]
+        out.append(float(trip.Fj + omega * trip.Mj))
+    return out
+
+
+def worst_drop(values, slack) -> float:
+    """max over t1 <= t2 of values(t1) - slack(t1) - values(t2), and 0 if none is
+    positive: the largest decrease beyond the slack, pair by pair."""
+    return max(
+        [0.0]
+        + [v1 - s1 - v2 for i, (v1, s1) in enumerate(zip(values, slack)) for v2 in values[i:]]
     )

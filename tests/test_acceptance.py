@@ -15,14 +15,12 @@ from mkdvlab.functionals import conserved, psi
 from mkdvlab.grid import make_grid
 from mkdvlab.lab import parse_scenario, run_experiment
 from mkdvlab.lyapunov import (
+    DROP_BUDGET,
     CutoffFamily,
     LyapunovParams,
     _bordered_form,
     _certify,
-    calibrate_slack,
-    coefficient_positivity,
     coercivity_check,
-    monotonicity_report,
     select_parameters,
 )
 from mkdvlab.modulation import fit_translations, total_offsets
@@ -37,7 +35,14 @@ from mkdvlab.profiles import (
     soliton_eval,
     velocity,
 )
-from oracles import cutoff_derivative_inequality, h2_norm_sq, shifted_profile_sum
+from oracles import (
+    coefficient_positivity,
+    cutoff_derivative_inequality,
+    h2_norm_sq,
+    mass_augmented_F,
+    shifted_profile_sum,
+    worst_drop,
+)
 
 FLAGSHIP_TEXT = """
 name: flagship
@@ -158,10 +163,11 @@ def test_A5_almost_monotonicity(flagship_scenario):
 
     # negative control: v2 < 0 with a positive cutoff speed anyway.  The
     # faster-left breather starts right of the transition and enters
-    # region 1 carrying F < 0, so the localized second-energy combination
-    # drops by O(1) -- far beyond any decaying slack.  The measured drop is
-    # 2.44; requiring more than 1.0 leaves a margin of 2.4 and still asks for
-    # 1e5 times the 1e-5 budget.
+    # region 1 carrying F < 0, so the mass-augmented second energy
+    # F_j + omega M_j (the test oracle; the kind does not gate it) drops by
+    # O(1), with no slack beyond the budget.  The measured drop is 2.44;
+    # requiring more than 1.0 leaves a margin of 2.4 and still asks for 1e5
+    # times the 1e-5 budget.
     g = make_grid(100.0, 4096)
     neg_cfg = order_and_validate(
         [Breather(1.2, 1.0, x2=30.0), Breather(1.0, 1.0, x2=-8.0)]
@@ -177,9 +183,8 @@ def test_A5_almost_monotonicity(flagship_scenario):
     neg_p = LyapunovParams(nu1=nu1, shape_pairs=pairs, fam=fam)
     u0 = profile_sum(neg_cfg, 0.0, g)
     neg_traj = evolve(g, u0, EvolutionControls(dt=5e-4, t_end=4.0, save_every=400))
-    varpi_n, _ = calibrate_slack(neg_cfg, neg_p, g)
-    neg_reps = monotonicity_report(neg_traj, [1], neg_p, varpi=varpi_n, C=0.0)
-    neg_drop = neg_reps[1]["Fj+omega*Mj"].worst_drop
+    neg_F = mass_augmented_F(neg_traj, neg_p, 1)
+    neg_drop = worst_drop(neg_F, [DROP_BUDGET] * len(neg_F))
     elapsed = time.perf_counter() - start
     ok = worst == 0.0 and neg_drop > 1.0 and elapsed < 600.0
     _report(
@@ -189,6 +194,22 @@ def test_A5_almost_monotonicity(flagship_scenario):
         f"{sorted(drops)} (all 0 required); negative control v2<0 "
         f"unslacked drop {neg_drop:.2e} (> 1 required); {elapsed:.0f}s",
     )
+
+
+def test_A5_gate_fails_without_slack(flagship_scenario, monkeypatch):
+    # the kind's own gate on A5's cached flagship run, with the slack reduced to
+    # the 1e-5 budget (C = 0): j1's weakened F falls by 1.3387 and j1's M_j by
+    # 0.2833, every other gated drop is 0, so the kind must fail.  Requiring
+    # more than 1.0 leaves a margin of 0.34
+    s = flagship_scenario
+    varpi, _ = s.slack
+    monkeypatch.setitem(vars(s), "slack", (varpi, 0.0))
+    rep = run_experiment(s, "monotonicity")
+    drops = {k: v["worst_drop"] for k, v in rep.summary["functionals"].items()}
+    assert not rep.passed
+    assert drops["j1_weakened_F"] > 1.0
+    assert rep.summary["worst_drop"] == drops["j1_weakened_F"]
+    assert drops["j2_Mj"] == drops["j2_weakened_F"] == 0.0
 
 
 def test_window_clipped_at_the_box_edge(flagship_scenario):

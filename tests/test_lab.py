@@ -90,7 +90,7 @@ def test_parse_flagship_resolved_config():
     assert rc["nu1"] == pytest.approx(0.5)
     assert rc["velocities"] == pytest.approx([-2.0, 1.0, 4.0])
     # every constant the analysis consumes is present
-    for key in ("sigma_effective", "omega", "varpi_hat", "C_hat", "tau0"):
+    for key in ("sigma_effective", "varpi_hat", "C_hat", "tau0"):
         assert key in rc
 
 
@@ -434,7 +434,6 @@ def test_flagship_per_snapshot_summaries():
                 "final": 10.001936664576833,
             },
         },
-        "coefficient_positivity": {"j1": True, "j2": True},
         "varpi": 0.0125,
         "C": 10.055732550689246,
         "worst_drop": 0.0,

@@ -3,8 +3,10 @@
 The third-derivative term is diagonal in Fourier space and propagated
 exactly; the nonlinear flux -(u^3)_x is advanced with 4th-order exponential
 Runge-Kutta stages (Krogstad coefficients, phi-functions evaluated by a
-unit-circle contour mean).  The cubic product is dealiased by zero-padding
-to 2n, which is exact for cubic nonlinearities.
+unit-circle contour mean).  The cubic product is dealiased on 2n points, which
+is exact for cubic nonlinearities; those points are the grid and the grid
+shifted by half a cell, so the cube takes a batch of two length-n transforms
+(the shifted-grid view of dealiasing, Patterson & Orszag 1971).
 """
 
 from __future__ import annotations
@@ -57,10 +59,7 @@ def stability_bound(g: Grid, u: np.ndarray) -> float:
 
 
 # points per block of _phi_functions, whose (block, 64) complex temporaries are
-# 512 kB each instead of 2 MB at n = 4096.  Not smaller: glibc sets its heap trim
-# threshold to twice the largest mmapped block freed, and with 128 kB blocks it
-# stays below the ETDRK4 step's working set, so the heap is trimmed and faulted
-# back in every step (+0.25 ms per step at n = 4096)
+# 512 kB each instead of 2 MB at n = 4096
 _PHI_ROWS = 512
 
 
@@ -90,6 +89,17 @@ class _Stepper:
     multiplies the dealiased cube (u^3)^ directly.  So is the factor
     (m/n)^3 (n/m) = 4 that rescales the cube from the padded length m = 2n;
     a power of two, it changes no bit of the result.
+
+    The padded grid of m points is the grid (even nodes) and its copy shifted
+    by half a cell (odd nodes).  Row 0 of one (2, n/2 + 1) batch carries the
+    coefficients for the even nodes, row 1 the same coefficients times
+    e^{i pi k/n} for the odd ones, both times 1/2 = n/m; in both, mode n/2 is
+    an ordinary mode of the padded length, not a Nyquist mode, so its weight
+    is doubled.  One irfft of length n over the batch gives the padded
+    samples, and the first n/2 + 1 coefficients of their cube are
+    f[0] + e^{-i pi k/n} f[1] for the batch's rfft f.  The stage and work
+    arrays live on the stepper and every transform and product writes into
+    them; `step` allocates only the array it returns.
     """
 
     def __init__(self, g: Grid, dt: float):
@@ -110,25 +120,54 @@ class _Stepper:
         self.b1 = hf * (p1 - 3.0 * p2 + 4.0 * p3)
         self.b2 = hf * (2.0 * p2 - 4.0 * p3)
         self.b4 = hf * (-p2 + 4.0 * p3)
-        # zero-padded spectrum on 2n points; only the first n/2 + 1 entries
-        # are ever written, so the padding stays zero across calls
-        self._pad = np.zeros(g.n + 1, dtype=complex)
+        n, nh = g.n, g.n // 2 + 1
+        shift = np.exp(1j * np.pi * np.arange(nh) / n)
+        self._unshift = shift.conj()
+        self._weights = np.stack([np.full(nh, 0.5 + 0j), 0.5 * shift])
+        self._weights[:, -1] *= 2.0
+        self._rows = np.empty((2, nh), dtype=complex)
+        self._nodes = np.empty((2, n))
+        self._cubed = np.empty((2, n))
+        self._stages = np.empty((4, nh), dtype=complex)
+        self._E2uh = np.empty(nh, dtype=complex)
+        self._Euh = np.empty(nh, dtype=complex)
+        self._arg = np.empty(nh, dtype=complex)
+        self._term = np.empty(nh, dtype=complex)
 
-    def _cube_hat(self, uh: np.ndarray) -> np.ndarray:
-        """A quarter of the dealiased (u^3)^ for coefficients uh (see the class)."""
-        n = self.grid.n
-        self._pad[: n // 2 + 1] = uh
-        up = np.fft.irfft(self._pad, 2 * n)
-        return np.fft.rfft(up * up * up)[: n // 2 + 1]
+    def _cube_hat(self, uh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A quarter of the dealiased (u^3)^ for coefficients uh, written to out (see the class)."""
+        f, v, w = self._rows, self._nodes, self._cubed
+        np.multiply(uh, self._weights, out=f)
+        np.fft.irfft(f, self.grid.n, out=v)
+        np.multiply(v, v, out=w)
+        np.multiply(w, v, out=w)
+        np.fft.rfft(w, out=f)
+        np.multiply(self._unshift, f[1], out=out)
+        out += f[0]
+        return out
 
     def step(self, uh: np.ndarray) -> np.ndarray:
-        cube, E2uh = self._cube_hat, self.E2 * uh
-        c1 = cube(uh)
-        c2 = cube(E2uh + self.a21 * c1)
-        c3 = cube(E2uh + (self.a31 * c1 + self.a32 * c2))
-        Euh = self.E * uh
-        c4 = cube(Euh + (self.a41 * c1 + self.a43 * c3))
-        return Euh + (self.b1 * c1 + self.b2 * c2 + self.b2 * c3 + self.b4 * c4)
+        # each sum keeps the order of its plain form, e.g. E2uh + (a31 c1 + a32 c2)
+        # and Euh + (b1 c1 + b2 c2 + b2 c3 + b4 c4), so only the cube moves bits
+        cube, (c1, c2, c3, c4) = self._cube_hat, self._stages
+        x, t = self._arg, self._term
+        E2uh = np.multiply(self.E2, uh, out=self._E2uh)
+        cube(uh, c1)
+        np.multiply(self.a21, c1, out=x)
+        cube(np.add(x, E2uh, out=x), c2)
+        np.multiply(self.a31, c1, out=x)
+        x += np.multiply(self.a32, c2, out=t)
+        cube(np.add(x, E2uh, out=x), c3)
+        Euh = np.multiply(self.E, uh, out=self._Euh)
+        np.multiply(self.a41, c1, out=x)
+        x += np.multiply(self.a43, c3, out=t)
+        cube(np.add(x, Euh, out=x), c4)
+        r = self.b1 * c1
+        r += np.multiply(self.b2, c2, out=t)
+        r += np.multiply(self.b2, c3, out=t)
+        r += np.multiply(self.b4, c4, out=t)
+        r += Euh
+        return r
 
 
 def _check_finite(values: np.ndarray, t: float):
@@ -171,7 +210,7 @@ def evolve(g: Grid, u0: np.ndarray, controls: EvolutionControls) -> Trajectory:
         if not np.isfinite(np.vdot(uh, uh).real):
             raise BlowUp(t)
         if i % controls.save_every == 0 or i == n_steps:
-            values[row] = np.fft.irfft(uh, g.n)
+            np.fft.irfft(uh, g.n, out=values[row])
             _check_finite(values[row], t)
             times[row] = t
             row += 1

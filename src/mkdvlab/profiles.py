@@ -250,14 +250,21 @@ class OrderedConfiguration:
 
 
 def order_and_validate(objects: Sequence[WaveObject]) -> OrderedConfiguration:
-    """Sort by velocity and reject duplicates."""
+    """Sort by velocity and reject velocities with no float strictly between them.
+
+    The cutoff between two neighbours moves at their midpoint, so neighbours
+    that are equal or adjacent floats (the midpoint rounds to one of them) are
+    duplicates.
+    """
     if not objects:
         raise ValueError("configuration must contain at least one object")
     cfg = OrderedConfiguration(tuple(sorted(objects, key=velocity)))
     v = cfg.velocities
     for a, b in zip(v, v[1:]):
-        if a == b:
-            raise DuplicateVelocity(f"two objects share velocity {a}")
+        if not a < 0.5 * (a + b) < b:
+            raise DuplicateVelocity(
+                f"velocities {float(a)} and {float(b)} have no float strictly between them"
+            )
     return cfg
 
 

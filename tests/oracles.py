@@ -12,6 +12,9 @@ These are the same quantities for a single field, written as functions the
 tests can call on any input.  The fit evaluates each object on its own window;
 `full_grid_fit` is the same Newton iteration with every evaluation and every
 scalar product on the whole grid, the reference for what the windows leave out.
+The stepper's cube takes its 2n padded samples as the grid and its
+half-shifted copy; `padded_cube_hat` is the same cube from one zero-padded
+transform of length 2n.
 
 The cutoff inequality |Psi''| <= (sqrt(sigma)/2)|Psi'| and the weighted
 interpolation bound X^2 <= A + eps X are lemmas of the almost-monotonicity
@@ -46,6 +49,19 @@ def spectral_derivative(g: Grid, f: np.ndarray, order: int) -> np.ndarray:
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order}")
     return np.fft.irfft(_power_symbol(g, order) * np.fft.rfft(f), g.n)
+
+
+def padded_cube_hat(uh: np.ndarray, n: int) -> np.ndarray:
+    """A quarter of the dealiased (u^3)^ for the rfft coefficients uh of n samples.
+
+    The cube is taken on 2n points from the spectrum zero-padded to length 2n,
+    which dealiases a cubic product exactly; the stepper's shifted-grid batch
+    is the same sum in two halves.
+    """
+    pad = np.zeros(n + 1, dtype=complex)
+    pad[: n // 2 + 1] = uh
+    up = np.fft.irfft(pad, 2 * n)
+    return np.fft.rfft(up * up * up)[: n // 2 + 1]
 
 
 def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:

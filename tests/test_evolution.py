@@ -16,7 +16,7 @@ from mkdvlab.evolution import (
 from mkdvlab.functionals import _energy_density, _second_energy_density
 from mkdvlab.grid import make_grid
 from mkdvlab.profiles import Breather, Soliton, breather_eval, eval_object, soliton_eval
-from oracles import h2_norm_sq, spectral_derivative
+from oracles import h2_norm_sq, padded_cube_hat, spectral_derivative
 
 
 # the flagship's objects: a breather and two solitons
@@ -253,11 +253,31 @@ def test_stepper_step_is_pure(grid):
     uh = np.fft.rfft(_breather(grid, 0.0))
     before = uh.copy()
     first = stepper.step(uh)
+    kept = first.copy()
     np.testing.assert_array_equal(uh, before)
     second = stepper.step(uh)
+    np.testing.assert_array_equal(first, kept)
     np.testing.assert_array_equal(first, second)
-    # a stage result must not alias the reused padding buffer
-    assert not np.shares_memory(first, stepper._pad)
+    # the step's result is its own array: no work buffer the next step reuses
+    buffers = [a for a in vars(stepper).values() if isinstance(a, np.ndarray)]
+    assert buffers
+    for result in (first, second):
+        assert not any(np.shares_memory(result, a) for a in buffers)
+
+
+@pytest.mark.parametrize("n", [16, 512, 4096])
+def test_cube_on_the_shifted_grids_matches_the_padded_cube(n):
+    # a nonzero coefficient at n/2 is an ordinary mode of the padded length,
+    # so a batch that does not double its weight misses this bound
+    g = make_grid(50.0, n)
+    stepper = _Stepper(g, 1e-3)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        uh = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        assert abs(uh[n // 2]) > 0.0
+        ref = padded_cube_hat(uh, n)
+        got = stepper._cube_hat(uh, np.empty_like(uh))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_densities_match_power_forms(grid):

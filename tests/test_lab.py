@@ -395,16 +395,16 @@ def test_flagship_per_snapshot_summaries():
     assert run_experiment(s, "conservation").summary == {
         "drifts": {
             "M": 1.677147053338e-11,
-            "E": 5.086427671052412e-10,
-            "F": 7.175293155743841e-10,
+            "E": 5.086430335587876e-10,
+            "F": 7.17529848481429e-10,
         },
-        "worst": 7.175293155743841e-10,
+        "worst": 7.17529848481429e-10,
         "tolerance": 1e-06,
     }
     assert run_experiment(s, "modulate").summary == {
-        "max_ortho_residual": 5.585178157515027e-14,
-        "max_offset": 7.808521678453783e-10,
-        "max_w_h2": 0.0019574298632308662,
+        "max_ortho_residual": 5.549612911159948e-14,
+        "max_offset": 7.808521723180328e-10,
+        "max_w_h2": 0.0019574298632308437,
         "tolerance": 1e-10,
     }
     assert run_experiment(s, "monotonicity").summary == {
@@ -419,19 +419,19 @@ def test_flagship_per_snapshot_summaries():
                 "worst_drop": 0.0,
                 "slack_bound": slack,
                 "initial": 30.83865752333087,
-                "final": 30.833962952829296,
+                "final": 30.833962952829303,
             },
             "j2_Mj": {
                 "worst_drop": 0.0,
                 "slack_bound": slack,
                 "initial": 9.999698212212452,
-                "final": 10.0023616983793,
+                "final": 10.002361698379303,
             },
             "j2_weakened_F": {
                 "worst_drop": 0.0,
                 "slack_bound": slack,
                 "initial": 9.999786932585476,
-                "final": 10.001936664576833,
+                "final": 10.001936664576842,
             },
         },
         "varpi": 0.0125,
@@ -441,18 +441,18 @@ def test_flagship_per_snapshot_summaries():
     summary = run_experiment(s, "rate-fit").summary
     assert summary.pop("note").startswith("distance measured on the 1-Phi_2 weighted region")
     assert summary == {
-        "varpi": 0.013398377187985176,
-        "C": 0.0018100437005424404,
-        "r_squared": 0.9999998355445361,
+        "varpi": 0.013398377188061392,
+        "C": 0.0018100437005424451,
+        "r_squared": 0.9999998355445029,
         "fit_samples": 31,
         "fit_window": [0.005, 0.02],
         "varpi_calibrated": 0.0125,
         "scalar_product": {
-            "j1": {"C_measured": 2.2487683397726453e-10, "max_scalar": 2.247564634427357e-10},
-            "j2": {"C_measured": 1.0379426798683178e-14, "max_scalar": 1.0379293106615175e-14},
-            "j3": {"C_measured": 3.926789338406947e-10, "max_scalar": 3.9246994289320764e-10},
+            "j1": {"C_measured": 2.2487693543650977e-10, "max_scalar": 2.2475656484767186e-10},
+            "j2": {"C_measured": 1.0373811528562449e-14, "max_scalar": 1.0373677908821857e-14},
+            "j3": {"C_measured": 3.926790558941757e-10, "max_scalar": 3.9247006488172834e-10},
         },
-        "global_distance_final": 0.0019574298632308662,
+        "global_distance_final": 0.0019574298632308437,
     }
 
 
@@ -1052,6 +1052,20 @@ def test_cli_refusal_names_the_sorted_velocities(capsys):
     assert capsys.readouterr().err == (
         "monotonicity: invalid input: the cutoff audits need a positive second-smallest "
         "velocity (sorted velocities: -2)\n"
+    )
+
+
+def test_cli_refuses_velocities_one_ulp_apart(tmp_path, capsys):
+    # no cutoff speed lies strictly between them: invalid input naming both
+    near = float(np.nextafter(1.0, 2.0))
+    text = MINIMAL.replace(
+        "- {kind: soliton, c: 1.0}",
+        f"- {{kind: soliton, c: 1.0}}\n  - {{kind: soliton, c: {near}, x0: 20.0}}",
+    )
+    assert main(["verify-exact", "--scenario", _write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid input: velocities 1.0 and {near} "
+        "have no float strictly between them\n"
     )
 
 

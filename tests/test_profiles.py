@@ -202,6 +202,15 @@ def test_order_and_validate_duplicate():
         order_and_validate([Soliton(c=1.0), Soliton(c=1.0, x0=10.0)])
 
 
+def test_order_and_validate_rejects_adjacent_velocities():
+    # one ulp apart, the midpoint of the two velocities rounds to one of them
+    near = float(np.nextafter(1.0, 2.0))
+    with pytest.raises(DuplicateVelocity, match=f"velocities 1.0 and {near} "):
+        order_and_validate([Soliton(c=near), Soliton(c=1.0, x0=10.0)])
+    two_ulps = float(np.nextafter(near, 2.0))
+    assert order_and_validate([Soliton(c=1.0), Soliton(c=two_ulps)]).velocities == (1.0, two_ulps)
+
+
 def test_order_and_validate_single_object_flags():
     # a lone object has no second velocity, whatever the sign of its own
     soliton = order_and_validate([Soliton(c=1.0)])

@@ -1,5 +1,9 @@
 """Conserved functionals, the arctan-exp cutoff family, and localized versions.
 
+`conserved` gives the triple (M, E, F) of one snapshot; `localized_triples` gives
+its localized rows, a (len(js), 3) array whose row i is (M_j, E_j, F_j) for the
+i-th cutoff index j asked for.
+
 Two mass conventions coexist on purpose: the conserved mass is (1/2) int u^2
 while the localized M_j drops the 1/2.  Both are kept exactly as defined;
 linear combinations (Lyapunov and weakened functionals) use the localized
@@ -101,29 +105,13 @@ def make_cutoff_family(
     return CutoffFamily(sigma=float(sigma), speeds=speeds, tau0=tau0)
 
 
-@dataclass(frozen=True)
-class LocalizedTriple:
-    Mj: float
-    Ej: float
-    Fj: float
-
-    def __post_init__(self):
-        if self.Mj < 0:
-            raise ValueError("localized mass must be nonnegative")
-
-
-def localized_triples(
-    g: Grid, u: np.ndarray, fam: CutoffFamily, js, t: float
-) -> list[LocalizedTriple]:
-    """The weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention) for
-    each j in js, sharing one derivative pair."""
+def localized_triples(g: Grid, u: np.ndarray, fam: CutoffFamily, js, t: float) -> np.ndarray:
+    """The weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention) as a
+    (len(js), 3) array, row i holding (M_j, E_j, F_j) for j = js[i]; the js share one
+    derivative pair."""
     m, e, f = _densities(g, u)
-    out = []
-    for j in js:
+    out = np.empty((len(js), 3))
+    for row, j in zip(out, js):
         phi = fam.weight(j, t, g.x)
-        out.append(
-            LocalizedTriple(
-                Mj=integrate(g, m * phi), Ej=integrate(g, e * phi), Fj=integrate(g, f * phi)
-            )
-        )
+        row[:] = integrate(g, m * phi), integrate(g, e * phi), integrate(g, f * phi)
     return out

@@ -354,42 +354,36 @@ def _run_verify_exact(s: Scenario) -> ExperimentReport:
 
 def _run_conservation(s: Scenario) -> ExperimentReport:
     traj = s.trajectory
-    series = {"t": traj.times, "M": [], "E": [], "F": []}
-    for row in traj.values:
-        for name, value in zip("MEF", conserved(traj.grid, row)):
-            series[name].append(value)
-    drifts = {}
-    for name in ("M", "E", "F"):
-        vals = np.asarray(series[name])
-        scale = max(abs(vals[0]), 1e-30)
-        drifts[name] = float(np.max(np.abs(vals - vals[0])) / scale)
+    vals = np.array([conserved(traj.grid, row) for row in traj.values])  # (T, 3): M, E, F
+    scale = np.maximum(np.abs(vals[0]), 1e-30)
+    drifts = dict(zip("MEF", map(float, np.max(np.abs(vals - vals[0]), axis=0) / scale)))
     worst = max(drifts.values())
     return ExperimentReport(
         kind="conservation",
         passed=worst < DRIFT_TOL,
         summary={"drifts": drifts, "worst": worst, "tolerance": DRIFT_TOL},
-        series={"conserved": series},
+        series={"conserved": {"t": traj.times, **dict(zip("MEF", vals.T))}},
     )
 
 
 def _run_monotonicity(s: Scenario) -> ExperimentReport:
     varpi, C = s.slack
     traj = s.trajectory
+    values, slack, drops = monotonicity_report(traj, s.params, varpi=varpi, C=C)
     reports = {}
     series = {}
-    worst = 0.0
-    tracked_j = list(range(1, s.cfg.J))
-    for j, reps in monotonicity_report(traj, tracked_j, s.params, varpi=varpi, C=C).items():
-        for which, rep in reps.items():
+    for k, j in enumerate(range(1, s.cfg.J)):
+        for w, which in enumerate(("Mj", "weakened_F")):
             key = f"j{j}_{which}"
+            column = values[:, k, w]
             reports[key] = {
-                "worst_drop": rep.worst_drop,
-                "slack_bound": rep.slack_bound,
-                "initial": rep.values[0],
-                "final": rep.values[-1],
+                "worst_drop": float(drops[k, w]),
+                "slack_bound": float(slack[0]),
+                "initial": float(column[0]),
+                "final": float(column[-1]),
             }
-            series[key] = {"t": traj.times, "value": rep.values}
-            worst = max(worst, rep.worst_drop)
+            series[key] = {"t": traj.times, "value": column}
+    worst = float(drops.max())
     return ExperimentReport(
         kind="monotonicity",
         passed=worst == 0.0,

@@ -4,6 +4,10 @@ the discrete coercivity eigencheck.
 Parameter defaults follow the midpoint rule: every quantity that only has to
 satisfy an open condition is placed at the midpoint of its admissible
 interval, which maximizes slack and is reproducible.
+
+The monotonicity audit works on arrays: a trajectory of T snapshots gives a
+(T, J-1, 2) block of (M_j, weakened F_j) values, axis 0 the snapshot time and
+axis 1 the cutoff index j = 1..J-1, and one (J-1, 2) array of worst drops.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ import numpy as np
 
 from .errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
 from .evolution import Trajectory
-from .functionals import (
-    CutoffFamily,
-    LocalizedTriple,
-    conserved,
-    localized_triples,
-    make_cutoff_family,
-)
+from .functionals import CutoffFamily, conserved, localized_triples, make_cutoff_family
 from .grid import Grid, circulant, derivative_pair
 from .profiles import (
     OrderedConfiguration,
@@ -149,10 +147,10 @@ def select_parameters(
     return params
 
 
-def _weakened(trip: LocalizedTriple, shape: tuple[float, float], nu: float) -> float:
-    """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j (localized convention)."""
+def _weakened(M, E, F, shape: tuple[float, float], nu: float):
+    """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j (localized convention), elementwise."""
     a, b = shape
-    return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
+    return F + 2.0 * (b**2 - a**2) * E + nu * (a**2 + b**2) ** 2 * M
 
 
 def _second_variation_weights(
@@ -316,54 +314,39 @@ def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> Coe
     return _certify(_restricted_forms(obj, g))
 
 
-@dataclass
-class MonotonicityReport:
-    """Almost-monotonicity audit of one functional along a trajectory's times."""
-
-    values: list[float]
-    worst_drop: float  # largest decrease in excess of the slack (0 = verified)
-    slack_bound: float  # slack at the start of the window (largest allowed)
-
-
 def monotonicity_report(
-    traj: Trajectory,
-    js,
-    p: LyapunovParams,
-    varpi: float,
-    C: float,
-) -> dict[int, dict[str, MonotonicityReport]]:
+    traj: Trajectory, p: LyapunovParams, varpi: float, C: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Record decreases of the two audited functionals beyond the decaying slack.
 
-    For each j in js the functionals are M_j and the weakened F, the two whose
-    almost-monotonicity the uniqueness argument rests on, both read from one
-    localized triple per snapshot; the js share each snapshot's derivative pair.
-    The slack allowed between t1 < t2 is C exp(-2 varpi t1) + DROP_BUDGET; the
-    report never raises on violations.
+    The functionals are M_j and the weakened F for each cutoff index j = 1..J-1, the
+    two whose almost-monotonicity the uniqueness argument rests on, both read from
+    one localized_triples call per snapshot, which the js share.  Returns
+
+    - values, (T, J-1, 2): (M_j, weakened F_j) at snapshot t_i and index j = k + 1
+      in values[i, k];
+    - slack, (T,): C exp(-2 varpi t_i) + DROP_BUDGET, the decrease allowed from t_i
+      to any later time;
+    - drops, (J-1, 2): the largest decrease of each functional beyond the slack,
+      max over t1 <= t2 of value(t1) - slack(t1) - value(t2), and 0 if none is
+      positive (0 = verified).
+
+    Nothing is raised on violations.
     """
-    rows = {j: [] for j in js}
-    for t, row in zip(traj.times, traj.values):
-        for j, trip in zip(js, localized_triples(traj.grid, row, p.fam, js, t)):
-            rows[j].append((trip.Mj, _weakened(trip, p.shape(j), p.nu)))
-    slack = [C * np.exp(-2.0 * varpi * t) + DROP_BUDGET for t in traj.times]
-    return {j: _audit(rows[j], slack) for j in js}
-
-
-def _audit(rows, slack) -> dict[str, MonotonicityReport]:
-    """One report per functional from rows of (M_j, weakened F)."""
-    reports = {}
-    for name, column in zip(("Mj", "weakened_F"), zip(*rows)):
-        values = [float(v) for v in column]
-        # running maximum makes the pairwise scan linear: the worst decrease from
-        # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
-        worst = 0.0
-        best_so_far = -np.inf
-        for v, sl in zip(values, slack):
-            best_so_far = max(best_so_far, v - sl)
-            worst = max(worst, best_so_far - v)
-        reports[name] = MonotonicityReport(
-            values=values, worst_drop=float(worst), slack_bound=float(slack[0])
-        )
-    return reports
+    js = range(1, p.fam.J)
+    trips = np.array(
+        [localized_triples(traj.grid, row, p.fam, js, t) for t, row in zip(traj.times, traj.values)]
+    )
+    values = np.empty(trips.shape[:2] + (2,))
+    values[..., 0] = trips[..., 0]
+    for k, j in enumerate(js):
+        values[:, k, 1] = _weakened(*trips[:, k].T, p.shape(j), p.nu)
+    slack = C * np.exp(-2.0 * varpi * traj.times) + DROP_BUDGET
+    # the running maximum makes the pairwise scan linear: the worst decrease from
+    # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
+    best = np.maximum.accumulate(values - slack[:, None, None], axis=0)
+    drops = np.maximum(best - values, 0.0).max(axis=0)
+    return values, slack, drops
 
 
 def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tuple[float, float]:

@@ -253,8 +253,8 @@ def mass_augmented_F(traj, p: LyapunovParams, j: int) -> list[float]:
     omega = 1e-3 * min((a**2 + b**2) ** 2 * m for (a, b), m in zip(p.shape_pairs, p.fam.speeds))
     out = []
     for t, row in zip(traj.times, traj.values):
-        trip = localized_triples(traj.grid, row, p.fam, (j,), t)[0]
-        out.append(float(trip.Fj + omega * trip.Mj))
+        M, _, F = localized_triples(traj.grid, row, p.fam, (j,), t)[0]
+        out.append(float(F + omega * M))
     return out
 
 

@@ -186,12 +186,12 @@ def test_weight_last_is_one(grid):
 def test_localized_triple_global_weight(grid):
     fam = make_cutoff_family(_flagship(), (0.5, 2.5), 0.01)
     u = _q1(grid)
-    trip = localized_triples(grid, u, fam, (3,), 0.0)[0]
+    Mj, Ej, Fj = localized_triples(grid, u, fam, (3,), 0.0)[0]
     M, E, F = conserved(grid, u)
     # M_j drops the 1/2 of the conserved mass, hence the factor 2
-    assert trip.Mj == pytest.approx(2.0 * M, rel=1e-12)
-    assert trip.Ej == pytest.approx(E, rel=1e-12)
-    assert trip.Fj == pytest.approx(F, rel=1e-12)
+    assert Mj == pytest.approx(2.0 * M, rel=1e-12)
+    assert Ej == pytest.approx(E, rel=1e-12)
+    assert Fj == pytest.approx(F, rel=1e-12)
 
 
 def test_localized_triple_weight_localization(grid):
@@ -201,8 +201,8 @@ def test_localized_triple_weight_localization(grid):
     far_right = q_profile(1.0, grid.x - 40.0)
     far_left = q_profile(1.0, grid.x + 40.0)
     l2 = integrate(grid, far_right**2)
-    assert localized_triples(grid, far_right, fam, (1,), 0.0)[0].Mj < 1e-3 * l2
-    assert localized_triples(grid, far_left, fam, (1,), 0.0)[0].Mj == pytest.approx(4.0, abs=1e-3)
+    assert localized_triples(grid, far_right, fam, (1,), 0.0)[0, 0] < 1e-3 * l2
+    assert localized_triples(grid, far_left, fam, (1,), 0.0)[0, 0] == pytest.approx(4.0, abs=1e-3)
 
 
 def test_localization_consistency(grid):
@@ -210,7 +210,7 @@ def test_localization_consistency(grid):
     u = breather_eval(Breather(1.0, 1.0), 0.0, grid.x)
     phi = fam.weight(1, 0.0, grid.x)
     total = integrate(grid, u**2)
-    split = localized_triples(grid, u, fam, (1,), 0.0)[0].Mj + integrate(grid, u**2 * (1 - phi))
+    split = localized_triples(grid, u, fam, (1,), 0.0)[0, 0] + integrate(grid, u**2 * (1 - phi))
     assert split == pytest.approx(total, rel=1e-14)
 
 

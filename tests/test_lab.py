@@ -457,7 +457,7 @@ def test_flagship_per_snapshot_summaries():
 
 
 def test_monotonicity_computes_one_triple_per_snapshot_and_j(monkeypatch):
-    # the four audited functionals share one localized triple, and the tracked
+    # the two audited functionals share one localized triple, and the tracked
     # j share one call per snapshot
     calls = []
     triples = lyapunov.localized_triples

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mkdvlab import lab
+from mkdvlab import lab, lyapunov
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.evolution import Trajectory
 from mkdvlab.functionals import conserved, localized_triples
@@ -21,7 +21,6 @@ from mkdvlab.lyapunov import (
     _inverse_sqrt_symbol,
     _restrict_to_complement,
     _restricted_forms,
-    _audit,
     _second_variation_weights,
     calibrate_slack,
     coercivity_check,
@@ -134,9 +133,9 @@ def test_sigma_shrunk_when_first_shape_very_negative():
 def _weakened(g, u, j, p, t, nu):
     """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j, written out from the localized
     triple; the Lyapunov functional H_j at nu = 1, the weakened F at nu = p.nu."""
-    trip = localized_triples(g, u, p.fam, (j,), t)[0]
+    M, E, F = localized_triples(g, u, p.fam, (j,), t)[0]
     a, b = p.shape(j)
-    return trip.Fj + 2.0 * (b**2 - a**2) * trip.Ej + nu * (a**2 + b**2) ** 2 * trip.Mj
+    return F + 2.0 * (b**2 - a**2) * E + nu * (a**2 + b**2) ** 2 * M
 
 
 def test_lyapunov_H_zero_field(grid):
@@ -507,11 +506,12 @@ def test_coercivity_rejects_oversized_grid():
 def test_monotonicity_zero_trajectory(grid):
     p = select_parameters(_flagship(), 0.01)
     traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=np.zeros((3, grid.n)), grid=grid)
-    reps = monotonicity_report(traj, [1], p, varpi=0.0, C=0.0)[1]
-    assert list(reps) == ["Mj", "weakened_F"]
-    for rep in reps.values():
-        assert rep.worst_drop == 0.0
-        assert rep.values == [0.0, 0.0, 0.0]
+    values, slack, drops = monotonicity_report(traj, p, varpi=0.0, C=0.0)
+    # axes: snapshot time, cutoff index j = 1..J-1, (M_j, weakened F_j)
+    assert values.shape == (3, p.fam.J - 1, 2)
+    assert drops.shape == (p.fam.J - 1, 2)
+    assert np.array_equal(values, np.zeros(values.shape))
+    assert np.array_equal(drops, np.zeros(drops.shape))
 
 
 def test_monotonicity_flags_synthetic_decrease(grid):
@@ -519,34 +519,41 @@ def test_monotonicity_flags_synthetic_decrease(grid):
     p = select_parameters(_flagship(), 0.01)
     values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9, 0.8)])
     traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=values, grid=grid)
-    rep = monotonicity_report(traj, [1], p, varpi=0.0, C=0.0)[1]["Mj"]
-    assert rep.worst_drop > 0.1
+    drops = monotonicity_report(traj, p, varpi=0.0, C=0.0)[2]
+    assert drops[0, 0] > 0.1  # j = 1, M_j
 
 
 def test_monotonicity_report_values_are_the_named_functionals(grid):
     p = select_parameters(_flagship(), 0.01)
     values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9)])
     traj = Trajectory(times=np.array([0.0, 1.0]), values=values, grid=grid)
-    reps = monotonicity_report(traj, [1], p, varpi=0.0, C=0.0)[1]
+    report = monotonicity_report(traj, p, varpi=0.0, C=0.0)[0]
     for i, (t, row) in enumerate(zip(traj.times, values)):
-        trip = localized_triples(grid, row, p.fam, (1,), t)[0]
-        assert trip.Mj != 0.0 and trip.Ej != 0.0 and trip.Fj != 0.0
-        assert reps["Mj"].values[i] == trip.Mj
-        assert reps["weakened_F"].values[i] == _weakened(grid, row, 1, p, t, p.nu)
+        M, E, F = localized_triples(grid, row, p.fam, (1,), t)[0]
+        assert M != 0.0 and E != 0.0 and F != 0.0
+        assert report[i, 0, 0] == M
+        assert report[i, 0, 1] == _weakened(grid, row, 1, p, t, p.nu)
 
 
-def test_audit_scan_is_the_pairwise_drop():
-    # the linear running-maximum scan against the pairwise reference, on random
-    # walks under a decaying slack, bit for bit
+def test_audit_scan_is_the_pairwise_drop(grid, monkeypatch):
+    # monotonicity_report's linear running-maximum scan against the pairwise
+    # reference, on random walks under a decaying slack, bit for bit.  The
+    # stand-in triples make j = 1's M_j the walk and j = 2's weakened F minus it
+    p = select_parameters(_flagship(), 0.01)
     rng = np.random.default_rng(13)
     times = np.linspace(0.0, 4.0, 40)
-    slack = [0.5 * np.exp(-0.4 * t) + 1e-5 for t in times]
+    traj = Trajectory(times=times, values=np.zeros((len(times), grid.n)), grid=grid)
     for _ in range(20):
-        values = rng.standard_normal(len(times)).cumsum()
-        reps = _audit(list(zip(values, -values)), slack)
-        assert reps["Mj"].worst_drop == worst_drop(reps["Mj"].values, slack)
-        assert reps["weakened_F"].worst_drop == worst_drop(reps["weakened_F"].values, slack)
-        assert max(reps["Mj"].worst_drop, reps["weakened_F"].worst_drop) > 0.0
+        walk = rng.standard_normal(len(times)).cumsum()
+        rows = iter([np.array([[v, 0.0, 0.0], [0.0, 0.0, -v]]) for v in walk])
+        monkeypatch.setattr(lyapunov, "localized_triples", lambda *args: next(rows))
+        values, slack, drops = monotonicity_report(traj, p, varpi=0.2, C=0.5)
+        assert np.array_equal(values[:, 0, 0], walk)
+        assert np.array_equal(values[:, 1, 1], -walk)
+        assert list(slack) == [0.5 * np.exp(-0.4 * t) + 1e-5 for t in times]
+        for k, w in np.ndindex(drops.shape):
+            assert drops[k, w] == worst_drop(list(values[:, k, w]), list(slack))
+        assert max(drops[0, 0], drops[1, 1]) > 0.0
 
 
 def test_interpolation_inequality_zero(grid):

@@ -1,13 +1,12 @@
-"""Conserved functionals, the arctan-exp cutoff family, and localized versions.
+"""The weighted (M, E, F) integrals and the arctan-exp cutoff family.
 
-`conserved` gives the triple (M, E, F) of one snapshot; `localized_triples` gives
-its localized rows, a (len(js), 3) array whose row i is (M_j, E_j, F_j) for the
-i-th cutoff index j asked for.
+`weighted_integrals` gives every (M, E, F) integral of a snapshot, one row per
+weight: the cutoff Phi_j gives (M_j, E_j, F_j), and the weight 1 the whole line.
 
 Two mass conventions coexist on purpose: the conserved mass is (1/2) int u^2
-while the localized M_j drops the 1/2.  Both are kept exactly as defined;
-linear combinations (Lyapunov and weakened functionals) use the localized
-convention throughout.
+while the localized M_j drops the 1/2, so the whole-line row is (2M, E, F).
+Linear combinations (Lyapunov and weakened functionals) use the localized
+convention throughout; only the conservation audit halves the mass.
 """
 
 from __future__ import annotations
@@ -32,17 +31,16 @@ def _second_energy_density(v, ux, uxx):
     return 0.5 * uxx**2 - 2.5 * v2 * ux**2 + 0.25 * (v2 * v2 * v2)
 
 
-def _densities(g: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integrands u^2 and those of E and F, from one derivative pair."""
+def weighted_integrals(g: Grid, u: np.ndarray, weights) -> np.ndarray:
+    """(int u^2 w, int e w, int f w) for each weight w (samples, or 1.0 for the whole
+    line) as a (len(weights), 3) array, from one derivative pair; the densities are
+    e = 1/2 u_x^2 - 1/4 u^4 and f = 1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6."""
     ux, uxx = derivative_pair(g, u)
-    return u**2, _energy_density(u, ux), _second_energy_density(u, ux, uxx)
-
-
-def conserved(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
-    """The conserved mass (1/2) int u^2, energy int (1/2 u_x^2 - 1/4 u^4) and second
-    energy int (1/2 u_xx^2 - 5/2 u^2 u_x^2 + 1/4 u^6), from one derivative pair."""
-    m, e, f = _densities(g, u)
-    return 0.5 * integrate(g, m), integrate(g, e), integrate(g, f)
+    m, e, f = u**2, _energy_density(u, ux), _second_energy_density(u, ux, uxx)
+    out = np.empty((len(weights), 3))
+    for row, w in zip(out, weights):
+        row[:] = integrate(g, m * w), integrate(g, e * w), integrate(g, f * w)
+    return out
 
 
 # psi's exponent cap: exp overflows past 709.78, and arctan(exp(700)) == arctan(inf)
@@ -104,14 +102,3 @@ def make_cutoff_family(
         tau0 = np.inf
     return CutoffFamily(sigma=float(sigma), speeds=speeds, tau0=tau0)
 
-
-def localized_triples(g: Grid, u: np.ndarray, fam: CutoffFamily, js, t: float) -> np.ndarray:
-    """The weighted integrals M_j = int u^2 Phi_j, E_j, F_j (localized convention) as a
-    (len(js), 3) array, row i holding (M_j, E_j, F_j) for j = js[i]; the js share one
-    derivative pair."""
-    m, e, f = _densities(g, u)
-    out = np.empty((len(js), 3))
-    for row, j in zip(out, js):
-        phi = fam.weight(j, t, g.x)
-        row[:] = integrate(g, m * phi), integrate(g, e * phi), integrate(g, f * phi)
-    return out

@@ -23,7 +23,7 @@ import yaml
 
 from .errors import NonPositiveDistance
 from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
-from .functionals import conserved
+from .functionals import weighted_integrals
 from .grid import Grid, make_grid
 from .lyapunov import (
     DROP_BUDGET,
@@ -57,8 +57,9 @@ class Scenario:
     """Fully validated experiment description; `replace` starts with no derived state.
 
     Derived state is computed on first use and kept, unless computing it raises:
-    the one run of the datum (`trajectory`) and the one Newton pass of fits over
-    it (`track`), which fits each snapshot once for both modulate and rate-fit.
+    the one run of the datum (`trajectory`), its one pass of (M, E, F) integrals
+    (`integrals`) for conservation and monotonicity, and its one Newton pass of
+    fits (`track`), which fits each snapshot once for both modulate and rate-fit.
     """
 
     name: str
@@ -100,6 +101,22 @@ class Scenario:
         traj.times.flags.writeable = False
         traj.values.flags.writeable = False
         return traj
+
+    @cached_property
+    def integrals(self) -> np.ndarray:
+        """The read-only (T, K, 3) weighted_integrals rows of each snapshot that
+        conservation (the last, whole-line row) and monotonicity read.  With v2 > 0
+        the weights are Phi_1..Phi_J of `params`; otherwise the whole line alone, K = 1,
+        so conservation audits a lone object without computing parameters."""
+        traj, g = self.trajectory, self.grid
+        fam = self.params.fam if self.cfg.positive_v2 else None
+        rows = []
+        for t, u in zip(traj.times, traj.values):
+            weights = [fam.weight(j, t, g.x) for j in range(1, fam.J + 1)] if fam else (1.0,)
+            rows.append(weighted_integrals(g, u, weights))
+        out = np.array(rows)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def track(self) -> ModulationTrack:
@@ -354,7 +371,7 @@ def _run_verify_exact(s: Scenario) -> ExperimentReport:
 
 def _run_conservation(s: Scenario) -> ExperimentReport:
     traj = s.trajectory
-    vals = np.array([conserved(traj.grid, row) for row in traj.values])  # (T, 3): M, E, F
+    vals = s.integrals[:, -1] * (0.5, 1.0, 1.0)  # (T, 3): M = (1/2) int u^2, E, F
     scale = np.maximum(np.abs(vals[0]), 1e-30)
     drifts = dict(zip("MEF", map(float, np.max(np.abs(vals - vals[0]), axis=0) / scale)))
     worst = max(drifts.values())
@@ -369,7 +386,8 @@ def _run_conservation(s: Scenario) -> ExperimentReport:
 def _run_monotonicity(s: Scenario) -> ExperimentReport:
     varpi, C = s.slack
     traj = s.trajectory
-    values, slack, drops = monotonicity_report(traj, s.params, varpi=varpi, C=C)
+    trips = s.integrals[:, :-1]  # Phi_1..Phi_{J-1}; the last row is the whole line
+    values, slack, drops = monotonicity_report(trips, traj.times, s.params, varpi=varpi, C=C)
     reports = {}
     series = {}
     for k, j in enumerate(range(1, s.cfg.J)):

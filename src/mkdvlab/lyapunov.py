@@ -5,7 +5,7 @@ Parameter defaults follow the midpoint rule: every quantity that only has to
 satisfy an open condition is placed at the midpoint of its admissible
 interval, which maximizes slack and is reproducible.
 
-The monotonicity audit works on arrays: a trajectory of T snapshots gives a
+The monotonicity audit works on arrays: T snapshots' localized integrals give a
 (T, J-1, 2) block of (M_j, weakened F_j) values, axis 0 the snapshot time and
 axis 1 the cutoff index j = 1..J-1, and one (J-1, 2) array of worst drops.
 """
@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
-from .evolution import Trajectory
-from .functionals import CutoffFamily, conserved, localized_triples, make_cutoff_family
+from .functionals import CutoffFamily, make_cutoff_family, weighted_integrals
 from .grid import Grid, circulant, derivative_pair
 from .profiles import (
     OrderedConfiguration,
@@ -252,12 +251,11 @@ def _restrict_to_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X[m:, m:]
 
 
-def _bordered_form(obj: WaveObject, g: Grid) -> np.ndarray:
+def _bordered_form(obj: WaveObject, pv: np.ndarray, g: Grid) -> np.ndarray:
     """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of the
     second variation (_second_variation_weights) at t = 0 with Phi_j = 1, the penalty
-    vector P and W = B^-1/2 (_form_matrix)."""
+    vector P = pv, the samples of obj at t = 0, and W = B^-1/2 (_form_matrix)."""
     n = g.n
-    pv = eval_object(obj, 0.0, g.x)
     M = np.empty((n + 1, n + 1))
     _form_matrix(_second_variation_weights(pv, 1.0, *shape_pair(obj), g), g, M[:n, :n])
     M[n, :n] = M[:n, n] = g.h * _apply_inverse_sqrt(g, pv)
@@ -269,10 +267,10 @@ def _restricted_forms(obj: WaveObject, g: Grid) -> np.ndarray:
     """[[Ar, h pr], [h pr^T, 0]]: _bordered_form restricted to the discrete-L^2 complement
     of W V, V the m <= 2 modulation directions (the fit's offset partials), so Ar = W A W
     and pr = W P there.  x = W y is orthogonal to V exactly when y is orthogonal to W V.
-    """
-    M = _bordered_form(obj, g)
-    dirs = _apply_inverse_sqrt(g, _offset_partials(obj, (), 0.0, g.x)[1])
-    return _restrict_to_complement(dirs.T, M)
+    One evaluation gives V and the profile, which has the bits of eval_object."""
+    pv, dirs, _ = _offset_partials(obj, (), 0.0, g.x)
+    M = _bordered_form(obj, pv, g)
+    return _restrict_to_complement(_apply_inverse_sqrt(g, dirs).T, M)
 
 
 def _certify(M: np.ndarray) -> CoercivityResult:
@@ -315,13 +313,13 @@ def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> Coe
 
 
 def monotonicity_report(
-    traj: Trajectory, p: LyapunovParams, varpi: float, C: float
+    trips: np.ndarray, times: np.ndarray, p: LyapunovParams, varpi: float, C: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Record decreases of the two audited functionals beyond the decaying slack.
 
     The functionals are M_j and the weakened F for each cutoff index j = 1..J-1, the
     two whose almost-monotonicity the uniqueness argument rests on, both read from
-    one localized_triples call per snapshot, which the js share.  Returns
+    trips, the (T, J-1, 3) weighted_integrals rows of Phi_1..Phi_{J-1} at times.  Returns
 
     - values, (T, J-1, 2): (M_j, weakened F_j) at snapshot t_i and index j = k + 1
       in values[i, k];
@@ -333,15 +331,11 @@ def monotonicity_report(
 
     Nothing is raised on violations.
     """
-    js = range(1, p.fam.J)
-    trips = np.array(
-        [localized_triples(traj.grid, row, p.fam, js, t) for t, row in zip(traj.times, traj.values)]
-    )
     values = np.empty(trips.shape[:2] + (2,))
     values[..., 0] = trips[..., 0]
-    for k, j in enumerate(js):
-        values[:, k, 1] = _weakened(*trips[:, k].T, p.shape(j), p.nu)
-    slack = C * np.exp(-2.0 * varpi * traj.times) + DROP_BUDGET
+    for k in range(trips.shape[1]):
+        values[:, k, 1] = _weakened(*trips[:, k].T, p.shape(k + 1), p.nu)
+    slack = C * np.exp(-2.0 * varpi * times) + DROP_BUDGET
     # the running maximum makes the pairwise scan linear: the worst decrease from
     # any t1 < t2 is (max over t1 <= t2 of value - slack) - value(t2)
     best = np.maximum.accumulate(values - slack[:, None, None], axis=0)
@@ -363,8 +357,8 @@ def calibrate_slack(cfg: OrderedConfiguration, p: LyapunovParams, g: Grid) -> tu
 
     scale = 0.0
     for o in cfg.objects:
-        M, E, F = conserved(g, eval_object(o, 0.0, g.x))
-        scale += 2.0 * M + abs(E) + abs(F)
+        m2, E, F = weighted_integrals(g, eval_object(o, 0.0, g.x), (1.0,))[0]
+        scale += m2 + abs(E) + abs(F)
 
     centers = sorted(center(o, 0.0) for o in cfg.objects)
     t_sep = min(b2 - a2 for a2, b2 in zip(centers, centers[1:])) / (2.0 * tau0)

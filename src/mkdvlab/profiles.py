@@ -179,10 +179,10 @@ def eval_object(o: WaveObject, t: float, x):
 
 
 def velocity(o: WaveObject) -> float:
-    """c for solitons, beta^2 - 3 alpha^2 for breathers."""
+    """c for solitons, -gamma for breathers (0.0 - gamma: +0.0 when standing still)."""
     if isinstance(o, Soliton):
         return o.c
-    return o.beta**2 - 3.0 * o.alpha**2
+    return 0.0 - o.gamma
 
 
 def shape_pair(o: WaveObject) -> tuple[float, float]:

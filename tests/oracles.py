@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mkdvlab.errors import NoConvergence, SingularJacobian
-from mkdvlab.functionals import CutoffFamily, localized_triples
+from mkdvlab.functionals import CutoffFamily, weighted_integrals
 from mkdvlab.grid import Grid, _h2_sum, _power_symbol, derivative_pair, integrate
 from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
 from mkdvlab.modulation import MAX_NEWTON_ITERS, ModulationState, split_offsets, total_offsets
@@ -253,7 +253,7 @@ def mass_augmented_F(traj, p: LyapunovParams, j: int) -> list[float]:
     omega = 1e-3 * min((a**2 + b**2) ** 2 * m for (a, b), m in zip(p.shape_pairs, p.fam.speeds))
     out = []
     for t, row in zip(traj.times, traj.values):
-        M, _, F = localized_triples(traj.grid, row, p.fam, (j,), t)[0]
+        M, _, F = weighted_integrals(traj.grid, row, [p.fam.weight(j, t, traj.grid.x)])[0]
         out.append(float(F + omega * M))
     return out
 

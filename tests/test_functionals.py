@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mkdvlab import functionals
 from mkdvlab.functionals import (
     CutoffFamily,
-    conserved,
-    localized_triples,
     make_cutoff_family,
     psi,
+    weighted_integrals,
 )
 from mkdvlab.grid import integrate, make_grid
 from mkdvlab.profiles import (
@@ -42,27 +42,33 @@ def _q1(grid, x0=0.0):
     return q_profile(1.0, grid.x - x0)
 
 
+def _conserved(g, u):
+    """(M, E, F) with the conserved mass M = (1/2) int u^2: the whole-line row, halved."""
+    m2, e, f = weighted_integrals(g, u, (1.0,))[0]
+    return 0.5 * m2, e, f
+
+
 def test_mass_of_zero(grid):
-    assert conserved(grid, np.zeros(grid.n))[0] == 0.0
+    assert _conserved(grid, np.zeros(grid.n))[0] == 0.0
 
 
 def test_mass_of_soliton(grid):
     # int Q_c^2 = 4 sqrt(c), so the half-convention mass of Q_1 is 2
-    assert conserved(grid, _q1(grid))[0] == pytest.approx(2.0, abs=1e-12)
+    assert _conserved(grid, _q1(grid))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_energy_of_soliton(grid):
     # E[Q_c] = -(2/3) c^{3/2}
-    assert conserved(grid, _q1(grid))[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
+    assert _conserved(grid, _q1(grid))[1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
     q2 = q_profile(2.0, grid.x)
-    assert conserved(grid, q2)[1] == pytest.approx(-(2.0 / 3.0) * 2.0**1.5, abs=1e-9)
+    assert _conserved(grid, q2)[1] == pytest.approx(-(2.0 / 3.0) * 2.0**1.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
 def test_second_energy_of_soliton(grid, c):
     # Q_c = sqrt(2c) sech(sqrt(c) x): with int sech^2 = 2, int sech^4 = 4/3 and
     # int sech^6 = 16/15, F[Q_c] = (2/5) c^{5/2}
-    assert conserved(grid, q_profile(c, grid.x))[2] == pytest.approx(
+    assert _conserved(grid, q_profile(c, grid.x))[2] == pytest.approx(
         0.4 * c**2.5, rel=2e-15
     )
 
@@ -72,7 +78,7 @@ def test_energy_small_amplitude(grid):
     u = eps * q_profile(1.0, grid.x)
     qx = spectral_derivative(grid, _q1(grid), 1)
     expected = 0.5 * eps**2 * integrate(grid, qx**2)
-    e = conserved(grid, u)[1]
+    e = _conserved(grid, u)[1]
     assert e == pytest.approx(expected, rel=1e-5)
     assert e > 0
 
@@ -81,7 +87,7 @@ def test_second_energy_grid_converged():
     vals = []
     for n in (2048, 4096):
         g = make_grid(50.0, n)
-        vals.append(conserved(g, q_profile(1.0, g.x))[2])
+        vals.append(_conserved(g, q_profile(1.0, g.x))[2])
     assert vals[0] == pytest.approx(vals[1], rel=1e-8)
 
 
@@ -89,7 +95,7 @@ def test_second_energy_small_amplitude_scaling(grid):
     eps = 1e-4
     base = np.exp(-(grid.x**2) / 8)
     lead = 0.5 * integrate(grid, spectral_derivative(grid, base, 2) ** 2)
-    assert conserved(grid, eps * base)[2] == pytest.approx(eps**2 * lead, rel=1e-6)
+    assert _conserved(grid, eps * base)[2] == pytest.approx(eps**2 * lead, rel=1e-6)
 
 
 def test_psi_pointwise_values():
@@ -184,14 +190,29 @@ def test_weight_last_is_one(grid):
 
 
 def test_localized_triple_global_weight(grid):
+    # Phi_J = 1 gives the whole line, the row of the weight 1.0 bit for bit; M_j
+    # drops the 1/2 of the conserved mass, so the row is (2M, E, F)
     fam = make_cutoff_family(_flagship(), (0.5, 2.5), 0.01)
     u = _q1(grid)
-    Mj, Ej, Fj = localized_triples(grid, u, fam, (3,), 0.0)[0]
-    M, E, F = conserved(grid, u)
-    # M_j drops the 1/2 of the conserved mass, hence the factor 2
-    assert Mj == pytest.approx(2.0 * M, rel=1e-12)
-    assert Ej == pytest.approx(E, rel=1e-12)
-    assert Fj == pytest.approx(F, rel=1e-12)
+    rows = weighted_integrals(grid, u, (fam.weight(3, 0.0, grid.x), 1.0))
+    assert np.array_equal(rows[0], rows[1])
+    assert rows[0, 0] == pytest.approx(4.0, abs=2e-12)  # int Q_1^2 = 4 = 2 M[Q_1]
+
+
+def test_weighted_integrals_share_one_derivative_pair(grid, monkeypatch):
+    # every weight of a call reads one derivative pair, and each row has the
+    # bits of that weight asked for alone
+    calls = []
+    pair = functionals.derivative_pair
+    monkeypatch.setattr(functionals, "derivative_pair", lambda g, f: calls.append(g) or pair(g, f))
+    fam = make_cutoff_family(_flagship(), (0.5, 2.5), 0.01)
+    u = breather_eval(Breather(1.0, 1.0), 0.0, grid.x) + _q1(grid, 20.0)
+    weights = [fam.weight(j, 0.3, grid.x) for j in (1, 2, 3)] + [1.0]
+    rows = weighted_integrals(grid, u, weights)
+    assert rows.shape == (4, 3) and calls == [grid]
+    for w, row in zip(weights, rows):
+        assert np.array_equal(row, weighted_integrals(grid, u, [w])[0])
+    assert weighted_integrals(grid, u, []).shape == (0, 3)
 
 
 def test_localized_triple_weight_localization(grid):
@@ -201,8 +222,9 @@ def test_localized_triple_weight_localization(grid):
     far_right = q_profile(1.0, grid.x - 40.0)
     far_left = q_profile(1.0, grid.x + 40.0)
     l2 = integrate(grid, far_right**2)
-    assert localized_triples(grid, far_right, fam, (1,), 0.0)[0, 0] < 1e-3 * l2
-    assert localized_triples(grid, far_left, fam, (1,), 0.0)[0, 0] == pytest.approx(4.0, abs=1e-3)
+    phi = [fam.weight(1, 0.0, grid.x)]
+    assert weighted_integrals(grid, far_right, phi)[0, 0] < 1e-3 * l2
+    assert weighted_integrals(grid, far_left, phi)[0, 0] == pytest.approx(4.0, abs=1e-3)
 
 
 def test_localization_consistency(grid):
@@ -210,7 +232,7 @@ def test_localization_consistency(grid):
     u = breather_eval(Breather(1.0, 1.0), 0.0, grid.x)
     phi = fam.weight(1, 0.0, grid.x)
     total = integrate(grid, u**2)
-    split = localized_triples(grid, u, fam, (1,), 0.0)[0, 0] + integrate(grid, u**2 * (1 - phi))
+    split = weighted_integrals(grid, u, [phi])[0, 0] + integrate(grid, u**2 * (1 - phi))
     assert split == pytest.approx(total, rel=1e-14)
 
 
@@ -228,7 +250,7 @@ def test_criticality_of_profiles(obj, grid):
         p = breather_eval(obj, 0.0, grid.x)
 
     def functional(u):
-        M, E, F = conserved(grid, u)
+        M, E, F = _conserved(grid, u)
         return F + 2.0 * (b**2 - a**2) * E + (a**2 + b**2) ** 2 * M
 
     rng = np.random.default_rng(11)

@@ -457,24 +457,66 @@ def test_flagship_per_snapshot_summaries():
 
 
 def test_monotonicity_computes_one_triple_per_snapshot_and_j(monkeypatch):
-    # the two audited functionals share one localized triple, and the tracked
-    # j share one call per snapshot
+    # monotonicity computes its triples in the scenario's integrals pass: one
+    # weighted_integrals call per snapshot, whose weights are Phi_1..Phi_J at that
+    # snapshot's time, one triple per j; it audits the rows of Phi_1..Phi_{J-1}
     calls = []
-    triples = lyapunov.localized_triples
+    integrals = lab.weighted_integrals
 
-    def counted(*args):
-        out = triples(*args)
-        calls.append((tuple(args[3]), args[4], len(out)))
-        return out
+    def counted(g, u, weights):
+        calls.append(weights)
+        return integrals(g, u, weights)
 
-    monkeypatch.setattr(lyapunov, "localized_triples", counted)
+    monkeypatch.setattr(lab, "weighted_integrals", counted)
     s = _flagship_every_step()
-    T = len(s.trajectory.times)
     assert lab._run_monotonicity(s).passed
-    assert T == 41
-    assert len(calls) == T
-    assert {(js, n) for js, _, n in calls} == {((1, 2), s.cfg.J - 1)}
-    assert len({t for _, t, _ in calls}) == T
+    times, x, fam = s.trajectory.times, s.grid.x, s.params.fam
+    T = len(times)
+    assert T == 41 and len(calls) == T
+    for t, weights in zip(times, calls, strict=True):
+        assert len(weights) == s.cfg.J == 3
+        for j, w in enumerate(weights, start=1):
+            assert np.array_equal(w, fam.weight(j, t, x))
+    assert s.integrals.shape == (T, s.cfg.J, 3)
+
+
+@pytest.mark.parametrize("first,second", [("conservation", "monotonicity"), ("monotonicity", "conservation")])
+def test_conservation_and_monotonicity_share_one_integrals_pass(first, second, pair_calls):
+    # the kind that runs first on a fresh scenario makes the pass, one derivative
+    # pair per snapshot; the second reads it and transforms nothing
+    s = _flagship_every_step()
+    assert s.slack  # calibrated once per scenario, with its own pairs
+    T = len(s.trajectory.times)
+    pair_calls.clear()
+    assert run_experiment(s, first).passed
+    assert pair_calls == ["functionals"] * T
+    pair_calls.clear()
+    assert run_experiment(s, second).passed
+    assert pair_calls == []
+    assert "integrals" in vars(s) and "integrals" not in vars(replace(s))
+    # a consumer cannot write into the pass the next kind reads
+    with pytest.raises(ValueError):
+        s.integrals[0, 0, 0] = 0.0
+
+
+def test_failed_integrals_pass_leaves_the_holder_empty(monkeypatch):
+    # a pass that raises caches nothing: the next kind makes the pass again and
+    # meets the same failure, and once the cause is gone the pass is kept
+    s = parse_scenario(TWO_SOLITONS)
+    integrals = lab.weighted_integrals
+
+    def failing(g, u, weights):
+        raise FloatingPointError("stand-in failure")
+
+    monkeypatch.setattr(lab, "weighted_integrals", failing)
+    for kind in ("conservation", "monotonicity"):
+        with pytest.raises(FloatingPointError):
+            run_experiment(s, kind)
+        assert "integrals" not in vars(s) and "trajectory" in vars(s)
+    monkeypatch.setattr(lab, "weighted_integrals", integrals)
+    assert run_experiment(s, "conservation").passed and "integrals" in vars(s)
+    kept = s.integrals
+    assert run_experiment(s, "monotonicity").passed and s.integrals is kept
 
 
 @pytest.fixture
@@ -609,6 +651,18 @@ def test_modulate_without_a_second_velocity_reads_no_parameters(text):
     assert run_experiment(s, "modulate").passed and "params" in vars(s)
     T = len(s.trajectory.times)
     assert s.track.windowed.shape == (T,) and s.track.scalar.shape == (s.cfg.J, T)
+
+
+@pytest.mark.parametrize("text", [MINIMAL, LEFTWARD_BREATHERS], ids=["lone soliton", "v2 < 0"])
+def test_conservation_without_a_second_velocity_reads_no_parameters(text):
+    # without v2 > 0 there is no cutoff family and monotonicity refuses the
+    # scenario, so the pass weighs the whole line alone and computes no parameters
+    s = parse_scenario(text)
+    assert not s.cfg.positive_v2
+    assert run_experiment(s, "conservation").passed
+    assert "params" not in vars(s) and s.integrals.shape == (len(s.trajectory.times), 1, 3)
+    with pytest.raises(HypothesisViolated):
+        run_experiment(s, "monotonicity")
 
 
 def test_modulation_fit_builds_the_hessian_only_for_steps_taken(monkeypatch):

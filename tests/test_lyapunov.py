@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from mkdvlab import lab, lyapunov
 from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
-from mkdvlab.evolution import Trajectory
-from mkdvlab.functionals import conserved, localized_triples
+from mkdvlab.functionals import weighted_integrals
 from mkdvlab.grid import circulant, integrate, make_grid
 from mkdvlab.lyapunov import (
     _bordered_form,
@@ -133,7 +132,7 @@ def test_sigma_shrunk_when_first_shape_very_negative():
 def _weakened(g, u, j, p, t, nu):
     """F_j + 2(b^2-a^2) E_j + nu (a^2+b^2)^2 M_j, written out from the localized
     triple; the Lyapunov functional H_j at nu = 1, the weakened F at nu = p.nu."""
-    M, E, F = localized_triples(g, u, p.fam, (j,), t)[0]
+    M, E, F = weighted_integrals(g, u, [p.fam.weight(j, t, g.x)])[0]
     a, b = p.shape(j)
     return F + 2.0 * (b**2 - a**2) * E + nu * (a**2 + b**2) ** 2 * M
 
@@ -150,9 +149,9 @@ def test_lyapunov_H_single_soliton_composition(grid):
     cfg = order_and_validate([Soliton(1.0)])
     p = select_parameters(cfg, 0.01, override=True)
     u = q_profile(1.0, grid.x)
-    # j = J = 1: Phi == 1, (a,b) = (0,1), localized mass = 2 * mass
-    M, E, F = conserved(grid, u)
-    expected = F + 2.0 * E + 2.0 * M
+    # j = J = 1: Phi == 1, (a,b) = (0,1), localized mass int u^2 = 2 * mass
+    m2, E, F = weighted_integrals(grid, u, (1.0,))[0]
+    expected = F + 2.0 * E + m2
     assert _weakened(grid, u, 1, p, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
@@ -442,7 +441,7 @@ def test_unconstrained_form_certifies_nothing(obj):
     # be positive.  The secular bisection agrees
     for n in (256, 512):
         obj, _, g = lab._coercivity_setup(obj, 0.01, n)
-        M = _bordered_form(obj, g)
+        M = _bordered_form(obj, eval_object(obj, 0.0, g.x), g)
         res = _certify(M)
         assert res.lambda_min_raw <= 1e-6
         assert res.mu == 0.0
@@ -481,6 +480,24 @@ def test_bordered_inertia_rule_on_random_data(J):
     assert 0 < positive < 20
 
 
+@pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
+def test_coercivity_check_evaluates_its_profile_once(obj, monkeypatch):
+    # one _offset_partials call at t = 0 gives the penalty vector P, which has
+    # the bits of eval_object, and the modulation directions
+    calls = []
+    partials = lyapunov._offset_partials
+
+    def counted(o, shifts, t, x):
+        calls.append((shifts, t))
+        return partials(o, shifts, t, x)
+
+    monkeypatch.setattr(lyapunov, "_offset_partials", counted)
+    monkeypatch.setattr(lyapunov, "eval_object", None)
+    obj, p, g = lab._coercivity_setup(obj, 0.01, 256)
+    assert coercivity_check(obj, p, 1, g).mu > 0
+    assert calls == [((), 0.0)]
+
+
 def test_coercivity_check_holds_one_matrix():
     # the bordered matrix at n = 1024 is 8.4 MB; the traced peak of the check
     # measured 11.8 MB, against 25.4 MB when it held the eigenvectors and dense
@@ -503,10 +520,20 @@ def test_coercivity_rejects_oversized_grid():
         coercivity_check(cfg.objects[0], p, 1, make_grid(100.0, 8192))
 
 
+def _trips(g, p, times, rows):
+    """The (T, J-1, 3) localized integrals that monotonicity_report audits: the rows
+    Phi_1..Phi_{J-1} of each snapshot, as Scenario.integrals weighs them."""
+    js = range(1, p.fam.J)
+    return np.array(
+        [weighted_integrals(g, u, [p.fam.weight(j, t, g.x) for j in js]) for t, u in zip(times, rows)]
+    )
+
+
 def test_monotonicity_zero_trajectory(grid):
     p = select_parameters(_flagship(), 0.01)
-    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=np.zeros((3, grid.n)), grid=grid)
-    values, slack, drops = monotonicity_report(traj, p, varpi=0.0, C=0.0)
+    times = np.array([0.0, 1.0, 2.0])
+    trips = _trips(grid, p, times, np.zeros((3, grid.n)))
+    values, slack, drops = monotonicity_report(trips, times, p, varpi=0.0, C=0.0)
     # axes: snapshot time, cutoff index j = 1..J-1, (M_j, weakened F_j)
     assert values.shape == (3, p.fam.J - 1, 2)
     assert drops.shape == (p.fam.J - 1, 2)
@@ -518,36 +545,36 @@ def test_monotonicity_flags_synthetic_decrease(grid):
     # a decaying artificial series must register a positive worst_drop
     p = select_parameters(_flagship(), 0.01)
     values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9, 0.8)])
-    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=values, grid=grid)
-    drops = monotonicity_report(traj, p, varpi=0.0, C=0.0)[2]
+    times = np.array([0.0, 1.0, 2.0])
+    drops = monotonicity_report(_trips(grid, p, times, values), times, p, varpi=0.0, C=0.0)[2]
     assert drops[0, 0] > 0.1  # j = 1, M_j
 
 
 def test_monotonicity_report_values_are_the_named_functionals(grid):
     p = select_parameters(_flagship(), 0.01)
     values = np.array([amp * q_profile(1.0, grid.x + 45.0) for amp in (1.0, 0.9)])
-    traj = Trajectory(times=np.array([0.0, 1.0]), values=values, grid=grid)
-    report = monotonicity_report(traj, p, varpi=0.0, C=0.0)[0]
-    for i, (t, row) in enumerate(zip(traj.times, values)):
-        M, E, F = localized_triples(grid, row, p.fam, (1,), t)[0]
+    times = np.array([0.0, 1.0])
+    report = monotonicity_report(_trips(grid, p, times, values), times, p, varpi=0.0, C=0.0)[0]
+    for i, (t, row) in enumerate(zip(times, values)):
+        M, E, F = weighted_integrals(grid, row, [p.fam.weight(1, t, grid.x)])[0]
         assert M != 0.0 and E != 0.0 and F != 0.0
         assert report[i, 0, 0] == M
         assert report[i, 0, 1] == _weakened(grid, row, 1, p, t, p.nu)
 
 
-def test_audit_scan_is_the_pairwise_drop(grid, monkeypatch):
+def test_audit_scan_is_the_pairwise_drop():
     # monotonicity_report's linear running-maximum scan against the pairwise
     # reference, on random walks under a decaying slack, bit for bit.  The
     # stand-in triples make j = 1's M_j the walk and j = 2's weakened F minus it
     p = select_parameters(_flagship(), 0.01)
     rng = np.random.default_rng(13)
     times = np.linspace(0.0, 4.0, 40)
-    traj = Trajectory(times=times, values=np.zeros((len(times), grid.n)), grid=grid)
     for _ in range(20):
         walk = rng.standard_normal(len(times)).cumsum()
-        rows = iter([np.array([[v, 0.0, 0.0], [0.0, 0.0, -v]]) for v in walk])
-        monkeypatch.setattr(lyapunov, "localized_triples", lambda *args: next(rows))
-        values, slack, drops = monotonicity_report(traj, p, varpi=0.2, C=0.5)
+        trips = np.zeros((len(times), 2, 3))
+        trips[:, 0, 0] = walk
+        trips[:, 1, 2] = -walk
+        values, slack, drops = monotonicity_report(trips, times, p, varpi=0.2, C=0.5)
         assert np.array_equal(values[:, 0, 0], walk)
         assert np.array_equal(values[:, 1, 1], -walk)
         assert list(slack) == [0.5 * np.exp(-0.4 * t) + 1e-5 for t in times]

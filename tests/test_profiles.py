@@ -155,6 +155,14 @@ def test_velocity(obj, v):
     assert velocity(obj) == pytest.approx(v)
 
 
+def test_standing_breather_has_speed_positive_zero():
+    # beta^2 = 3 alpha^2 holds exactly in floats here, so gamma is +0.0; -gamma
+    # would be -0.0, which resolved-config.json writes as "-0.0"
+    b = Breather(alpha=0.75, beta=1.299038105676658)
+    assert b.gamma == 0.0
+    assert np.copysign(1.0, velocity(b)) == 1.0 and np.copysign(1.0, -b.gamma) == -1.0
+
+
 def test_shape_pair():
     assert shape_pair(Soliton(c=4.0)) == pytest.approx((0.0, 2.0))
     assert shape_pair(Breather(alpha=1.2, beta=0.7)) == (1.2, 0.7)

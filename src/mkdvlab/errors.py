@@ -38,6 +38,16 @@ class BlowUp(MkdvLabError):
         super().__init__(f"solution blew up at t={t:.6g}")
 
 
+class Unresolved(MkdvLabError):
+    """The run's spectral tail exceeds its budget: the grid no longer resolves it."""
+
+    def __init__(self, t: float, n: int, tail: float, budget: float):
+        super().__init__(
+            f"unresolved at t={t:.6g}: the top sixteenth of the spectrum is {tail:.2e} "
+            f"of its peak at n={n}, above the budget {budget:.0e}"
+        )
+
+
 class NoConvergence(MkdvLabError):
     """Newton iteration for the translation offsets did not converge."""
 

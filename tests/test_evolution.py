@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mkdvlab import evolution
-from mkdvlab.errors import BlowUp
+from mkdvlab.errors import BlowUp, Unresolved
 from mkdvlab.evolution import (
     EvolutionControls,
     _phi_functions,
@@ -160,7 +160,9 @@ def test_controls_validation():
         EvolutionControls(dt=1e-3, t_end=1.0, save_every=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_initial_data_stays_zero(grid):
+    # the resolution guard reads the zero datum as resolved, with no 0/0
     traj = evolve(grid, np.zeros(grid.n), EvolutionControls(dt=1e-3, t_end=0.01))
     assert np.max(np.abs(traj.values[-1])) == 0.0
 
@@ -182,9 +184,50 @@ def test_blowup_is_caught_at_its_step(grid, monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resolution_guard_at_its_budget(grid):
+    # the tail is the largest |uh| at k >= 15/16 k_max over the largest |uh|:
+    # at the budget the run goes on, one float above it the run stops with one
+    # line, and the zero spectrum counts as resolved, with no 0/0
+    check = evolution._check_resolved
+    uh = np.zeros(grid.n // 2 + 1, dtype=complex)
+    check(uh, 0.0)
+    top = 15 * (grid.n // 2) // 16
+    uh[3], uh[top - 1] = -2.0, 1.0
+    uh[top] = 2.0 * evolution.TAIL_BUDGET
+    check(uh, 0.5)
+    uh[-1] = 1j * np.nextafter(2.0 * evolution.TAIL_BUDGET, 1.0)
+    with pytest.raises(Unresolved) as info:
+        check(uh, 0.5)
+    assert str(info.value) == (
+        "unresolved at t=0.5: the top sixteenth of the spectrum is 1.00e-08 of its peak "
+        "at n=2048, above the budget 1e-08"
+    )
+    assert info.value.exit_code == 3
+
+
+def test_resolution_guard_stops_at_the_first_save_past_the_budget(grid, monkeypatch):
+    # a top mode that appears at step 3 stops the run at the save of step 4
+    calls = []
+    real_step = _Stepper.step
+
+    def step_with_a_top_mode_at_third(self, uh):
+        calls.append(None)
+        out = real_step(self, uh)
+        if len(calls) == 3:
+            out[-2] = 1e-6 * np.max(np.abs(out))
+        return out
+
+    monkeypatch.setattr(_Stepper, "step", step_with_a_top_mode_at_third)
+    dt = 1e-3
+    with pytest.raises(Unresolved, match=r"^unresolved at t=0\.004: .* 1\.00e-06 .* n=2048,"):
+        evolve(grid, _breather(grid, 0.0), EvolutionControls(dt=dt, t_end=0.01, save_every=2))
+    assert len(calls) == 4
+
+
 def _reference_krogstad_step(g, dt, uh):
     """Krogstad ETDRK4 in its plain form: h outside the sums, -ik and u**3 at every stage."""
-    n, m = g.n, 2 * g.n
+    n = g.n
     ik = 1j * g.wavenumbers
     ik[-1] = 0.0
     L = 1j * g.wavenumbers**3
@@ -193,10 +236,7 @@ def _reference_krogstad_step(g, dt, uh):
     p1, p2, p3 = _phi_functions(dt * L)
 
     def nonlinear(vh):
-        pad = np.zeros(m // 2 + 1, dtype=complex)
-        pad[: n // 2 + 1] = vh
-        up = np.fft.irfft(pad, m) * (m / n)
-        return -ik * (np.fft.rfft(up**3)[: n // 2 + 1] * (n / m))
+        return -ik * np.fft.rfft(np.fft.irfft(vh, n) ** 3)
 
     n1 = nonlinear(uh)
     n2 = nonlinear(E2 * uh + dt * (0.5 * p1h) * n1)
@@ -267,17 +307,49 @@ def test_stepper_step_is_pure(grid):
 
 @pytest.mark.parametrize("n", [16, 512, 4096])
 def test_cube_on_the_shifted_grids_matches_the_padded_cube(n):
-    # a nonzero coefficient at n/2 is an ordinary mode of the padded length,
-    # so a batch that does not double its weight misses this bound
+    # the padded cube samples u on the grid and its half-shifted copy; the
+    # stepper's cube on the grid alone matches it on random spectra whose modes
+    # stop at k = n/6, since their cube then has no mode past the Nyquist one
     g = make_grid(50.0, n)
     stepper = _Stepper(g, 1e-3)
     rng = np.random.default_rng(n)
+    band = n // 6 + 1
     for _ in range(3):
-        uh = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
-        assert abs(uh[n // 2]) > 0.0
+        uh = np.zeros(n // 2 + 1, dtype=complex)
+        uh[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
         ref = padded_cube_hat(uh, n)
+        assert np.max(np.abs(ref[band:])) > 1e-3 * np.max(np.abs(ref))
         got = stepper._cube_hat(uh, np.empty_like(uh))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_cube_on_a_resolved_grid_is_the_dealiased_cube():
+    # the breather's spectrum at n = 4096 falls to round-off well before the
+    # Nyquist mode, so the unpadded cube aliases nothing that shows
+    g = make_grid(100.0, 4096)
+    uh = np.fft.rfft(_breather(g, 0.0))
+    ref = padded_cube_hat(uh, g.n)
+    got = _Stepper(g, 1e-3)._cube_hat(uh, np.empty_like(uh))
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _top_over_peak(a):
+    return a[15 * (len(a) - 1) // 16 :].max() / a.max()
+
+
+def test_cube_on_an_unresolved_grid_aliases_the_size_of_its_tail():
+    # the flagship's datum at n = 1024, refused by the guard: u's top sixteenth
+    # reads 3.2e-5 of its peak and the cube's own 1.9e-3, since the cube's
+    # spectrum decays at u's rate times a power of k.  Aliasing folds the
+    # cube's modes past the Nyquist mode back, so the unpadded cube differs
+    # from the dealiased one by 9.6e-4 of its peak: between the two tails
+    g = make_grid(100.0, 1024)
+    uh = np.fft.rfft(sum(eval_object(o, 0.0, g.x) for o in FLAGSHIP))
+    ref = padded_cube_hat(uh, g.n)
+    got = _Stepper(g, 1e-3)._cube_hat(uh, np.empty_like(uh))
+    tail, cube_tail = _top_over_peak(np.abs(uh)), _top_over_peak(np.abs(ref))
+    assert tail > evolution.TAIL_BUDGET
+    assert tail < np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= cube_tail
 
 
 def test_densities_match_power_forms(grid):

@@ -23,6 +23,7 @@ from mkdvlab.errors import (
     NoConvergence,
     NonPositiveDistance,
     SingularJacobian,
+    Unresolved,
 )
 from mkdvlab.lab import (
     EXPERIMENT_KINDS,
@@ -394,17 +395,17 @@ def test_flagship_per_snapshot_summaries():
     slack = 10.055742550689246
     assert run_experiment(s, "conservation").summary == {
         "drifts": {
-            "M": 1.677147053338e-11,
-            "E": 5.086430335587876e-10,
-            "F": 7.17529848481429e-10,
+            "M": 1.6771648169036764e-11,
+            "E": 5.086431667855608e-10,
+            "F": 7.175302037527924e-10,
         },
-        "worst": 7.17529848481429e-10,
+        "worst": 7.175302037527924e-10,
         "tolerance": 1e-06,
     }
     assert run_experiment(s, "modulate").summary == {
-        "max_ortho_residual": 5.549612911159948e-14,
-        "max_offset": 7.808521723180328e-10,
-        "max_w_h2": 0.0019574298632308437,
+        "max_ortho_residual": 5.6028596718819387e-14,
+        "max_offset": 7.8085215333637e-10,
+        "max_w_h2": 0.001957429863230853,
         "tolerance": 1e-10,
     }
     assert run_experiment(s, "monotonicity").summary == {
@@ -419,19 +420,19 @@ def test_flagship_per_snapshot_summaries():
                 "worst_drop": 0.0,
                 "slack_bound": slack,
                 "initial": 30.83865752333087,
-                "final": 30.833962952829303,
+                "final": 30.833962952829296,
             },
             "j2_Mj": {
                 "worst_drop": 0.0,
                 "slack_bound": slack,
                 "initial": 9.999698212212452,
-                "final": 10.002361698379303,
+                "final": 10.0023616983793,
             },
             "j2_weakened_F": {
                 "worst_drop": 0.0,
                 "slack_bound": slack,
                 "initial": 9.999786932585476,
-                "final": 10.001936664576842,
+                "final": 10.001936664576835,
             },
         },
         "varpi": 0.0125,
@@ -441,18 +442,18 @@ def test_flagship_per_snapshot_summaries():
     summary = run_experiment(s, "rate-fit").summary
     assert summary.pop("note").startswith("distance measured on the 1-Phi_2 weighted region")
     assert summary == {
-        "varpi": 0.013398377188061392,
-        "C": 0.0018100437005424451,
-        "r_squared": 0.9999998355445029,
+        "varpi": 0.013398377187821076,
+        "C": 0.0018100437005424404,
+        "r_squared": 0.999999835544516,
         "fit_samples": 31,
         "fit_window": [0.005, 0.02],
         "varpi_calibrated": 0.0125,
         "scalar_product": {
-            "j1": {"C_measured": 2.2487693543650977e-10, "max_scalar": 2.2475656484767186e-10},
-            "j2": {"C_measured": 1.0373811528562449e-14, "max_scalar": 1.0373677908821857e-14},
-            "j3": {"C_measured": 3.926790558941757e-10, "max_scalar": 3.9247006488172834e-10},
+            "j1": {"C_measured": 2.248770495948533e-10, "max_scalar": 2.2475667894491162e-10},
+            "j2": {"C_measured": 1.0339466022107666e-14, "max_scalar": 1.0339332844753913e-14},
+            "j3": {"C_measured": 3.9267910837850964e-10, "max_scalar": 3.9247011733813295e-10},
         },
-        "global_distance_final": 0.0019574298632308437,
+        "global_distance_final": 0.001957429863230853,
     }
 
 
@@ -1259,33 +1260,44 @@ grid: %s
 evolution: {dt: 2.0e-3, t_end: %s, save_every: %s}
 """
 
+# the c = 4 soliton runs into the c = 1 one
+COLLISION = "  - {kind: soliton, c: 4.0, x0: -8.0}"
+# a soliton and an antisoliton of almost equal speed at one place, and a c = 4
+# soliton at 30 that puts the seeded bump in the gap [0, 30], away from the pair
+PARALLEL_DIRECTIONS = (
+    "  - {kind: soliton, c: 1.0000001, kappa: -1}\n  - {kind: soliton, c: 4.0, x0: 30.0}"
+)
+
 
 @pytest.mark.parametrize(
     "others,box,t_end,save_every,error,message",
     [
-        # the c = 4 soliton runs into the c = 1 one, and by t = 1 the residual
-        # (H^2 norm 0.568) has left the basin of radius 0.5
+        # by t = 1 the residual (H^2 norm 0.5198) has left the basin of radius
+        # 0.5, a margin of 4%; the 0.568 read on the unresolved n = 256 grid
+        # was that grid's artifact.  n = 1024 is the smallest grid the
+        # resolution guard lets through (tail 2.1e-13; n = 512 reads 4.4e-7),
+        # and at n = 2048 the run fails at the same snapshot with the same norm
         pytest.param(
-            "  - {kind: soliton, c: 4.0, x0: -8.0}",
-            "{half_length: 40.0, n: 256}",
+            COLLISION,
+            "{half_length: 40.0, n: 1024}",
             1.5,
             25,
             NoConvergence,
-            "snapshot t=1: orthogonality root found but residual H2 norm 5.679e-01 "
+            "snapshot t=1: orthogonality root found but residual H2 norm 5.198e-01 "
             "exceeds the basin radius 5.000e-01",
             id="collision",
         ),
-        # a soliton and an antisoliton of almost equal speed at one place: their
-        # translation directions are parallel to 1e-7.  The c = 4 soliton at 30
-        # puts the seeded bump in the gap [0, 30], away from the pair (alone, the
+        # the pair's translation directions are parallel to 1e-7 (alone, the
         # pair's one gap has width 0 and the bump lands on it, which keeps the
         # Jacobian well conditioned).  The bump leaves the datum off the profile
         # family, so the first fit, at t = 0, takes a Newton step; the condition
-        # number reads 1.1e15 against the limit 1e12, and the test asks for more
-        # than 1e14, a factor of 11 below the measured value
+        # number reads 1.04e15 against the limit 1e12 (1.02e15 at n = 2048), and
+        # the test asks for more than 1e14, a factor of 10 below the measured
+        # value.  n = 1024 is the smallest grid the resolution guard lets
+        # through: the run's tail reads at most 5.9e-9
         pytest.param(
-            "  - {kind: soliton, c: 1.0000001, kappa: -1}\n  - {kind: soliton, c: 4.0, x0: 30.0}",
-            "{half_length: 60.0, n: 512}",
+            PARALLEL_DIRECTIONS,
+            "{half_length: 60.0, n: 1024}",
             0.1,
             10,
             SingularJacobian,
@@ -1311,6 +1323,45 @@ def test_cli_modulation_failure_names_its_snapshot(
             run_experiment(s, kind)
         assert err == f"modulate: runtime failure: {raised.value}\n"
         assert "track" not in vars(s)
+
+
+@pytest.mark.parametrize(
+    "others,box,t_end,save_every,message",
+    [
+        pytest.param(
+            COLLISION,
+            "{half_length: 40.0, n: 256}",
+            1.5,
+            25,
+            "unresolved at t=0: the top sixteenth of the spectrum is 4.47e-04 of its peak "
+            "at n=256, above the budget 1e-08",
+            id="collision-256",
+        ),
+        pytest.param(
+            PARALLEL_DIRECTIONS,
+            "{half_length: 60.0, n: 512}",
+            0.1,
+            10,
+            "unresolved at t=0: the top sixteenth of the spectrum is 1.31e-04 of its peak "
+            "at n=512, above the budget 1e-08",
+            id="parallel-directions-512",
+        ),
+    ],
+)
+def test_cli_refuses_the_controls_on_their_unresolved_grids(
+    tmp_path, capsys, others, box, t_end, save_every, message
+):
+    # the two controls' former grids: the guard stops each run before its
+    # Newton failure, at exit 3 with one line, and the refused run is not kept
+    text = NEAR_UNIT_SOLITON % (others, box, t_end, save_every)
+    assert main(["modulate", "--scenario", _write(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"modulate: runtime failure: {message}\n"
+    s = parse_scenario(text)
+    with pytest.raises(Unresolved) as raised:
+        run_experiment(s, "modulate")
+    assert err == f"modulate: runtime failure: {raised.value}\n"
+    assert "trajectory" not in vars(s)
 
 
 # two solitons on a box wide enough for both over [0, 4], integrated at a step

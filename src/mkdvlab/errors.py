@@ -61,7 +61,7 @@ class EmptyAdmissibleInterval(MkdvLabError):
 
 
 class EigensolveFailure(MkdvLabError):
-    """The dense symmetric eigensolve for the coercivity check failed."""
+    """The coercivity check's Lanczos eigensolve did not converge."""
 
 
 class NonPositiveDistance(MkdvLabError):

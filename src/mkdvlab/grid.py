@@ -97,17 +97,3 @@ def _h2_sum(grid: Grid, f: np.ndarray, fx: np.ndarray, fxx: np.ndarray) -> float
     of f and their derivative pair."""
     return integrate(grid, f**2) + integrate(grid, fx**2) + integrate(grid, fxx**2)
 
-
-def circulant(grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """Dense matrix of the shift-invariant operator with the given rfft-layout symbol,
-    as a read-only view on 2n - 1 stored numbers.
-
-    The operator maps f to irfft(symbol rfft(f)); at symbol (ik)^order it is the
-    spectral differentiation matrix.  It commutes with shifts, so it is the
-    circulant C[i, j] = col[(i - j) mod n] of its first column, the image of a unit
-    impulse: row i is the window of ext = (col[n-1], ..., col[0], col[n-1], ..., col[1])
-    that starts at n - 1 - i.
-    """
-    col = np.fft.irfft(symbol, grid.n)
-    ext = np.concatenate((col[::-1], col[:0:-1]))
-    return np.lib.stride_tricks.sliding_window_view(ext, grid.n)[::-1]

@@ -457,16 +457,17 @@ def _coercivity_setup(
 
 
 def _run_coercivity(s: Scenario) -> ExperimentReport:
-    # the dense eigensolve only needs to resolve the profile, not the full run
+    # the check only needs to resolve the profile, not the full run
     n_eig = min(s.grid.n, 512)
     results = {}
     ok = True
     for idx, o in enumerate(s.cfg.objects):
         centered, p1, g = _coercivity_setup(o, s.sigma, n_eig)
         res = coercivity_check(centered, p1, 1, g)
-        # mu* moves in its 15th digit with the BLAS thread count, and a soliton's
-        # lambda_min_raw is zero to round-off: 8 decimals keep the summary byte-stable.
-        # mu rounds down, so the written value stays certified; + 0.0 turns -0.0 into 0.0
+        # mu* moved in its 13th digit between Lanczos and a dense eigensolve, and a
+        # soliton's lambda_min_raw is zero to round-off: 8 decimals keep the summary
+        # byte-stable.  mu rounds down, so the written value stays certified; + 0.0
+        # turns -0.0 into 0.0
         results[f"object_{idx}"] = {
             "mu": float(np.floor(res.mu * 1e8)) / 1e8,
             "lambda_min_raw": round(res.lambda_min_raw, 8) + 0.0,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
 from .functionals import CutoffFamily, make_cutoff_family, weighted_integrals
-from .grid import Grid, circulant, derivative_pair
+from .grid import Grid, derivative_pair
 from .profiles import (
     OrderedConfiguration,
     WaveObject,
@@ -184,38 +184,24 @@ def _apply_inverse_sqrt(g: Grid, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(_inverse_sqrt_symbol(g) * np.fft.rfft(v), g.n)
 
 
-# rows per block of the O(n^2) passes over the coercivity matrix: each holds a few
-# (_ROWS, n) arrays besides the matrix, never a second n x n one
-_ROWS = 128
+def _form_product(weights, g: Grid):
+    """y -> W A W y for each row y, by FFT, for A the matrix of
+    h int (c2 w_xx^2 + c1 w_x^2 + c0 w^2) and W = B^-1/2.
 
-
-def _form_matrix(weights, g: Grid, out: np.ndarray) -> np.ndarray:
-    """W A W, written into out, for A the matrix of h int (c2 w_xx^2 + c1 w_x^2 + c0 w^2)
-    and W = B^-1/2.
-
-    A = h sum_k D_k^T C_k D_k over the circulants D_0 = I, D_1, D_2 with symbols
-    S_0 = 1, S_1, S_2, and W is the circulant of sigma^-1/2 (_inverse_sqrt_symbol), so
-    W A W = h sum_k G_k C_k G_k^T with G_k = circulant(S_k sigma^-1/2), as G_0 and G_2
-    are symmetric and G_1 is skew.  A product X G^T applies G to each row of X, so the
-    sum is one row-by-row irfft of sum_k S_k sigma^-1/2 rfft(G_k C_k), and B is never built.
-    The rows go by blocks, read from circulant's strided views, so no G_k is stored, and
-    0.5 (A + A^T) is taken by blocks too.
+    A = h sum_k D_k^T C_k D_k over the circulants D_k of the symbols S_0 = 1, S_1, S_2,
+    so W A W = h sum_k G_k C_k G_k^T, G_k the circulant of S_k sigma^-1/2, whose
+    transpose has the conjugate symbol: one transform of y, a batch of three inverse
+    ones, the weights, a batch of three transforms and one inverse transform.
     """
-    n = g.n
     r = _inverse_sqrt_symbol(g)
-    syms = (g.d2_symbol * r, g.d1_symbol * r, r)
-    gs = [circulant(g, sym) for sym in syms]
-    for i in range(0, n, _ROWS):
-        spec = 0.0
-        for sym, G, c in zip(syms, gs, weights):
-            spec = spec + sym * np.fft.rfft(G[i : i + _ROWS] * c)
-        out[i : i + _ROWS] = g.h * np.fft.irfft(spec, n)
-    # block i averages rows i.. with columns i..; earlier blocks are already symmetric
-    for i in range(0, n, _ROWS):
-        avg = 0.5 * (out[i : i + _ROWS, i:] + out[i:, i : i + _ROWS].T)
-        out[i : i + _ROWS, i:] = avg
-        out[i:, i : i + _ROWS] = avg.T
-    return out
+    syms = np.array((g.d2_symbol * r, g.d1_symbol * r, r))
+    c = np.array(np.broadcast_arrays(*weights))
+
+    def product(y: np.ndarray) -> np.ndarray:
+        parts = np.fft.irfft(syms.conj() * np.fft.rfft(y)[..., None, :], g.n)
+        return g.h * np.fft.irfft((syms * np.fft.rfft(c * parts)).sum(axis=-2), g.n)
+
+    return product
 
 
 @dataclass
@@ -226,90 +212,111 @@ class CoercivityResult:
     lambda_min_raw: float  # smallest eigenvalue of the orthogonalized bare form
 
 
-def _restrict_to_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The symmetric X in an orthonormal basis of the complement of V's columns, in place.
+def _bordered_operator(weights, pv: np.ndarray, dirs, g: Grid):
+    """(y -> Ar y, h pr): Ar = W A W (_form_product) and pr = W P, P = pv, on the
+    complement of W V, V the rows of dirs (with none, the whole space).  W V's m
+    Householder reflectors give Q = H_1 ... H_m, whose first m columns span W V, so
+    Ar y is the tail of Q^T W A W Q (0, y) and pr the tail of Q^T W P."""
+    form = _form_product(weights, g)
+    qr, tau = np.linalg.qr(_apply_inverse_sqrt(g, np.reshape(dirs, (-1, g.n))).T, mode="raw")
+    # LAPACK geqrf's array, transposed: H_k = I - tau_k v v^T, v = (0, .., 0, 1, qr[k, k+1:])
+    hs = [(np.concatenate((np.zeros(k), [1.0], qr[k, k + 1 :])), t) for k, t in enumerate(tau)]
+    m = len(hs)
 
-    The m Householder reflectors H = I - 2 v v^T of V's QR factorization give
-    Q = H_1 ... H_m, whose first m columns span V's columns, so the trailing
-    block X[m:, m:] of Q^T X Q, which is returned, is X on the complement.  Each H X H
-    is the rank-two update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v, applied by
-    row blocks.  X may extend past V's rows, as a border does: v is zero there, so
-    the border b becomes H b.
+    def reflect(x: np.ndarray, order) -> np.ndarray:
+        for v, t in order:
+            x -= t * (v @ x) * v
+        return x
+
+    def product(y: np.ndarray) -> np.ndarray:
+        return reflect(form(reflect(np.concatenate((np.zeros(m), y)), hs[::-1])), hs)[m:]
+
+    return product, g.h * reflect(_apply_inverse_sqrt(g, pv), hs)[m:]
+
+
+LANCZOS_MAX_ITERS = 1000  # per eigenproblem, then EigensolveFailure
+_RITZ_TOL = 1e-12  # a Ritz pair's converged residual, relative to max|Ritz value|
+
+
+def _lanczos(product, q: np.ndarray, wanted: tuple[int, ...]) -> np.ndarray:
+    """The ascending Ritz values of the symmetric operator product from the start q,
+    once the Ritz pairs at the indices wanted have converged.
+
+    Lanczos (J. Res. Nat. Bur. Standards 45, 1950) with full reorthogonalization.  The
+    residual of the pair (theta_i, Q s_i) is beta_k |s_i[-1]|, read from the tridiagonal
+    T's eigendecomposition at k = 8, 10, 12, 15, ... (each a quarter more) and at the
+    last iteration, or at an invariant subspace, whose Ritz values are eigenvalues.
     """
-    qr = np.linalg.qr(V, mode="raw")[0].T  # numpy returns LAPACK geqrf's array transposed
-    n, m = V.shape
-    for k in range(m):
-        v = np.zeros(len(X))  # LAPACK stores H_k's vector as (0, ..., 0, 1, qr[k+1:, k])
-        v[k] = 1.0
-        v[k + 1 : n] = qr[k + 1 :, k]
-        v /= np.linalg.norm(v)
-        Xv = X @ v
-        w = 2.0 * Xv - 2.0 * (v @ Xv) * v
-        for i in range(0, len(X), _ROWS):
-            X[i : i + _ROWS] -= v[i : i + _ROWS, None] * w
-            X[i : i + _ROWS] -= w[i : i + _ROWS, None] * v
-    return X[m:, m:]
+    N = len(q)
+    last = min(N, LANCZOS_MAX_ITERS)
+    Q, alpha, beta, check = np.empty((0, N)), [], [], 8
+    for k in range(last):
+        if k == len(Q):
+            Q = np.concatenate((Q, np.empty((max(k, 8), N))))
+        Q[k] = q / np.linalg.norm(q)
+        q = product(Q[k])
+        alpha.append(Q[k] @ q)
+        for _ in range(2):  # twice is enough (Giraud et al., Numer. Math. 101, 2005)
+            q -= Q[: k + 1].T @ (Q[: k + 1] @ q)
+        b = float(np.linalg.norm(q))
+        if k + 1 in (check, last) or b == 0.0:
+            try:
+                theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            except np.linalg.LinAlgError as exc:
+                raise EigensolveFailure(str(exc)) from exc
+            if b * np.max(np.abs(S[-1, list(wanted)])) <= _RITZ_TOL * np.max(np.abs(theta)):
+                return theta
+            check += check // 4
+        beta.append(b)
+    raise EigensolveFailure(f"Lanczos did not converge in {last} iterations")
 
 
-def _bordered_form(obj: WaveObject, pv: np.ndarray, g: Grid) -> np.ndarray:
-    """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of the
-    second variation (_second_variation_weights) at t = 0 with Phi_j = 1, the penalty
-    vector P = pv, the samples of obj at t = 0, and W = B^-1/2 (_form_matrix)."""
-    n = g.n
-    M = np.empty((n + 1, n + 1))
-    _form_matrix(_second_variation_weights(pv, 1.0, *shape_pair(obj), g), g, M[:n, :n])
-    M[n, :n] = M[:n, n] = g.h * _apply_inverse_sqrt(g, pv)
-    M[n, n] = 0.0
-    return M
+def _start(N: int) -> np.ndarray:
+    """frac(i phi) - 1/2, i = 1..N, phi the golden ratio: fixed, with no reflection
+    symmetry.  A centred profile's form commutes with the grid's reflection and its
+    penalty vector is even, so an even start would miss the odd eigenvectors."""
+    return np.modf(np.arange(1, N + 1) * (0.5 + 0.5 * np.sqrt(5.0)))[0] - 0.5
 
 
-def _restricted_forms(obj: WaveObject, g: Grid) -> np.ndarray:
-    """[[Ar, h pr], [h pr^T, 0]]: _bordered_form restricted to the discrete-L^2 complement
-    of W V, V the m <= 2 modulation directions (the fit's offset partials), so Ar = W A W
-    and pr = W P there.  x = W y is orthogonal to V exactly when y is orthogonal to W V.
-    One evaluation gives V and the profile, which has the bits of eval_object."""
-    pv, dirs, _ = _offset_partials(obj, (), 0.0, g.x)
-    M = _bordered_form(obj, pv, g)
-    return _restrict_to_complement(_apply_inverse_sqrt(g, dirs).T, M)
-
-
-def _certify(M: np.ndarray) -> CoercivityResult:
-    """mu* and lambda_min_raw from the bordered matrix M = [[Ar, h pr], [h pr^T, 0]].
+def _certify(product, b: np.ndarray) -> CoercivityResult:
+    """mu* and lambda_min_raw of M = [[Ar, b], [b^T, 0]], from y -> Ar y and b = h pr.
 
     For mu > 0, the Schur complement of the corner -mu in M - mu I is
     S(mu) = Ar - mu I + (h^2/mu) pr pr^T, and Haynsworth's inertia formula (Linear
     Algebra Appl. 1, 1968) gives neg(M - mu I) = 1 + neg(S(mu)).  M's smallest
     eigenvalue is at most its zero corner, so S(mu) >= 0 exactly when mu <= theta_1,
-    M's second-smallest eigenvalue: mu* = theta_1.  Below eigvalsh's backward error
-    N eps max|lam|, lam the N eigenvalues of Ar, mu* is noise and reads 0.
+    M's second-smallest eigenvalue: mu* = theta_1, by Lanczos on M.  Below a dense
+    eigensolve's backward error N eps max|lam|, lam Ar's eigenvalues, mu* reads 0.
     """
-    try:
-        lam = np.linalg.eigvalsh(M[:-1, :-1])
-        theta = float(np.linalg.eigvalsh(M)[1])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    floor = len(lam) * np.finfo(float).eps * np.max(np.abs(lam))
+    N = len(b)
+
+    def bordered(v: np.ndarray) -> np.ndarray:
+        return np.append(product(v[:N]) + b * v[N], b @ v[:N])
+
+    lam = _lanczos(product, _start(N), (0,))
+    theta = float(_lanczos(bordered, _start(N + 1), (0, 1))[1])
+    floor = N * np.finfo(float).eps * max(-lam[0], lam[-1])
     return CoercivityResult(theta if theta >= floor else 0.0, float(lam[0]))
 
 
 def coercivity_check(obj: WaveObject, p: LyapunovParams, j: int, g: Grid) -> CoercivityResult:
     """mu*, the largest mu with A + (h^2/mu) P P^T - mu B >= 0 on the complement of the
-    modulation directions, for A the matrix of the second variation, P the penalty vector and
-    B the matrix of h int (w_xx^2 + w_x^2 + w^2), at t = 0.  The form falls in the Loewner
-    order as mu grows, so every mu in (0, mu*] is certified.
+    modulation directions V, for A the matrix of the second variation, P the penalty
+    vector and B the matrix of h int (w_xx^2 + w_x^2 + w^2), at t = 0.  The form falls in
+    the Loewner order as mu grows, so every mu in (0, mu*] is certified.
 
-    With Phi_j = 1 (j = J), B is the circulant of sigma = h (1 + |S1|^2 + |S2|^2), and
-    x = W y, W = B^-1/2 the circulant of sigma^-1/2, turns the pencil into the standard
-    problem for Ar = W A W on the complement of W V, with penalty vector pr = W P; by
-    Courant-Fischer its eigenvalues are the pencil's.  Then mu* is an eigenvalue of the
-    bordered matrix [[Ar, h pr], [h pr^T, 0]] (_certify), which is assembled and
-    restricted in one (n + 1)^2 array (_restricted_forms); no eigenvector is formed.
+    With Phi_j = 1 (j = J), x = W y, W = B^-1/2 the circulant of sigma^-1/2, turns the
+    pencil into the standard problem for Ar = W A W on the complement of W V, with
+    penalty vector pr = W P (Courant-Fischer), which _certify solves from products
+    (_bordered_operator).  One evaluation gives V and P, with eval_object's bits.
     """
     if j != p.fam.J:
         raise ValueError(f"coercivity check needs Phi_j = 1, so j = J = {p.fam.J}; got j = {j}")
     if g.n > 4096:
-        raise ValueError("dense eigensolve limited to n <= 4096")
-    return _certify(_restricted_forms(obj, g))
+        raise ValueError("coercivity check limited to n <= 4096")
+    pv, dirs, _ = _offset_partials(obj, (), 0.0, g.x)
+    weights = _second_variation_weights(pv, 1.0, *shape_pair(obj), g)
+    return _certify(*_bordered_operator(weights, pv, dirs, g))
 
 
 def monotonicity_report(

@@ -1,9 +1,10 @@
 """Test-session setup shared by every test module.
 
-BLAS runs on one thread unless the caller says otherwise: the dense
-coercivity eigensolves slow down by an order of magnitude when the default
-thread pool competes for shared cores.  This runs before any test module
-imports numpy, which is when the thread count is read.
+BLAS runs on one thread unless the caller says otherwise: the coercivity
+tests' dense oracle eigensolves, and the check's own reorthogonalization, slow
+down two- to threefold when the default thread pool competes for shared cores.
+This runs before any test module imports numpy, which is when the thread count
+is read.
 """
 
 import os

@@ -7,14 +7,18 @@ grid's cached symbols, and the interpolation check needs order 3.
 
 mkdvlab computes the H^2 norm only inside the modulation fit, from a derivative
 pair it already holds, the second-variation form only as the coercivity check's
-matrix, and translated profiles and their offset partials only inside the fit.
+product, and translated profiles and their offset partials only inside the fit.
 These are the same quantities for a single field, written as functions the
 tests can call on any input.  The fit evaluates each object on its own window;
 `full_grid_fit` is the same Newton iteration with every evaluation and every
 scalar product on the whole grid, the reference for what the windows leave out.
 The stepper takes its cube on the n grid points; `padded_cube_hat` is the
 dealiased cube, from one zero-padded transform of length 2n, which the
-unpadded one equals to round-off on a resolved spectrum.
+unpadded one equals to round-off on a resolved spectrum.  The coercivity check
+takes products by FFT and reads its eigenvalues by Lanczos; `restricted_forms`
+assembles the same bordered matrix densely, by row blocks from the strided
+views of `circulant` and in-place Householder updates, and `dense_certify`
+reads mu* and lambda_min_raw from two `eigvalsh` calls on it.
 
 The cutoff inequality |Psi''| <= (sqrt(sigma)/2)|Psi'| and the weighted
 interpolation bound X^2 <= A + eps X are lemmas of the almost-monotonicity
@@ -36,12 +40,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mkdvlab.errors import NoConvergence, SingularJacobian
+from mkdvlab.errors import EigensolveFailure, NoConvergence, SingularJacobian
 from mkdvlab.functionals import CutoffFamily, weighted_integrals
 from mkdvlab.grid import Grid, _h2_sum, _power_symbol, derivative_pair, integrate
-from mkdvlab.lyapunov import LyapunovParams, _second_variation_weights
+from mkdvlab.lyapunov import (
+    CoercivityResult,
+    LyapunovParams,
+    _apply_inverse_sqrt,
+    _inverse_sqrt_symbol,
+    _second_variation_weights,
+)
 from mkdvlab.modulation import MAX_NEWTON_ITERS, ModulationState, split_offsets, total_offsets
-from mkdvlab.profiles import _offset_partials, shape_pair
+from mkdvlab.profiles import WaveObject, _offset_partials, shape_pair
 
 
 def spectral_derivative(g: Grid, f: np.ndarray, order: int) -> np.ndarray:
@@ -63,6 +73,121 @@ def padded_cube_hat(uh: np.ndarray, n: int) -> np.ndarray:
     pad[: n // 2 + 1] = uh
     up = np.fft.irfft(pad, 2 * n)
     return 4.0 * np.fft.rfft(up * up * up)[: n // 2 + 1]
+
+
+def circulant(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """Dense matrix of the shift-invariant operator with the given rfft-layout symbol,
+    as a read-only view on 2n - 1 stored numbers.
+
+    The operator maps f to irfft(symbol rfft(f)); at symbol (ik)^order it is the
+    spectral differentiation matrix.  It commutes with shifts, so it is the
+    circulant C[i, j] = col[(i - j) mod n] of its first column, the image of a unit
+    impulse: row i is the window of ext = (col[n-1], ..., col[0], col[n-1], ..., col[1])
+    that starts at n - 1 - i.
+    """
+    col = np.fft.irfft(symbol, grid.n)
+    ext = np.concatenate((col[::-1], col[:0:-1]))
+    return np.lib.stride_tricks.sliding_window_view(ext, grid.n)[::-1]
+
+
+# rows per block of the O(n^2) passes over the coercivity matrix: each holds a few
+# (ROWS, n) arrays besides the matrix, never a second n x n one
+ROWS = 128
+
+
+def form_matrix(weights, g: Grid, out: np.ndarray) -> np.ndarray:
+    """W A W, written into out, for A the matrix of h int (c2 w_xx^2 + c1 w_x^2 + c0 w^2)
+    and W = B^-1/2.
+
+    A = h sum_k D_k^T C_k D_k over the circulants D_0 = I, D_1, D_2 with symbols
+    S_0 = 1, S_1, S_2, and W is the circulant of sigma^-1/2 (_inverse_sqrt_symbol), so
+    W A W = h sum_k G_k C_k G_k^T with G_k = circulant(S_k sigma^-1/2), as G_0 and G_2
+    are symmetric and G_1 is skew.  A product X G^T applies G to each row of X, so the
+    sum is one row-by-row irfft of sum_k S_k sigma^-1/2 rfft(G_k C_k), and B is never built.
+    The rows go by blocks, read from circulant's strided views, so no G_k is stored, and
+    0.5 (A + A^T) is taken by blocks too.
+    """
+    n = g.n
+    r = _inverse_sqrt_symbol(g)
+    syms = (g.d2_symbol * r, g.d1_symbol * r, r)
+    gs = [circulant(g, sym) for sym in syms]
+    for i in range(0, n, ROWS):
+        spec = 0.0
+        for sym, G, c in zip(syms, gs, weights):
+            spec = spec + sym * np.fft.rfft(G[i : i + ROWS] * c)
+        out[i : i + ROWS] = g.h * np.fft.irfft(spec, n)
+    # block i averages rows i.. with columns i..; earlier blocks are already symmetric
+    for i in range(0, n, ROWS):
+        avg = 0.5 * (out[i : i + ROWS, i:] + out[i:, i : i + ROWS].T)
+        out[i : i + ROWS, i:] = avg
+        out[i:, i : i + ROWS] = avg.T
+    return out
+
+
+def restrict_to_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The symmetric X in an orthonormal basis of the complement of V's columns, in place.
+
+    The m Householder reflectors H = I - 2 v v^T of V's QR factorization give
+    Q = H_1 ... H_m, whose first m columns span V's columns, so the trailing
+    block X[m:, m:] of Q^T X Q, which is returned, is X on the complement.  Each H X H
+    is the rank-two update X - v w^T - w v^T, w = 2 X v - 2 (v^T X v) v, applied by
+    row blocks.  X may extend past V's rows, as a border does: v is zero there, so
+    the border b becomes H b.
+    """
+    qr = np.linalg.qr(V, mode="raw")[0].T  # numpy returns LAPACK geqrf's array transposed
+    n, m = V.shape
+    for k in range(m):
+        v = np.zeros(len(X))  # LAPACK stores H_k's vector as (0, ..., 0, 1, qr[k+1:, k])
+        v[k] = 1.0
+        v[k + 1 : n] = qr[k + 1 :, k]
+        v /= np.linalg.norm(v)
+        Xv = X @ v
+        w = 2.0 * Xv - 2.0 * (v @ Xv) * v
+        for i in range(0, len(X), ROWS):
+            X[i : i + ROWS] -= v[i : i + ROWS, None] * w
+            X[i : i + ROWS] -= w[i : i + ROWS, None] * v
+    return X[m:, m:]
+
+
+def bordered_form(obj: WaveObject, pv: np.ndarray, g: Grid) -> np.ndarray:
+    """The (n + 1)^2 matrix [[W A W, h W P], [h (W P)^T, 0]] for the matrix A of the
+    second variation (_second_variation_weights) at t = 0 with Phi_j = 1, the penalty
+    vector P = pv, the samples of obj at t = 0, and W = B^-1/2 (form_matrix)."""
+    n = g.n
+    M = np.empty((n + 1, n + 1))
+    form_matrix(_second_variation_weights(pv, 1.0, *shape_pair(obj), g), g, M[:n, :n])
+    M[n, :n] = M[:n, n] = g.h * _apply_inverse_sqrt(g, pv)
+    M[n, n] = 0.0
+    return M
+
+
+def restricted_forms(obj: WaveObject, g: Grid) -> np.ndarray:
+    """[[Ar, h pr], [h pr^T, 0]]: bordered_form restricted to the discrete-L^2 complement
+    of W V, V the m <= 2 modulation directions (the fit's offset partials), so Ar = W A W
+    and pr = W P there.  x = W y is orthogonal to V exactly when y is orthogonal to W V.
+    One evaluation gives V and the profile, which has the bits of eval_object."""
+    pv, dirs, _ = _offset_partials(obj, (), 0.0, g.x)
+    M = bordered_form(obj, pv, g)
+    return restrict_to_complement(_apply_inverse_sqrt(g, dirs).T, M)
+
+
+def dense_certify(M: np.ndarray) -> CoercivityResult:
+    """mu* and lambda_min_raw from the bordered matrix M = [[Ar, h pr], [h pr^T, 0]].
+
+    For mu > 0, the Schur complement of the corner -mu in M - mu I is
+    S(mu) = Ar - mu I + (h^2/mu) pr pr^T, and Haynsworth's inertia formula (Linear
+    Algebra Appl. 1, 1968) gives neg(M - mu I) = 1 + neg(S(mu)).  M's smallest
+    eigenvalue is at most its zero corner, so S(mu) >= 0 exactly when mu <= theta_1,
+    M's second-smallest eigenvalue: mu* = theta_1.  Below eigvalsh's backward error
+    N eps max|lam|, lam the N eigenvalues of Ar, mu* is noise and reads 0.
+    """
+    try:
+        lam = np.linalg.eigvalsh(M[:-1, :-1])
+        theta = float(np.linalg.eigvalsh(M)[1])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(str(exc)) from exc
+    floor = len(lam) * np.finfo(float).eps * np.max(np.abs(lam))
+    return CoercivityResult(theta if theta >= floor else 0.0, float(lam[0]))
 
 
 def modulation_directions(o, shifts, t: float, g: Grid) -> np.ndarray:

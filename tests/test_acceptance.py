@@ -18,8 +18,9 @@ from mkdvlab.lyapunov import (
     DROP_BUDGET,
     CutoffFamily,
     LyapunovParams,
-    _bordered_form,
+    _bordered_operator,
     _certify,
+    _second_variation_weights,
     coercivity_check,
     select_parameters,
 )
@@ -296,7 +297,9 @@ def test_A7_coercivity():
     start = time.perf_counter()
     res = coercivity_check(cfg.objects[0], p, 1, g)
     # the bare form W A W and penalty W P without the orthogonality constraints
-    free = _certify(_bordered_form(cfg.objects[0], soliton_eval(cfg.objects[0], 0.0, g.x), g))
+    pv = soliton_eval(cfg.objects[0], 0.0, g.x)
+    weights = _second_variation_weights(pv, 1.0, *shape_pair(cfg.objects[0]), g)
+    free = _certify(*_bordered_operator(weights, pv, (), g))
     elapsed = time.perf_counter() - start
     # the translation direction is a discrete zero mode of the bare form
     ok = res.mu > 0 and free.lambda_min_raw <= 1e-6 and free.mu == 0.0 and elapsed < 60.0

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mkdvlab.grid import _power_symbol, circulant, derivative_pair, integrate, make_grid
+from mkdvlab.grid import _power_symbol, derivative_pair, integrate, make_grid
 from mkdvlab.profiles import Breather, Soliton, eval_object
-from oracles import h2_norm_sq, spectral_derivative
+from oracles import circulant, h2_norm_sq, spectral_derivative
 
 
 def test_grid_properties():

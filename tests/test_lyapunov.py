@@ -10,17 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mkdvlab import lab, lyapunov
-from mkdvlab.errors import EmptyAdmissibleInterval, HypothesisViolated
+from mkdvlab.errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
 from mkdvlab.functionals import weighted_integrals
-from mkdvlab.grid import circulant, integrate, make_grid
+from mkdvlab.grid import integrate, make_grid
 from mkdvlab.lyapunov import (
-    _bordered_form,
+    _bordered_operator,
     _certify,
-    _form_matrix,
+    _form_product,
     _inverse_sqrt_symbol,
-    _restrict_to_complement,
-    _restricted_forms,
+    _lanczos,
     _second_variation_weights,
+    _start,
     calibrate_slack,
     coercivity_check,
     monotonicity_report,
@@ -29,6 +29,7 @@ from mkdvlab.lyapunov import (
 from mkdvlab.profiles import (
     Breather,
     Soliton,
+    _offset_partials,
     eval_object,
     order_and_validate,
     q_profile,
@@ -37,10 +38,16 @@ from mkdvlab.profiles import (
     velocity,
 )
 from oracles import (
+    bordered_form,
+    circulant,
     coefficient_positivity,
+    dense_certify,
+    form_matrix,
     interpolation_inequality_check,
     modulation_directions,
     quadratic_form_H,
+    restrict_to_complement,
+    restricted_forms,
     spectral_derivative,
     worst_drop,
 )
@@ -198,18 +205,17 @@ def test_quadratic_form_free_field_reduction(grid):
 
 @pytest.mark.parametrize("obj", [Soliton(1.0), Breather(1.0, 1.0)], ids=["soliton", "breather"])
 def test_form_matrix_matches_quadratic_form_H(obj):
-    # the eigencheck's matrix W A W and quadratic_form_H share their weights:
-    # y^T (W A W) y is the form at w = W y
+    # the eigencheck's product by W A W and quadratic_form_H share their weights:
+    # y^T (W A W y) is the form at w = W y
     g = make_grid(25.0, 256)
     p = select_parameters(order_and_validate([obj]), 0.01, override=True)
     prof = eval_object(obj, 0.0, g.x)
     weights = _second_variation_weights(prof, p.fam.weight(1, 0.0, g.x), *shape_pair(obj), g)
-    A = _form_matrix(weights, g, np.empty((g.n, g.n)))
     rng = np.random.default_rng(11)
     w = np.exp(-(g.x**2) / 25) * rng.standard_normal(g.n)
     y = np.fft.irfft(np.fft.rfft(w) / _inverse_sqrt_symbol(g), g.n)
     form = quadratic_form_H(g, w, prof, 1, p, 0.0)
-    assert y @ A @ y == pytest.approx(form, rel=1e-12)
+    assert y @ _form_product(weights, g)(y) == pytest.approx(form, rel=1e-12)
 
 
 OBJECTS = [Soliton(1.0), Soliton(4.0), Breather(1.0, 1.0)]
@@ -251,10 +257,11 @@ def test_inverse_sqrt_symbol_maps_the_h2_form_to_the_identity(n):
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_form_matrix_matches_dense_products(obj):
-    # the FFT assembly against W A W from dense products, with W = B^-1/2 taken
-    # from the eigendecomposition of the dense B rather than from its symbol; the
-    # largest entry differed by at most 5.6e-12 of the largest (c = 4), a margin
-    # of 18 under the bound 1e-10
+    # the FFT product, applied to the rows of the identity, and the oracle's
+    # assembly by row blocks against W A W from dense products, with W = B^-1/2
+    # taken from the eigendecomposition of the dense B rather than from its
+    # symbol; the largest entry differed by at most 5.6e-12 of the largest
+    # (c = 4, both), a margin of 18 under the bound 1e-10
     obj, p, g = lab._coercivity_setup(obj, 0.01, 256)
     A, B, _ = _original_pencil(obj, p, g)
     lam, Q = np.linalg.eigh(B)
@@ -262,13 +269,13 @@ def test_form_matrix_matches_dense_products(obj):
     ref = W @ A @ W
     phi = p.fam.weight(1, 0.0, g.x)
     weights = _second_variation_weights(eval_object(obj, 0.0, g.x), phi, *shape_pair(obj), g)
-    A = _form_matrix(weights, g, np.empty((g.n, g.n)))
-    assert np.max(np.abs(A - ref)) <= 1e-10 * np.max(np.abs(ref))
+    for A in (_form_product(weights, g)(np.eye(g.n)), form_matrix(weights, g, np.empty((g.n, g.n)))):
+        assert np.max(np.abs(A - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_form_matrix_blocks_keep_the_bits(n):
-    # the assembly by row blocks from circulant views against all rows at once
+    # the oracle's assembly by row blocks from circulant views against all rows at once
     # from dense circulants: each row's transforms and sums are the same, and
     # 0.5 (a + b) = 0.5 (b + a) exactly, so not one bit may move
     obj = Breather(1.0, 1.0)
@@ -281,21 +288,35 @@ def test_form_matrix_blocks_keep_the_bits(n):
     for sym, c in zip((g.d2_symbol * r, g.d1_symbol * r, r), weights):
         spec = spec + sym * np.fft.rfft(np.array(circulant(g, sym)) * c)
     A = g.h * np.fft.irfft(spec, g.n)
-    assert np.array_equal(_form_matrix(weights, g, np.empty((n, n))), 0.5 * (A + A.T))
+    assert np.array_equal(form_matrix(weights, g, np.empty((n, n))), 0.5 * (A + A.T))
+
+
+def _operator_matrix(obj, g):
+    """The bordered matrix [[Ar, b], [b^T, 0]] of the check's operator, from its
+    products with the rows of the identity."""
+    pv, dirs, _ = _offset_partials(obj, (), 0.0, g.x)
+    weights = _second_variation_weights(pv, 1.0, *shape_pair(obj), g)
+    product, b = _bordered_operator(weights, pv, dirs, g)
+    Ar = np.array([product(e) for e in np.eye(len(b))])
+    return np.block([[Ar, b[:, None]], [b[None, :], np.zeros((1, 1))]])
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_reflector_restriction_matches_null_space_basis(obj):
-    # the transformed, reflector-restricted problem against the original pencil
+    # the transformed, reflector-restricted operator against the original pencil
     # on a null-space basis: the coordinates differ by an invertible map T with
     # Br = T^T T, so the eigenvalues agree, and so do pr^T Br^-1 pr and
     # pr^T Br^-1 Ar Br^-1 pr, which the transformed problem reads as |pr|^2 and
     # pr^T Ar pr.  They differed by at most 7.9e-13 (eigenvalues) and 2.5e-11
-    # (relative, c = 1), margins of 126 and 4 under the bounds
+    # (relative, c = 1), margins of 126 and 4 under the bounds.  The operator's
+    # matrix, from its products, is the oracle's assembled and reflected one to
+    # 6.4e-16 of its largest entry (c = 1), a margin of 150 under 1e-13
     obj, p, g = lab._coercivity_setup(obj, 0.01, 256)
     m = len(modulation_directions(obj, (), 0.0, g))
-    M = _restricted_forms(obj, g)
-    assert M.shape == (g.n - m + 1,) * 2 and M[-1, -1] == 0.0
+    M = _operator_matrix(obj, g)
+    assert M.shape == (g.n - m + 1,) * 2
+    ref = restricted_forms(obj, g)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
     Ar, pr = M[:-1, :-1], M[-1, :-1] / g.h
     ref_Ar, ref_Br, ref_pr = _null_space_pencil(obj, p, g)
     np.testing.assert_allclose(
@@ -309,7 +330,7 @@ def test_reflector_restriction_matches_null_space_basis(obj):
 
 
 def test_restriction_to_complement_on_random_data():
-    # a border vector with a component along the directions, which the profiles'
+    # the oracle's reflectors against scipy's null-space basis, with a border vector with a component along the directions, which the profiles'
     # own penalty vectors (orthogonal to their derivatives) never have
     rng = np.random.default_rng(4)
     n = 64
@@ -320,7 +341,7 @@ def test_restriction_to_complement_on_random_data():
     basis = scipy.linalg.null_space(V.T)
     ref_X, ref_vec = basis.T @ X @ basis, basis.T @ vec
     bordered = np.block([[X, vec[:, None]], [vec[None, :], np.zeros((1, 1))]])
-    out = _restrict_to_complement(V, bordered)
+    out = restrict_to_complement(V, bordered)
     assert out.shape == (n - 1, n - 1) and out[-1, -1] == 0.0
     Xr, vr = out[:-1, :-1], out[-1, :-1]
     np.testing.assert_allclose(np.linalg.eigvalsh(Xr), np.linalg.eigvalsh(ref_X), atol=1e-12)
@@ -392,18 +413,20 @@ def _secular_oracle(M, h):
 
 @pytest.mark.parametrize(
     "obj, n",
-    [(o, n) for n in (256, 512) for o in OBJECTS] + [(Breather(1.0, 1.0), 1024)],
-    ids=[f"{i}-{n}" for n in (256, 512) for i in OBJECT_IDS] + ["breather-1024"],
+    [(o, n) for n in (256, 512, 1024) for o in OBJECTS],
+    ids=[f"{i}-{n}" for n in (256, 512, 1024) for i in OBJECT_IDS],
 )
 def test_coercivity_matches_scipy_generalized_eigh(obj, n):
     # scipy's LAPACK sygvd on the original pencil, restricted by a null-space
     # basis, as an independent oracle for the symbol reduction, with mu* read by
     # the secular bisection.  lambda_min_raw differed by at most 3.5e-11 at n <= 512
-    # and by 5.5e-10 for the breather at n = 1024, a margin of 1.8 under the bound
-    # 1e-9; that gap is the oracle's: with its dense products accumulated in long
-    # double it fell to 3.8e-11.  mu* differed by at most 1.5e-10 relative at
-    # n <= 512, a margin of 6.6 under 1e-9, and by 2.2e-9 at n = 1024, where the
-    # oracle's 5.5e-10 error in the eigenvalues is itself 2.1e-8 of mu*
+    # and at n = 1024 by 5.5e-10 for the breather, 4.1e-10 for c = 1 and 4.7e-11
+    # for c = 4, a margin of 1.8 under the bound 1e-9; that gap is the oracle's:
+    # with its dense products accumulated in long double it fell to 3.8e-11 for the
+    # breather.  mu* differed by at most 1.5e-10 relative at n <= 512, a margin of
+    # 6.6 under 1e-9, and at n = 1024 by 2.2e-9 for the breather, 5.1e-9 for c = 1
+    # and 3.1e-10 for c = 4, where the oracle's 5.5e-10 error in the breather's
+    # eigenvalues is itself 2.1e-8 of mu*
     obj, p, g = lab._coercivity_setup(obj, 0.01, n)
     Ar, Br, pr = _null_space_pencil(obj, p, g)
     lam, Q = scipy.linalg.eigh(Ar, Br)
@@ -416,15 +439,14 @@ def test_coercivity_matches_scipy_generalized_eigh(obj, n):
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_bordered_eigenvalue_matches_secular_bisection(obj):
-    # theta_1 of the bordered matrix against the secular root of the same matrix's
-    # eigendecomposition: mu* differed by at most 5.9e-14 relative (the breather at
-    # n = 256), a margin of 17 under 1e-12, and lambda_min_raw by at most 3.6e-15,
-    # a margin of 28 under 1e-13
+    # the check's theta_1 from Lanczos against the secular root of the oracle's
+    # assembled bordered matrix, from its eigendecomposition: mu* differed by at most
+    # 8.0e-14 relative (the breather at n = 256), a margin of 12 under 1e-12, and
+    # lambda_min_raw by at most 3.5e-15, a margin of 28 under 1e-13
     for n in (256, 512):
-        obj, _, g = lab._coercivity_setup(obj, 0.01, n)
-        M = _restricted_forms(obj, g)
-        ref_mu, ref_lam = _secular_oracle(M, g.h)
-        res = _certify(M)
+        obj, p, g = lab._coercivity_setup(obj, 0.01, n)
+        ref_mu, ref_lam = _secular_oracle(restricted_forms(obj, g), g.h)
+        res = coercivity_check(obj, p, 1, g)
         assert res.mu == pytest.approx(ref_mu, rel=1e-12) and res.mu > 0
         assert abs(res.lambda_min_raw - ref_lam) < 1e-13
 
@@ -432,19 +454,24 @@ def test_bordered_eigenvalue_matches_secular_bisection(obj):
 @pytest.mark.parametrize("obj", OBJECTS, ids=OBJECT_IDS)
 def test_unconstrained_form_certifies_nothing(obj):
     # without the orthogonality constraints at least two eigenvalues of the bare
-    # form W A W lie within round-off of 0 or below (at n = 256: -3.5e-16 and
+    # form W A W lie within round-off of 0 or below (dense, at n = 256: -3.5e-16 and
     # -9.8e-17 for c = 1, -9.7e-8 and 1.2e-7 for the under-resolved c = 4, -0.18,
     # -1.2e-6 and 6e-10 for the breather), and the rank-one penalty W P lifts at
     # most one of them.  theta_1 of the bare bordered matrix is round-off or below
     # (at n = 512: 4.4e-16 for c = 1, 1.9e-15 for c = 4, 2.4e-16 for the breather),
     # so without the noise floor n eps max|lam| (1.4e-13 to 2.3e-12 there) mu* would
-    # be positive.  The secular bisection agrees
+    # be positive.  Lanczos on the bare operator reads theta_1 between -3.1e-16 and
+    # 4.4e-16 at n = 512, and the dense eigensolves and the secular bisection of the
+    # oracle's matrix agree that nothing is certified
     for n in (256, 512):
         obj, _, g = lab._coercivity_setup(obj, 0.01, n)
-        M = _bordered_form(obj, eval_object(obj, 0.0, g.x), g)
-        res = _certify(M)
+        pv = eval_object(obj, 0.0, g.x)
+        weights = _second_variation_weights(pv, 1.0, *shape_pair(obj), g)
+        res = _certify(*_bordered_operator(weights, pv, (), g))
         assert res.lambda_min_raw <= 1e-6
         assert res.mu == 0.0
+        M = bordered_form(obj, pv, g)
+        assert dense_certify(M).mu == 0.0
         assert _secular_oracle(M, g.h)[0] == 0.0
 
 
@@ -499,10 +526,9 @@ def test_coercivity_check_evaluates_its_profile_once(obj, monkeypatch):
 
 
 def test_coercivity_check_holds_one_matrix():
-    # the bordered matrix at n = 1024 is 8.4 MB; the traced peak of the check
-    # measured 11.8 MB, against 25.4 MB when it held the eigenvectors and dense
-    # circulant copies, and the bound 16 MB sits between the two.  eigvalsh's
-    # LAPACK copy is allocated outside numpy's arrays and does not show here
+    # the check holds no n x n array: at n = 1024 its traced peak measured 1.5 MB,
+    # most of it the Lanczos basis, against 11.8 MB when it assembled the 8.4 MB
+    # bordered matrix, so the bound 3 MB fails any n x n array of floats
     obj, p, g = lab._coercivity_setup(Breather(1.0, 1.0), 0.01, 1024)
     tracemalloc.start()
     try:
@@ -510,7 +536,53 @@ def test_coercivity_check_holds_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 3e6
+
+
+def test_lanczos_sees_the_odd_eigenvector_that_an_even_start_misses():
+    # a synthetic operator on a periodic grid of 128 points that commutes with the
+    # reflection j -> -j, as a centred profile's form does: its eigenvectors are the
+    # even cosines and the odd sines, the lowest (-1) a sine, the lowest even
+    # eigenvalue 0.5.  Its product keeps each parity exactly, as exact arithmetic
+    # would, so started at an even border vector the Krylov space stays even and
+    # never reaches -1; the fixed start has both parities and finds it
+    N = 128
+    j = np.arange(N)
+    R = -j % N
+    modes = [np.cos(2 * np.pi * k * j / N) for k in range(N // 2 + 1)]
+    modes += [np.sin(2 * np.pi * k * j / N) for k in range(1, N // 2)]
+    U = np.array([v / np.linalg.norm(v) for v in modes]).T
+    lam = np.linspace(1.0, 2.0, N)
+    lam[0], lam[N // 2 + 1] = 0.5, -1.0  # the constant and sin(2 pi j / N)
+    A = (U * lam) @ U.T
+    assert np.allclose(A, A[R][:, R], atol=1e-14)
+
+    def product(v):
+        even, odd = A @ (0.5 * (v + v[R])), A @ (0.5 * (v - v[R]))
+        return 0.5 * (even + even[R]) + 0.5 * (odd - odd[R])
+
+    border = np.exp(-np.minimum(j, N - j) ** 2 / 50.0)
+    assert np.array_equal(border, border[R])
+    assert _lanczos(product, _start(N), (0,))[0] == pytest.approx(-1.0, abs=1e-12)
+    assert _lanczos(product, border, (0,))[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_lanczos_raises_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(lyapunov, "LANCZOS_MAX_ITERS", 5)
+    A = np.diag(np.linspace(0.0, 1.0, 50))
+    with pytest.raises(EigensolveFailure, match="in 5 iterations"):
+        _lanczos(lambda v: A @ v, _start(50), (0,))
+
+
+def test_lanczos_reports_a_failed_tridiagonal_eigensolve(monkeypatch):
+    # LAPACK's syevd raises LinAlgError when it does not converge
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    A = np.diag(np.linspace(0.0, 1.0, 50))
+    with pytest.raises(EigensolveFailure, match="did not converge"):
+        _lanczos(lambda v: A @ v, _start(50), (0,))
 
 
 def test_coercivity_rejects_oversized_grid():

@@ -8,7 +8,6 @@ from .errors import (
     BlowUp,
     DuplicateVelocity,
     EigensolveFailure,
-    EmptyAdmissibleInterval,
     HypothesisViolated,
     MkdvLabError,
     NoConvergence,

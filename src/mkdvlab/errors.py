@@ -19,7 +19,7 @@ class DuplicateVelocity(MkdvLabError):
 
 class HypothesisViolated(MkdvLabError):
     """No positive second-smallest velocity v2, so no first cutoff speed: the paper's
-    hypothesis fails for J >= 2, and a lone object has no v2 at all."""
+    hypothesis fails for J >= 2, and a lone object, which only an override admits, has no v2."""
 
     exit_code = 2
 
@@ -54,10 +54,6 @@ class NoConvergence(MkdvLabError):
 
 class SingularJacobian(MkdvLabError):
     """Near-degenerate modulation system (ill-conditioned Jacobian)."""
-
-
-class EmptyAdmissibleInterval(MkdvLabError):
-    """No admissible first cutoff speed exists: v2 <= 0, which only override=True lets through."""
 
 
 class EigensolveFailure(MkdvLabError):

@@ -75,6 +75,11 @@ class CutoffFamily:
             return np.ones_like(x)
         return psi(self.sigma, x - self.speeds[j - 1] * t)
 
+    def weights(self, t: float, x) -> list:
+        """[Phi_1, .., Phi_{J-1}, 1.0] at time t: the samples of each cutoff, and the
+        number 1.0 for Phi_J, which weights as an array of ones would, bit for bit."""
+        return [self.weight(j, t, x) for j in range(1, self.J)] + [1.0]
+
     def _check_index(self, j: int):
         if not 1 <= j <= self.J:
             raise IndexError(f"j must be in 1..{self.J}, got {j}")

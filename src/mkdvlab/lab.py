@@ -23,7 +23,7 @@ import yaml
 
 from .errors import NonPositiveDistance
 from .evolution import EvolutionControls, Trajectory, evolve, pde_residual
-from .functionals import weighted_integrals
+from .functionals import CutoffFamily, weighted_integrals
 from .grid import Grid, make_grid
 from .lyapunov import (
     DROP_BUDGET,
@@ -71,8 +71,13 @@ class Scenario:
 
     @cached_property
     def params(self) -> LyapunovParams:
-        """The Lyapunov parameters of the whole configuration."""
+        """The Lyapunov parameters of the whole configuration; HypothesisViolated unless v2 > 0."""
         return select_parameters(self.cfg, self.sigma)
+
+    @cached_property
+    def fam(self) -> CutoffFamily | None:
+        """The cutoff family of `params` if v2 > 0, else None; the audits test v2 only here."""
+        return self.params.fam if self.cfg.positive_v2 else None
 
     @cached_property
     def slack(self) -> tuple[float, float]:
@@ -105,14 +110,13 @@ class Scenario:
     @cached_property
     def integrals(self) -> np.ndarray:
         """The read-only (T, K, 3) weighted_integrals rows of each snapshot that
-        conservation (the last, whole-line row) and monotonicity read.  With v2 > 0
-        the weights are Phi_1..Phi_J of `params`; otherwise the whole line alone, K = 1,
-        so conservation audits a lone object without computing parameters."""
-        traj, g = self.trajectory, self.grid
-        fam = self.params.fam if self.cfg.positive_v2 else None
+        conservation (the last, whole-line row) and monotonicity read.  With a cutoff
+        family (`fam`) the weights are its Phi_1..Phi_J; otherwise the whole line alone,
+        K = 1, so conservation audits a lone object without computing parameters."""
+        traj, g, fam = self.trajectory, self.grid, self.fam
         rows = []
         for t, u in zip(traj.times, traj.values):
-            weights = [fam.weight(j, t, g.x) for j in range(1, fam.J + 1)] if fam else (1.0,)
+            weights = fam.weights(t, g.x) if fam else (1.0,)
             rows.append(weighted_integrals(g, u, weights))
         out = np.array(rows)
         out.flags.writeable = False
@@ -121,14 +125,11 @@ class Scenario:
     @cached_property
     def track(self) -> ModulationTrack:
         """The one pass of fits that modulate and rate-fit read: offsets, residuals
-        and H^2 norms, not w, and, with v2 > 0, rate-fit's series.
-
-        The series need the cutoff family of `params`, which exists exactly when
-        v2 > 0.  A lone object or a v2 <= 0 configuration gets the fits alone, so
-        modulate audits it without computing parameters.
+        and H^2 norms, not w, and, with a cutoff family (`fam`), rate-fit's series.
+        Without one the fits come alone, so modulate audits a lone object or a
+        v2 <= 0 configuration without computing parameters.
         """
-        fam = self.params.fam if self.cfg.positive_v2 else None
-        return track_modulation(self.trajectory, self.cfg, fam)
+        return track_modulation(self.trajectory, self.cfg, self.fam)
 
 
 def _fields(node, required, optional, where: str) -> dict:
@@ -252,7 +253,7 @@ def resolved_config(s: Scenario) -> dict:
         "sigma": s.sigma,
         "seed": s.seed,
     }
-    if s.cfg.positive_v2:
+    if s.fam:
         p = s.params
         varpi, C = s.slack
         record.update(
@@ -445,8 +446,8 @@ def _coercivity_setup(
 
     The object is o re-centred at the origin, so the dense grid of n nodes
     can stay small; a translation shifts a breather's x1 and x2 alike.  The
-    parameters are o's own as a lone object, which has no cutoff (Phi_1 = 1),
-    hence override=True.
+    parameters are o's own as a lone object, which has no v2 and no cutoff
+    (Phi_1 = 1): override=True admits it, as it admits a lone object only.
     """
     if isinstance(o, Soliton):
         centered = replace(o, x0=0.0)

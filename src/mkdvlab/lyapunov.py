@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
+from .errors import EigensolveFailure, HypothesisViolated
 from .functionals import CutoffFamily, make_cutoff_family, weighted_integrals
 from .grid import Grid, derivative_pair
 from .profiles import (
@@ -105,11 +105,12 @@ def select_parameters(
     nu1 sits at the midpoint of its admissible interval, the cutoff speeds
     are interval midpoints, and sigma is shrunk when the first shape pair
     forces a smaller value.  Without v2 > 0 (`positive_v2`) there is no first
-    cutoff speed, so HypothesisViolated is raised; override=True lets a lone
-    object through, with no cutoff, for the coercivity check, while J >= 2
-    with v2 <= 0 still ends in EmptyAdmissibleInterval.
+    cutoff speed, so HypothesisViolated is raised; override=True admits a lone
+    object only, with no cutoff, for the coercivity check.  With v2 > 0, m1's
+    interval is never empty: max(0, v1) < v2, and the cap binds only when b1 < a1,
+    where v1 < 0 and nu1 < 1 put 0 below the cap.
     """
-    if not cfg.positive_v2 and not override:
+    if not (cfg.positive_v2 or (override and cfg.J == 1)):
         velocities = ", ".join(f"{v:g}" for v in cfg.velocities)
         raise HypothesisViolated(
             "the cutoff audits need a positive second-smallest velocity "
@@ -130,10 +131,6 @@ def select_parameters(
         if d1 < 0:
             # the quadratic tuning constraint caps m1 from above
             hi = min(hi, 0.5 * (nu1 - 1.0) * r1**2 / d1)
-        if not lo < hi:
-            raise EmptyAdmissibleInterval(
-                f"no admissible m1 in ({lo}, {hi}) for velocities {v}"
-            )
         speeds.append(0.5 * (lo + hi))
         for j in range(2, cfg.J):
             speeds.append(0.5 * (v[j - 1] + v[j]))

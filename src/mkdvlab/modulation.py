@@ -223,7 +223,7 @@ def track_modulation(traj, cfg: OrderedConfiguration, fam: CutoffFamily | None) 
             continue
         w, (wx, wxx) = st.w, st.w_pair
         h1 = w**2 + wx**2
-        phis = [fam.weight(j, t, g.x) for j in range(1, J + 1)]
+        phis = fam.weights(t, g.x)
         track.windowed[i] = np.sqrt(integrate(g, (h1 + wxx**2) * (1.0 - phis[-2])))
         for j, (sl, pj, phi) in enumerate(zip(st.windows, st.profiles, phis)):
             track.scalar[j, i] = abs(integrate(g, pj * w[sl]))

@@ -199,6 +199,22 @@ def test_localized_triple_global_weight(grid):
     assert rows[0, 0] == pytest.approx(4.0, abs=2e-12)  # int Q_1^2 = 4 = 2 M[Q_1]
 
 
+def test_weights_give_the_rows_of_each_weight_alone(grid):
+    # with v2 > 0 the family has J - 1 cutoffs; weights() lists their samples and
+    # the number 1.0 for Phi_J, and each row of the one call has the bits of that
+    # Phi_j's array asked for alone, the array of ones of weight(J) included
+    cfg = _flagship()
+    assert cfg.positive_v2
+    fam = make_cutoff_family(cfg, (0.5, 2.5), 0.01)
+    u = breather_eval(Breather(1.0, 1.0), 0.0, grid.x) + _q1(grid, 20.0)
+    for t in (0.0, 0.3, 4.0):
+        weights = fam.weights(t, grid.x)
+        assert len(weights) == fam.J and type(weights[-1]) is float and weights[-1] == 1.0
+        rows = weighted_integrals(grid, u, weights)
+        for j, row in enumerate(rows, start=1):
+            assert np.array_equal(row, weighted_integrals(grid, u, [fam.weight(j, t, grid.x)])[0])
+
+
 def test_weighted_integrals_share_one_derivative_pair(grid, monkeypatch):
     # every weight of a call reads one derivative pair, and each row has the
     # bits of that weight asked for alone

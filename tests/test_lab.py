@@ -42,7 +42,6 @@ from mkdvlab.profiles import (
     Soliton,
     center,
     decay_envelope,
-    order_and_validate,
     profile_sum,
 )
 from oracles import (
@@ -460,7 +459,8 @@ def test_flagship_per_snapshot_summaries():
 def test_monotonicity_computes_one_triple_per_snapshot_and_j(monkeypatch):
     # monotonicity computes its triples in the scenario's integrals pass: one
     # weighted_integrals call per snapshot, whose weights are Phi_1..Phi_J at that
-    # snapshot's time, one triple per j; it audits the rows of Phi_1..Phi_{J-1}
+    # snapshot's time, one triple per j, Phi_J the number 1.0 rather than an array
+    # of ones; it audits the rows of Phi_1..Phi_{J-1}
     calls = []
     integrals = lab.weighted_integrals
 
@@ -477,8 +477,30 @@ def test_monotonicity_computes_one_triple_per_snapshot_and_j(monkeypatch):
     for t, weights in zip(times, calls, strict=True):
         assert len(weights) == s.cfg.J == 3
         for j, w in enumerate(weights, start=1):
-            assert np.array_equal(w, fam.weight(j, t, x))
+            assert np.array_equal(np.broadcast_to(w, x.shape), fam.weight(j, t, x))
+        assert type(weights[-1]) is float and weights[-1] == 1.0
     assert s.integrals.shape == (T, s.cfg.J, 3)
+
+
+def test_cutoffs_are_evaluated_once_per_pass(monkeypatch):
+    # the integrals pass and the modulation pass each evaluate Phi_1..Phi_{J-1}
+    # at every snapshot, so a run of both evaluates each cutoff twice; the
+    # duplicate is kept, as holding the (T, J-1, n) weights would add 13.2 MB
+    # to the 201-snapshot flagship's 41 MB peak, and this count shows it
+    calls = []
+    psi = functionals.psi
+    monkeypatch.setattr(functionals, "psi", lambda sigma, x: calls.append(sigma) or psi(sigma, x))
+    s = _flagship_every_step()
+    T, J = len(s.trajectory.times), s.cfg.J
+    assert (T, J) == (41, 3)
+    assert run_experiment(s, "conservation").passed
+    assert len(calls) == (J - 1) * T == 82
+    assert run_experiment(s, "monotonicity").passed
+    assert len(calls) == 82
+    assert run_experiment(s, "modulate").passed
+    assert len(calls) == 2 * (J - 1) * T == 164
+    assert run_experiment(s, "rate-fit").passed
+    assert len(calls) == 164
 
 
 @pytest.mark.parametrize("first,second", [("conservation", "monotonicity"), ("monotonicity", "conservation")])

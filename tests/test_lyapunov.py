@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mkdvlab import lab, lyapunov
-from mkdvlab.errors import EigensolveFailure, EmptyAdmissibleInterval, HypothesisViolated
+from mkdvlab.errors import EigensolveFailure, HypothesisViolated
 from mkdvlab.functionals import weighted_integrals
 from mkdvlab.grid import integrate, make_grid
 from mkdvlab.lyapunov import (
@@ -94,8 +94,8 @@ def test_select_parameters_hypothesis_violated():
     )
     with pytest.raises(HypothesisViolated, match=refused):
         select_parameters(cfg, 0.01)
-    # with the override, no rightward-moving cutoff can sit below v2 < 0
-    with pytest.raises(EmptyAdmissibleInterval):
+    # the override admits a lone object only: J >= 2 with v2 < 0 is refused alike
+    with pytest.raises(HypothesisViolated, match=refused):
         select_parameters(cfg, 0.01, override=True)
     # a lone object has no v2, whatever the sign of its own velocity, so only the
     # override lets it through, with no cutoff
